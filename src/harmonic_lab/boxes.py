@@ -5,17 +5,23 @@ extension (inward normal differences prescribed), odd and even reflections
 of face data, the face-by-face decomposition of a box harmonic function
 into periodic strip solutions, and the tangential/normal gradient
 comparison report those constructions feed.
+
+Both box solvers are exact fast transforms, with no matrix assembled.  The
+interior Dirichlet operator 2d*I - A is a sum of Dirichlet path Laplacians
+and is diagonalized by the type-I sine transform (the odd reflection of
+``odd_reflect``); the interior Neumann operator diag(deg) - A is a sum of
+free path Laplacians and is diagonalized by the type-II cosine transform,
+whose zero mode carries the mean-zero gauge.  See Buzbee, Golub & Nielson,
+"On direct methods for solving Poisson's equations", SIAM J. Numer. Anal. 7
+(1970).
 """
 
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.fft
 
 from . import lattice
 from .halfspace import dirichlet_strip_solve
@@ -30,12 +36,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: boxes with at most this many vertices use a dense LU factorization
-DENSE_SOLVER_LIMIT = 20_000
-
-#: conjugate gradient tolerance for boxes above the dense limit
-CG_RTOL = 1e-12
 
 _REFLECT_CONSISTENCY_TOL = 1e-8
 
@@ -53,38 +53,10 @@ def _box_dims(u: np.ndarray):
     return d, N
 
 
-def _grid_adjacency(shape):
-    """Sparse adjacency matrix of the grid graph on prod(shape) vertices,
-    C-order flattened."""
-    eye_parts = [scipy.sparse.identity(s, format="csr") for s in shape]
-    n = int(np.prod(shape))
-    out = scipy.sparse.csr_matrix((n, n))
-    for axis, s in enumerate(shape):
-        if s < 2:
-            continue
-        ones = np.ones(s - 1)
-        step = scipy.sparse.diags([ones, ones], [-1, 1], format="csr")
-        parts = list(eye_parts)
-        parts[axis] = step
-        term = parts[0]
-        for block in parts[1:]:
-            term = scipy.sparse.kron(term, block, format="csr")
-        out = out + term
-    return out
-
-
-def _solver_method(d, N):
-    return "dense" if (N + 1) ** d <= DENSE_SOLVER_LIMIT else "iterative"
-
-
-@lru_cache(maxsize=None)
-def _dirichlet_system(d, N, method):
-    shape = (N - 1,) * d
-    A = _grid_adjacency(shape)
-    M = 2 * d * scipy.sparse.identity(A.shape[0], format="csr") - A
-    if method == "dense":
-        return scipy.linalg.lu_factor(M.toarray())
-    return M
+def _eigenvalues(path_eigenvalues, d):
+    """Eigenvalues of the d-fold tensor sum of one path operator, as a
+    (n,)*d array broadcast from the per-axis eigenvalues."""
+    return sum(np.meshgrid(*[path_eigenvalues] * d, indexing="ij", sparse=True))
 
 
 def _dirichlet_boundary_rhs(f, d, N):
@@ -108,48 +80,21 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     """Solve the interior Laplace equation with boundary values from ``f``.
 
     ``f`` is a full (N+1,)^d array; only its boundary entries are read and
-    they are copied into the result bit for bit.  The interior system is
-    symmetric positive definite after boundary elimination and is solved
-    by a cached dense LU factorization on small boxes, by conjugate
-    gradients above DENSE_SOLVER_LIMIT vertices.
+    they are copied into the result bit for bit.  After boundary
+    elimination the interior system (2d*I - A) u = rhs on (N-1)^d vertices
+    is solved by an orthonormal type-I sine transform, whose modes
+    k in {1..N-1}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / N)).  The
+    solution is unique, so no gauge is needed.
     """
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
     rhs = _dirichlet_boundary_rhs(f, d, N)
-    method = _solver_method(d, N)
-    system = _dirichlet_system(d, N, method)
-    if method == "dense":
-        sol = scipy.linalg.lu_solve(system, rhs.ravel())
-    else:
-        sol, info = scipy.sparse.linalg.cg(
-            system, rhs.ravel(), rtol=CG_RTOL, atol=0.0
-        )
-        if info != 0:
-            residual = float(np.linalg.norm(system @ sol - rhs.ravel()))
-            raise RuntimeError(
-                f"interior solve did not converge (info={info}, "
-                f"residual {residual:.3e})"
-            )
+    k = np.arange(1, N)
+    lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / N), d)
+    coeffs = scipy.fft.dstn(rhs, type=1, norm="ortho") / lam
     out = f.copy()
-    out[(slice(1, N),) * d] = sol.reshape((N - 1,) * d)
+    out[(slice(1, N),) * d] = scipy.fft.idstn(coeffs, type=1, norm="ortho")
     return out
-
-
-@lru_cache(maxsize=None)
-def _neumann_system(d, N, method):
-    shape = (N - 1,) * d
-    A = _grid_adjacency(shape)
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    M = scipy.sparse.diags(deg) - A
-    # gauge: replace the first equation with a pin on the first interior
-    # vertex; the dropped balance equation is implied by the others when
-    # the data sums to zero
-    M = M.tolil()
-    M[0, :] = 0.0
-    M[0, 0] = 1.0
-    if method == "dense":
-        return scipy.linalg.lu_factor(M.toarray())
-    return scipy.sparse.linalg.splu(M.tocsc())
 
 
 def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -157,10 +102,14 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
 
     ``g`` lists one value per edge of lattice.normal_edges(d, N), in that
     order, and must sum to zero (no solution exists otherwise).  The
-    interior is gauged to mean zero.  Face vertices are filled through
-    their unique inward edge; ridge and corner vertices carry no
-    constraint and are set, in increasing boundary codimension, to the
-    mean of their already filled neighbours.
+    interior system is the grid-graph Laplacian diag(deg) - A on (N-1)^d
+    vertices, solved by an orthonormal type-II cosine transform whose modes
+    k in {0..N-2}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / (N-1))).
+    The constant mode k = 0 is the kernel; setting it to zero is the gauge,
+    so the interior has mean zero.  Face vertices are filled through their
+    unique inward edge; ridge and corner vertices carry no constraint and
+    are set, in increasing boundary codimension, to the mean of their
+    already filled neighbours.
     """
     if N < 2 or d < 2:
         raise ValueError(f"need d >= 2 and N >= 2, got d={d}, N={N}")
@@ -178,41 +127,34 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             "no harmonic extension"
         )
 
-    shape = (N - 1,) * d
-    heads = np.array([e[1] for e in edges]) - 1
-    rhs = np.zeros(shape)
-    np.subtract.at(rhs, tuple(heads.T), g)
-    flat = rhs.ravel()
-    flat[0] = 0.0  # pinned vertex
+    tails = tuple(np.array([e[0] for e in edges]).T)
+    heads = tuple(np.array([e[1] for e in edges]).T)
+    rhs = np.zeros((N - 1,) * d)
+    np.subtract.at(rhs, tuple(h - 1 for h in heads), g)
 
-    method = _solver_method(d, N)
-    system = _neumann_system(d, N, method)
-    if method == "dense":
-        sol = scipy.linalg.lu_solve(system, flat)
-    else:
-        sol = system.solve(flat)
-    sol = sol - sol.mean()
+    k = np.arange(N - 1)
+    lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / (N - 1)), d)
+    lam[(0,) * d] = np.inf  # the constant mode is the kernel: gauge it to 0
+    coeffs = scipy.fft.dctn(rhs, type=2, norm="ortho") / lam
 
     out = np.full((N + 1,) * d, np.nan)
-    out[(slice(1, N),) * d] = sol.reshape(shape)
-    for e, value in zip(edges, g):
-        out[e[0]] = out[e[1]] - value
+    out[(slice(1, N),) * d] = scipy.fft.idctn(coeffs, type=2, norm="ortho")
+    out[tails] = out[heads] - g
 
-    # ridge and corner fill by increasing codimension
-    by_codim = {}
-    for x in lattice.boundary_vertices(d, N):
-        c = sum(1 for xi in x if xi in (0, N))
-        if c >= 2:
-            by_codim.setdefault(c, []).append(x)
-    for c in sorted(by_codim):
-        for x in by_codim[c]:
-            nbrs = []
-            for i, xi in enumerate(x):
-                if xi == 0:
-                    nbrs.append(x[:i] + (1,) + x[i + 1 :])
-                elif xi == N:
-                    nbrs.append(x[:i] + (N - 1,) + x[i + 1 :])
-            out[x] = np.mean([out[n] for n in nbrs])
+    # ridge and corner fill by increasing codimension: the saturated
+    # coordinates of a vertex step inward, summed in increasing axis order
+    axis = np.arange(N + 1)
+    inward = np.clip(axis, 1, N - 1)
+    saturated = [
+        (inward != axis).reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)
+    ]
+    codim = sum(saturated)
+    for c in range(2, d + 1):
+        ridge = codim == c
+        acc = np.zeros(out.shape)
+        for i in range(d):
+            acc += np.where(saturated[i], np.take(out, inward, axis=i), 0.0)
+        out[ridge] = acc[ridge] / c
     return out
 
 

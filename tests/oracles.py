@@ -87,6 +87,65 @@ def dense_dirichlet_box(f):
     return sol.reshape(f.shape)
 
 
+def dense_neumann_box(g, d, N):
+    """Solve the box Neumann problem as one full linear system.
+
+    ``g`` holds the inward normal differences in lexicographic (tail, head)
+    order.  The interior graph Laplacian is assembled densely, its first
+    row is replaced by a pin on the first interior vertex, and the mean is
+    removed afterwards.  Faces follow from their inward edge; ridges and
+    corners, by increasing codimension, average their inward neighbours.
+    """
+    g = np.asarray(g, dtype=float)
+    box = list(itertools.product(range(N + 1), repeat=d))
+    inner = [v for v in box if all(0 < c < N for c in v)]
+    pos = {v: i for i, v in enumerate(inner)}
+    edges = sorted(
+        (w, v)
+        for v in inner
+        for ax in range(d)
+        for s in (-1, 1)
+        for w in [v[:ax] + (v[ax] + s,) + v[ax + 1 :]]
+        if w not in pos
+    )
+    assert len(edges) == len(g)
+    n = len(inner)
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    for v in inner:
+        i = pos[v]
+        for ax in range(d):
+            for s in (-1, 1):
+                w = v[:ax] + (v[ax] + s,) + v[ax + 1 :]
+                if w in pos:
+                    A[i, i] += 1.0
+                    A[i, pos[w]] -= 1.0
+    for (tail, head), value in zip(edges, g):
+        b[pos[head]] -= value
+    A[0, :] = 0.0
+    A[0, 0] = 1.0
+    b[0] = 0.0
+    sol = np.linalg.solve(A, b)
+    sol -= sol.mean()
+
+    out = np.full((N + 1,) * d, np.nan)
+    for v, value in zip(inner, sol):
+        out[v] = value
+    for (tail, head), value in zip(edges, g):
+        out[tail] = out[head] - value
+    for codim in range(2, d + 1):
+        for v in box:
+            saturated = [ax for ax in range(d) if v[ax] in (0, N)]
+            if len(saturated) != codim:
+                continue
+            total = 0.0
+            for ax in saturated:
+                step = 1 if v[ax] == 0 else -1
+                total += out[v[:ax] + (v[ax] + step,) + v[ax + 1 :]]
+            out[v] = total / codim
+    return out
+
+
 def _strip_vertices(lateral_shape, rows):
     return [
         x + (y,)
