@@ -279,27 +279,23 @@ def run_symbol_report(d, l_list):
     for L in l_list:
         L = int(L)
         angles = tangential_angles(d, L)
-        levels = dyadic._nonempty_levels(L)
-        rects = [
-            k
-            for k in itertools.product(levels, repeat=naxes)
-            if not dyadic.dyadic_rectangle_is_empty(k, L)
-        ]
+        # one evaluation per tangential axis; every rectangle shares the
+        # array of its dominant axis
+        dirichlet = [dirichlet_symbol(i, angles, d) for i in range(naxes)]
         family = {
-            k: dirichlet_symbol(dyadic.dominant_axis(k), angles, d) for k in rects
+            k: dirichlet[dyadic.dominant_axis(k)]
+            for k in itertools.product(dyadic._nonempty_levels(L), repeat=naxes)
         }
         glued = dyadic.glue_local_symbols(family, L)
 
         def metrics(symbol_values):
-            max_lvar = max(
-                dyadic.local_variation(symbol_values, k, L) for k in rects
-            )
-            var = dyadic.total_variation(symbol_values, L)
+            table = dyadic.variation_table(symbol_values, L)
+            max_lvar = float(table.local.max())
             return {
                 "max_lvar": max_lvar,
-                "total_var": var,
+                "total_var": table.total,
                 "bound_factor": 4**naxes,
-                "bound_ok": bool(var <= 4**naxes * max_lvar + 1e-12),
+                "bound_ok": bool(table.total <= 4**naxes * max_lvar + 1e-12),
             }
 
         neumann_block = metrics(neumann_symbol(0, angles, d))
@@ -553,6 +549,12 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="WARNING",
+        help="lowest level of log records written to stderr",
+    )
 
 
 def build_parser():
@@ -599,7 +601,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(
+        level=args.log_level, format="%(levelname)s %(name)s: %(message)s"
+    )
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1

@@ -12,6 +12,14 @@ The local variation of a symbol over a rectangle takes, for each choice of
 summed versus sup axes, nested reductions of the mixed forward differences;
 summed axes drop the largest element of their index set.  The total
 variation takes full sums and the supremum over all rectangles.
+
+Both are evaluated for every rectangle at once.  Each axis is reordered
+into ascending frequency, where every dyadic interval is a contiguous
+segment; the absolute mixed difference is formed once per flag vector and
+reduced over all segments together with ``np.add.reduceat`` (summed axes)
+or ``np.maximum.reduceat`` (sup axes), innermost axis first.  A summed
+axis drops its largest element by zeroing the last entry of each segment,
+which is exact because the terms are nonnegative.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
     "dyadic_rectangle_is_empty",
     "dominant_axis",
     "alpha_difference",
+    "VariationTable",
+    "variation_table",
     "local_variation",
     "total_variation",
     "glue_local_symbols",
@@ -134,6 +144,65 @@ def _rectangle_index_sets(k, L):
     return sets
 
 
+def _nonempty_levels(L: int) -> list:
+    levels = [0]
+    levels.extend(range(1, int(L).bit_length() + 1))
+    levels.extend(-m for m in range(1, int(L - 1).bit_length() + 1))
+    return sorted(levels)
+
+
+class VariationTable(NamedTuple):
+    """Local variation of every dyadic rectangle and the total variation.
+
+    ``local[i_0, ..., i_{d-1}]`` belongs to the rectangle with index vector
+    ``(levels[i_0], ..., levels[i_{d-1}])``; ``levels`` lists the nonempty
+    levels in ascending order.
+    """
+
+    levels: tuple
+    local: np.ndarray
+    total: float
+
+
+def variation_table(a: np.ndarray, L: int) -> VariationTable:
+    """Local variation of ``a`` over every nonempty dyadic rectangle and its
+    total variation, from a single pass over the mixed differences."""
+    a = np.asarray(a)
+    d = a.ndim
+    if a.shape != (2 * L,) * d:
+        raise ValueError(f"symbol shape {a.shape} does not match half-period {L}")
+    levels = _nonempty_levels(L)
+    # ascending frequency -L+1..L (the argsort of spectral.index_grid(L)):
+    # every dyadic interval becomes one contiguous segment, and the periodic
+    # forward neighbour is still the next position
+    order = (np.arange(2 * L) + L + 1) % (2 * L)
+    for ax in range(d):
+        a = np.take(a, order, axis=ax)
+    starts = np.array([dyadic_integers(level, L)[0] + L - 1 for level in levels])
+    lasts = np.append(starts[1:], 2 * L) - 1
+    local = total = np.zeros((len(levels),) * d)
+    for alpha in itertools.product((0, 1), repeat=d):
+        diff = a
+        for ax, flag in enumerate(alpha):
+            diff = alpha_difference(diff, ax, flag)
+        full = np.abs(diff)
+        # a summed axis drops the largest frequency of each segment; the
+        # terms are nonnegative, so a zero there drops it, and a singleton
+        # segment sums to 0, which never beats the initial 0
+        dropped = full.copy()
+        for ax, flag in enumerate(alpha):
+            if flag:
+                dropped[(slice(None),) * ax + (lasts,)] = 0.0
+        # innermost axis first, as in the nested sum/sup of the definition
+        for ax in reversed(range(d)):
+            reduce = np.add.reduceat if alpha[ax] else np.maximum.reduceat
+            full = reduce(full, starts, axis=ax)
+            dropped = reduce(dropped, starts, axis=ax)
+        total = np.maximum(total, full)
+        local = np.maximum(local, dropped)
+    return VariationTable(tuple(levels), local, float(total.max()))
+
+
 def local_variation(a: np.ndarray, k, L: int) -> float:
     """Mixed sum/sup variation of ``a`` over the dyadic rectangle ``k``.
 
@@ -149,55 +218,13 @@ def local_variation(a: np.ndarray, k, L: int) -> float:
     if dyadic_rectangle_is_empty(k, L):
         logger.debug("empty dyadic rectangle %s at L=%d treated as 0", k, L)
         return 0.0
-    full_sets = _rectangle_index_sets(k, L)
-    # drop the largest frequency of each summed axis; the stored sets are
-    # ascending in frequency, so that is the last entry
-    best = 0.0
-    for alpha in itertools.product((0, 1), repeat=d):
-        diff = a
-        sets = []
-        empty = False
-        for ax, flag in enumerate(alpha):
-            diff = alpha_difference(diff, ax, flag)
-            chosen = full_sets[ax][:-1] if flag else full_sets[ax]
-            if chosen.size == 0:
-                empty = True
-                break
-            sets.append(chosen)
-        if empty:
-            continue
-        block = np.abs(diff[np.ix_(*sets)])
-        for ax in reversed(range(d)):
-            block = block.sum(axis=ax) if alpha[ax] else block.max(axis=ax)
-        best = max(best, float(block))
-    return best
-
-
-def _nonempty_levels(L: int) -> list:
-    levels = [0]
-    levels.extend(range(1, int(L).bit_length() + 1))
-    levels.extend(-m for m in range(1, int(L - 1).bit_length() + 1))
-    return sorted(levels)
+    table = variation_table(a, L)
+    return float(table.local[tuple(table.levels.index(level) for level in k)])
 
 
 def total_variation(a: np.ndarray, L: int) -> float:
     """Supremum over dyadic rectangles of the full mixed-difference sums."""
-    a = np.asarray(a)
-    d = a.ndim
-    best = 0.0
-    for k in itertools.product(_nonempty_levels(L), repeat=d):
-        sets = _rectangle_index_sets(k, L)
-        if any(s.size == 0 for s in sets):
-            continue
-        for alpha in itertools.product((0, 1), repeat=d):
-            diff = a
-            for ax, flag in enumerate(alpha):
-                diff = alpha_difference(diff, ax, flag)
-            block = np.abs(diff[np.ix_(*sets)])
-            for ax in reversed(range(d)):
-                block = block.sum(axis=ax) if alpha[ax] else block.max(axis=ax)
-            best = max(best, float(block))
-    return best
+    return variation_table(a, L).total
 
 
 def glue_local_symbols(family: dict, L: int) -> np.ndarray:

@@ -6,14 +6,12 @@ module samples the horizontal exit offset, aggregates Monte Carlo kernel
 estimates, and evaluates the continuum kernel and the kernel-variation
 constant for comparison against the spectral machinery.
 
-Two samplers produce the same exit law.  ``sample_exit`` walks literally,
-step by step, tracking only (horizontal offset, height).  The batch
-functions factor the walk instead: the number of vertical moves to first
-contact follows the classical first-passage law of the 1-d walk, the
-horizontal move count between those is negative binomial, and the
-horizontal displacement is a multinomially split binomial.  The test
-suite cross-checks the two routes against each other and against the
-spectral kernel.
+The sampler factors the walk instead of stepping it: the number of
+vertical moves to first contact follows the classical first-passage law
+of the 1-d walk, the horizontal move count between those is negative
+binomial, and the horizontal displacement is a multinomially split
+binomial.  The test suite cross-checks it against a literal step-by-step
+reference walker (``tests/oracles.py``) and against the spectral kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .halfspace import periodized_poisson_kernel
 __all__ = [
     "WalkConfig",
     "KernelEstimate",
-    "sample_exit",
     "poisson_kernel_mc",
     "mc_exit_array",
     "continuum_kernel",
@@ -129,61 +126,6 @@ def _direct_exit(gen, d, z, cap):
     for steps in _split_axes(gen, horizontal, d - 1):
         offset.append(2 * int(gen.binomial(steps, 0.5)) - steps)
     return tuple(offset)
-
-
-def _stepwise_exit(gen, d, z, cap):
-    """Reference walker: literal steps in growing blocks, tracking only the
-    horizontal offset and the current height.  None when capped."""
-    offset = np.zeros(d - 1, dtype=np.int64)
-    height = z
-    done = 0
-    block = 64
-    while done < cap:
-        n = int(min(block, cap - done))
-        dirs = gen.integers(0, 2 * d, size=n)
-        axis = np.asarray(dirs >> 1, dtype=np.intp)
-        sign = np.where(dirs & 1, 1, -1)
-        heights = height + np.cumsum(np.where(axis == d - 1, sign, 0))
-        hits = np.flatnonzero(heights == 0)
-        if hits.size:
-            stop = int(hits[0])
-            axis = axis[: stop + 1]
-            sign = sign[: stop + 1]
-            for i in range(d - 1):
-                offset[i] += sign[axis == i].sum()
-            return tuple(int(v) for v in offset)
-        for i in range(d - 1):
-            offset[i] += sign[axis == i].sum()
-        height = int(heights[-1])
-        done += n
-        block = min(block * 4, 1 << 20)
-    return None
-
-
-def sample_exit(cfg: WalkConfig, walk_index: int = 0):
-    """Horizontal displacement at first contact with height 0 for one walk.
-
-    Each (walk_index, attempt) pair reads its own counter-based stream, so
-    samples are reproducible regardless of evaluation order.  Hitting the
-    step cap logs a warning and resamples on a fresh stream; more than
-    MAX_RESAMPLE_ATTEMPTS consecutive caps abort.
-    """
-    for attempt in range(MAX_RESAMPLE_ATTEMPTS + 1):
-        gen = _walk_generator(cfg.seed, walk_index, attempt)
-        result = _stepwise_exit(gen, cfg.d, cfg.z, cfg.max_steps)
-        if result is not None:
-            return result
-        logger.warning(
-            "walk %d hit the %d-step cap on attempt %d; resampling",
-            walk_index,
-            cfg.max_steps,
-            attempt,
-        )
-    raise RuntimeError(
-        f"walk {walk_index} exceeded the step cap in "
-        f"{MAX_RESAMPLE_ATTEMPTS + 1} consecutive attempts (z={cfg.z}); "
-        "the cap is too small for this start height"
-    )
 
 
 def _simulate_exits(cfg: WalkConfig, n_samples: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything in here is deliberately slow and literal: direct nested sums
 for the transform, full dense linear systems without elimination for the
-solvers, and pure-python loops for the dyadic variation quantities.  None
-of it shares code with the package under test.
+solvers, pure-python loops for the dyadic variation quantities, and a
+random walk that takes every step.  None of it shares code with the
+package under test.
 """
 
 import itertools
@@ -340,3 +341,57 @@ def laplacian_at(u, x):
             w[ax] += s
             total += u[tuple(w)]
     return total
+
+
+# reference walker for the half-lattice exit law
+STEPWISE_ATTEMPTS = 11
+
+
+def _stepwise_exit(gen, d, z, cap):
+    """Literal steps in growing blocks, tracking only the horizontal offset
+    and the current height.  None when the walk reaches the step cap."""
+    offset = np.zeros(d - 1, dtype=np.int64)
+    height = z
+    done = 0
+    block = 64
+    while done < cap:
+        n = int(min(block, cap - done))
+        dirs = gen.integers(0, 2 * d, size=n)
+        axis = np.asarray(dirs >> 1, dtype=np.intp)
+        sign = np.where(dirs & 1, 1, -1)
+        heights = height + np.cumsum(np.where(axis == d - 1, sign, 0))
+        hits = np.flatnonzero(heights == 0)
+        if hits.size:
+            stop = int(hits[0])
+            axis = axis[: stop + 1]
+            sign = sign[: stop + 1]
+            for i in range(d - 1):
+                offset[i] += sign[axis == i].sum()
+            return tuple(int(v) for v in offset)
+        for i in range(d - 1):
+            offset[i] += sign[axis == i].sum()
+        height = int(heights[-1])
+        done += n
+        block = min(block * 4, 1 << 20)
+    return None
+
+
+def sample_exit(cfg, walk_index=0):
+    """Horizontal displacement at first contact with height 0 for one walk
+    of the configuration ``cfg`` (fields d, z, seed, max_steps).
+
+    Each (walk_index, attempt) pair reads its own Philox stream; a walk
+    reaching the step cap is retried on the next attempt's stream, and
+    STEPWISE_ATTEMPTS capped attempts in a row raise.
+    """
+    for attempt in range(STEPWISE_ATTEMPTS):
+        bits = np.random.Philox(key=cfg.seed, counter=[0, walk_index, attempt, 0])
+        result = _stepwise_exit(
+            np.random.Generator(bits), cfg.d, cfg.z, cfg.max_steps
+        )
+        if result is not None:
+            return result
+    raise RuntimeError(
+        f"walk {walk_index} reached the step cap in {STEPWISE_ATTEMPTS} "
+        f"consecutive attempts (z={cfg.z})"
+    )

