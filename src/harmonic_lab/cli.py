@@ -259,6 +259,7 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
                 "kernel_variation": walks.kernel_variation_constant(z, L, d),
                 "window": window,
                 "out_of_window": estimate.out_of_window,
+                "unresolved": estimate.unresolved,
                 "offsets": offsets,
             }
         )
@@ -420,7 +421,8 @@ def _cmd_kernel(args):
     for block in payload["blocks"]:
         print(
             f"z={block['z']}: tv={block['tv_mc_vs_spectral']:.4f} "
-            f"variation={block['kernel_variation']:.4f}"
+            f"variation={block['kernel_variation']:.4f} "
+            f"unresolved={block['unresolved']:.2e}"
         )
     return 0
 

@@ -8,21 +8,30 @@ constant for comparison against the spectral machinery.
 
 The sampler factors the walk instead of stepping it: the number of
 vertical moves to first contact follows the classical first-passage law
-of the 1-d walk, the horizontal move count between those is negative
-binomial, and the horizontal displacement is a multinomially split
-binomial.  The test suite cross-checks it against a literal step-by-step
-reference walker (``tests/oracles.py``) and against the spectral kernel.
+of the 1-d walk, tabulated up to the step cap from P(V = z) = 2^-z and
+P(V = n+2) / P(V = n) = n(n+1) / ((n+z+2)(n-z+2)); the horizontal move
+count between those is negative binomial, and the horizontal
+displacement is a multinomially split binomial.  Walks are drawn in
+blocks of BLOCK, each from its own Philox stream (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) with every draw
+vectorized over the block; whole blocks are simulated and truncated, so
+the first n walks do not depend on how many are requested.  A walk longer
+than the step cap is not resampled but reported as unresolved mass, next
+to the out-of-window mass, so no estimate is conditioned on the walk
+length; the tail P(V > n) ~ z sqrt(2 / (pi n)) (Lawler & Limic, Random
+Walk: A Modern Introduction) sets its size.  The test suite cross-checks
+the sampler against a literal step-by-step reference walker
+(``tests/oracles.py``) and against the spectral kernel.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .halfspace import periodized_poisson_kernel
 
@@ -39,8 +48,15 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_STEP_CAP = 10_000_000
 
-#: a walk hitting the step cap this many times in a row aborts the run
-MAX_RESAMPLE_ATTEMPTS = 10
+#: walks per Philox stream
+BLOCK = 4096
+
+#: bytes the hitting-time table may take while it is built: three float64
+#: arrays of one entry per two steps up to the cap
+CDF_TABLE_BUDGET = 2**30
+
+#: the table starts from 2^-z, a normal double only up to this height
+MAX_START_HEIGHT = 1022
 
 
 @dataclass(frozen=True)
@@ -53,10 +69,18 @@ class WalkConfig:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"walk dimension must be at least 2, got {self.d}")
-        if self.z < 1:
-            raise ValueError(f"start height must be at least 1, got {self.z}")
-        if self.max_steps < 1:
-            raise ValueError("step cap must be positive")
+        if not 1 <= self.z <= MAX_START_HEIGHT:
+            raise ValueError(
+                f"start height must be in [1, {MAX_START_HEIGHT}], got {self.z}"
+            )
+        if self.max_steps < self.z:
+            raise ValueError(f"step cap {self.max_steps} is below the height {self.z}")
+        table_bytes = 3 * 8 * ((self.max_steps - self.z) // 2 + 1)
+        if table_bytes > CDF_TABLE_BUDGET:
+            raise ValueError(
+                f"step cap {self.max_steps} needs {table_bytes >> 20} MiB for its "
+                f"hitting-time table, above the {CDF_TABLE_BUDGET >> 20} MiB budget"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,115 +89,83 @@ class KernelEstimate:
 
     probabilities maps each in-window offset that occurred to
     (relative frequency, binomial standard error); counts keeps the raw
-    tallies so mass accounting stays exact in integers.
+    tallies so mass accounting stays exact in integers: the counts, the
+    out-of-window count and the unresolved count total n_samples.
     """
 
     probabilities: dict
     counts: dict
     out_of_window: float
     out_count: int
+    unresolved: float
+    unresolved_count: int
     n_samples: int
 
 
-def _walk_generator(seed, walk_index, attempt):
-    bits = np.random.Philox(key=seed, counter=[0, walk_index, attempt, 0])
-    return np.random.Generator(bits)
-
-
-@lru_cache(maxsize=None)
 def _vertical_hit_cdf(z: int, cap: int) -> np.ndarray:
     """CDF of the first time a 1-d simple walk from z hits 0, on the
-    support {z, z+2, ...} up to cap.
-
-    Uses the hitting-time identity P(V = n) = (z/n) P(walk at -z after n
-    steps) = (z/n) C(n, (n+z)/2) 2^(-n).
-    """
-    ns = np.arange(z, cap + 1, 2, dtype=np.float64)
-    log_pmf = (
-        math.log(z)
-        - np.log(ns)
-        + gammaln(ns + 1.0)
-        - gammaln((ns + z) / 2.0 + 1.0)
-        - gammaln((ns - z) / 2.0 + 1.0)
-        - ns * math.log(2.0)
-    )
-    return np.cumsum(np.exp(log_pmf))
-
-
-def _split_axes(gen, total, naxes):
-    counts = []
-    remaining = int(total)
-    for i in range(naxes - 1):
-        c = int(gen.binomial(remaining, 1.0 / (naxes - i)))
-        counts.append(c)
-        remaining -= c
-    counts.append(remaining)
-    return counts
+    support {z, z+2, ...} up to cap, built in place from the pmf ratio."""
+    n = np.arange(z, cap - 1, 2, dtype=np.float64)
+    cdf = np.empty(n.size + 1)
+    cdf[0] = 2.0**-z
+    ratio = cdf[1:]
+    np.add(n, 1.0, out=ratio)
+    ratio *= n
+    den = n + (z + 2)
+    n -= z - 2
+    den *= n
+    ratio /= den
+    del n, den
+    np.cumprod(cdf, out=cdf)
+    return np.cumsum(cdf, out=cdf)
 
 
-def _direct_exit(gen, d, z, cap):
-    """One exit offset through the first-passage factorization; None when
-    the implied walk length exceeds the cap."""
-    cdf = _vertical_hit_cdf(z, cap)
-    u = gen.random()
-    if u > cdf[-1]:
-        return None
-    vertical = z + 2 * int(np.searchsorted(cdf, u, side="left"))
-    horizontal = int(gen.negative_binomial(vertical, 1.0 / d))
-    if vertical + horizontal > cap:
-        return None
-    offset = []
-    for steps in _split_axes(gen, horizontal, d - 1):
-        offset.append(2 * int(gen.binomial(steps, 0.5)) - steps)
-    return tuple(offset)
+def _simulate_block(cfg: WalkConfig, cdf: np.ndarray, block: int):
+    """Offsets (zero when unresolved) and unresolved mask of the walks
+    block*BLOCK .. (block+1)*BLOCK-1.  The Philox counter (0, block, 0, 1)
+    stays apart from the reference walker's (0, walk, attempt, 0)."""
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, block, 0, 1]))
+    u = gen.random(BLOCK)
+    vertical = cfg.z + 2 * np.searchsorted(cdf, u, side="left")
+    horizontal = gen.negative_binomial(vertical, 1.0 / cfg.d)
+    unresolved = (u > cdf[-1]) | (vertical + horizontal > cfg.max_steps)
+    steps = gen.multinomial(horizontal, [1.0 / (cfg.d - 1)] * (cfg.d - 1))
+    offsets = 2 * gen.binomial(steps, 0.5) - steps
+    offsets[unresolved] = 0
+    return offsets, unresolved
 
 
-def _simulate_exits(cfg: WalkConfig, n_samples: int) -> np.ndarray:
-    """Exit offsets for walks 0..n_samples-1 as an (n, d-1) int array."""
+@lru_cache(maxsize=1)
+def _simulate_exits(cfg: WalkConfig, n_samples: int):
+    """Read-only (n, d-1) exit offsets and (n,) unresolved mask of walks
+    0..n_samples-1.  The last call is cached, so the two estimators of one
+    report share a single simulation."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    offsets = np.empty((n_samples, cfg.d - 1), dtype=np.int64)
-    capped = 0
-    for w in range(n_samples):
-        for attempt in range(MAX_RESAMPLE_ATTEMPTS + 1):
-            gen = _walk_generator(cfg.seed, w, attempt)
-            result = _direct_exit(gen, cfg.d, cfg.z, cfg.max_steps)
-            if result is not None:
-                offsets[w] = result
-                break
-            capped += 1
-            logger.debug(
-                "walk %d attempt %d hit the %d-step cap",
-                w,
-                attempt,
-                cfg.max_steps,
-            )
-        else:
-            raise RuntimeError(
-                f"walk {w} exceeded the step cap in "
-                f"{MAX_RESAMPLE_ATTEMPTS + 1} consecutive attempts"
-            )
-    if capped:
+    cdf = _vertical_hit_cdf(cfg.z, cfg.max_steps)
+    blocks = [_simulate_block(cfg, cdf, b) for b in range(-(-n_samples // BLOCK))]
+    offsets, unresolved = (np.concatenate(part)[:n_samples] for part in zip(*blocks))
+    if unresolved.any():
         logger.warning(
-            "%d capped attempts while sampling %d walks (z=%d); each was "
-            "resampled on a fresh stream",
-            capped,
-            n_samples,
-            cfg.z,
+            "%d capped attempts while sampling %d walks (z=%d); they are reported "
+            "as unresolved", int(unresolved.sum()), n_samples, cfg.z,
         )
-    return offsets
+    offsets.flags.writeable = False
+    unresolved.flags.writeable = False
+    return offsets, unresolved
 
 
 def poisson_kernel_mc(cfg: WalkConfig, n_samples: int, window: int) -> KernelEstimate:
     """Empirical exit distribution restricted to |offset|_inf <= window.
 
-    Mass landing outside the window is accounted separately, so recorded
-    counts plus the out-of-window count always total n_samples.
+    Mass landing outside the window and walks left unresolved by the step
+    cap are accounted separately, so recorded counts plus the
+    out-of-window and unresolved counts always total n_samples.
     """
     if window < 0:
         raise ValueError("window radius must be nonnegative")
-    offsets = _simulate_exits(cfg, n_samples)
-    inside = np.abs(offsets).max(axis=1) <= window
+    offsets, unresolved = _simulate_exits(cfg, n_samples)
+    inside = (np.abs(offsets).max(axis=1) <= window) & ~unresolved
     kept, tallies = np.unique(offsets[inside], axis=0, return_counts=True)
     counts = {}
     probabilities = {}
@@ -182,25 +174,30 @@ def poisson_kernel_mc(cfg: WalkConfig, n_samples: int, window: int) -> KernelEst
         counts[key] = int(c)
         p = c / n_samples
         probabilities[key] = (p, math.sqrt(p * (1.0 - p) / n_samples))
-    out_count = int(n_samples - inside.sum())
+    unresolved_count = int(unresolved.sum())
+    out_count = int(n_samples - inside.sum()) - unresolved_count
     return KernelEstimate(
         probabilities=probabilities,
         counts=counts,
         out_of_window=out_count / n_samples,
         out_count=out_count,
+        unresolved=unresolved_count / n_samples,
+        unresolved_count=unresolved_count,
         n_samples=n_samples,
     )
 
 
 def mc_exit_array(cfg: WalkConfig, n_samples: int, L: int) -> np.ndarray:
-    """Empirical exit frequencies folded onto the period-2L lattice, in the
-    wrap-around layout of the spectral kernels.  No mass is lost, which
-    makes the result directly comparable to periodized_poisson_kernel."""
-    offsets = _simulate_exits(cfg, n_samples)
-    folded = np.mod(offsets, 2 * L)
-    freq = np.zeros((2 * L,) * (cfg.d - 1))
-    np.add.at(freq, tuple(folded.T), 1.0)
-    return freq / n_samples
+    """Empirical exit frequencies of the resolved walks folded onto the
+    period-2L lattice, in the wrap-around layout of the spectral kernels.
+    No exit is lost to the folding, so the array sums to one minus the
+    unresolved fraction and compares directly with
+    periodized_poisson_kernel."""
+    offsets, unresolved = _simulate_exits(cfg, n_samples)
+    shape = (2 * L,) * (cfg.d - 1)
+    cells = np.ravel_multi_index(tuple(np.mod(offsets[~unresolved], 2 * L).T), shape)
+    tallies = np.bincount(cells, minlength=math.prod(shape))
+    return tallies.reshape(shape) / n_samples
 
 
 def continuum_kernel(x, z, d: int = 2):

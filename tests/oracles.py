@@ -9,8 +9,10 @@ package under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
 
 def index_values(L):
@@ -395,3 +397,68 @@ def sample_exit(cfg, walk_index=0):
         f"walk {walk_index} reached the step cap in {STEPWISE_ATTEMPTS} "
         f"consecutive attempts (z={cfg.z})"
     )
+
+
+# first-passage law of the vertical coordinate and the step cap
+
+
+def first_passage_cdf(z, cap):
+    """P(V <= n) for n = z, z+2, ... <= cap, from the closed form
+    P(V = n) = (z/n) C(n, (n+z)/2) 2^-n summed in log-gamma terms."""
+    ns = np.arange(z, cap + 1, 2, dtype=np.float64)
+    log_pmf = (
+        math.log(z)
+        - np.log(ns)
+        + gammaln(ns + 1.0)
+        - gammaln((ns + z) / 2.0 + 1.0)
+        - gammaln((ns - z) / 2.0 + 1.0)
+        - ns * math.log(2.0)
+    )
+    return np.cumsum(np.exp(log_pmf))
+
+
+def first_passage_pmf(z, n):
+    """Exact P(V = n) for the 1-d simple walk started at height z."""
+    if n < z or (n - z) % 2:
+        return Fraction(0)
+    return Fraction(z * math.comb(n, (n + z) // 2), n * 2**n)
+
+
+def unresolved_probability(d, z, cap):
+    """Exact probability that a walk from height z in Z^d takes more than
+    cap steps to reach height 0: one minus the sum over v <= cap of
+    P(V = v) P(H <= cap - v), where the horizontal move count H before
+    the v-th vertical move is negative binomial with success chance 1/d."""
+    p = Fraction(1, d)
+    resolved = Fraction(0)
+    for v in range(z, cap + 1, 2):
+        fits = sum(
+            math.comb(v + h - 1, h) * p**v * (1 - p) ** h
+            for h in range(cap - v + 1)
+        )
+        resolved += first_passage_pmf(z, v) * fits
+    return 1 - resolved
+
+
+def replay_unresolved(cfg, n_samples, block):
+    """Unresolved mask of walks 0..n_samples-1, replayed walk by walk from
+    the block streams the sampler documents: block b reads Philox at
+    counter (0, b, 0, 1), draws one uniform per walk for the vertical
+    count, then one negative binomial per walk for the horizontal count.
+    A walk is unresolved when its vertical count lies beyond the cap or
+    its total step count exceeds it."""
+    support = list(range(cfg.z, cfg.max_steps + 1, 2))
+    pmf = (float(first_passage_pmf(cfg.z, v)) for v in support)
+    cum = list(itertools.accumulate(pmf))
+    beyond = cfg.z + 2 * len(support)
+    masks = []
+    for b in range(-(-n_samples // block)):
+        bits = np.random.Philox(key=cfg.seed, counter=[0, b, 0, 1])
+        gen = np.random.Generator(bits)
+        u = gen.random(block)
+        vertical = np.array(
+            [next((v for v, c in zip(support, cum) if c >= x), beyond) for x in u]
+        )
+        horizontal = gen.negative_binomial(vertical, 1.0 / cfg.d)
+        masks.append((u > cum[-1]) | (vertical + horizontal > cfg.max_steps))
+    return np.concatenate(masks)[:n_samples]

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from harmonic_lab import cli, halfspace, lattice, spectral
+from harmonic_lab import cli, halfspace, lattice, spectral, walks
 
 import oracles
 
@@ -263,12 +263,30 @@ def test_kernel_report_schema():
         assert entry["spectral_p"] > 0.0
         assert entry["continuum"] > 0.0
     total_mc = sum(e["mc_p"] for e in block["offsets"])
-    assert total_mc + block["out_of_window"] == pytest.approx(1.0, abs=1e-12)
+    mass = total_mc + block["out_of_window"] + block["unresolved"]
+    assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_report_window_shrinks_with_small_L():
     payload = cli.run_kernel_report(2, (1,), 4, 50, seed=1)
     assert payload["blocks"][0]["window"] == 3
+
+
+def test_kernel_report_simulates_each_block_once(monkeypatch):
+    simulate = walks._simulate_block
+    calls = collections.Counter()
+
+    def counted(cfg, cdf, block):
+        calls[cfg.z, block] += 1
+        return simulate(cfg, cdf, block)
+
+    monkeypatch.setattr(walks, "_simulate_block", counted)
+    walks._simulate_exits.cache_clear()
+    payload = cli.run_kernel_report(2, (1, 3), 16, 5000)
+    nblocks = -(-5000 // walks.BLOCK)
+    assert calls == {(z, b): 1 for z in (1, 3) for b in range(nblocks)}
+    for block in payload["blocks"]:
+        assert block["unresolved"] >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ standard errors or better).
 """
 
 import dataclasses
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,11 @@ def test_walk_config_validation():
         walks.WalkConfig(d=2, z=0)
     with pytest.raises(ValueError):
         walks.WalkConfig(d=2, z=1, max_steps=0)
+    with pytest.raises(ValueError, match="below the height"):
+        walks.WalkConfig(d=2, z=5, max_steps=4)
+    with pytest.raises(ValueError, match="start height"):
+        walks.WalkConfig(d=2, z=walks.MAX_START_HEIGHT + 1)
+    walks.WalkConfig(d=2, z=walks.MAX_START_HEIGHT)
     cfg = walks.WalkConfig(d=2, z=3, seed=5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.z = 4
@@ -42,6 +49,33 @@ def test_vertical_hit_cdf_frozen_values():
     assert walks._vertical_hit_cdf(1, 10**6)[-1] > 0.999
 
 
+@pytest.mark.parametrize("z", [1, 3, 10])
+def test_vertical_hit_cdf_matches_the_closed_form(z):
+    """The in-place recurrence against the log-gamma closed form."""
+    cap = 10**5 + z % 2
+    table = walks._vertical_hit_cdf(z, cap)
+    reference = oracles.first_passage_cdf(z, cap)
+    assert table.shape == reference.shape
+    np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
+    exact = [float(oracles.first_passage_pmf(z, z + 2 * i)) for i in range(4)]
+    np.testing.assert_allclose(np.diff(table[:4], prepend=0.0), exact, rtol=1e-14)
+
+
+def test_step_cap_budget_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            walks.WalkConfig(d=2, z=1, max_steps=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    top = 2 * (walks.CDF_TABLE_BUDGET // 24) - 1
+    walks.WalkConfig(d=2, z=1, max_steps=top)
+    with pytest.raises(ValueError, match="budget"):
+        walks.WalkConfig(d=2, z=1, max_steps=top + 2)
+
+
 def test_sample_exit_is_reproducible():
     cfg = walks.WalkConfig(d=2, z=2, seed=42)
     first = [oracles.sample_exit(cfg, i) for i in range(12)]
@@ -54,16 +88,56 @@ def test_sample_exit_is_reproducible():
 
 
 def test_batch_sampler_is_prefix_stable():
-    cfg = walks.WalkConfig(d=2, z=3, seed=9)
-    long = walks._simulate_exits(cfg, 40)
-    short = walks._simulate_exits(cfg, 25)
-    np.testing.assert_array_equal(long[:25], short)
+    B = walks.BLOCK
+    for d in (2, 3):
+        # a cap of 1e5 leaves 77 (d=2) and 91 (d=3) of the 2B+3 walks unresolved
+        cfg = walks.WalkConfig(d=d, z=3, seed=9, max_steps=10**5)
+        offsets, unresolved = walks._simulate_exits(cfg, 2 * B + 3)
+        assert offsets.shape == (2 * B + 3, d - 1)
+        assert unresolved.any() and not unresolved.all()
+        assert not offsets[unresolved].any()
+        for n in (25, B - 1, B, B + 1):
+            short_offsets, short_unresolved = walks._simulate_exits(cfg, n)
+            np.testing.assert_array_equal(offsets[:n], short_offsets)
+            np.testing.assert_array_equal(unresolved[:n], short_unresolved)
+
+
+def test_sampler_output_is_read_only():
+    exits = walks._simulate_exits(walks.WalkConfig(d=2, z=1, seed=4), 10)
+    for arr in exits:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_capped_walks_are_reported_as_unresolved(caplog):
+    cfg = walks.WalkConfig(d=2, z=3, seed=23, max_steps=50)
+    n = 5000
+    walks._simulate_exits.cache_clear()
+    with caplog.at_level(logging.WARNING, logger="harmonic_lab.walks"):
+        _, unresolved = walks._simulate_exits(cfg, n)
+    replayed = oracles.replay_unresolved(cfg, n, walks.BLOCK)
+    np.testing.assert_array_equal(unresolved, replayed)
+    count = int(unresolved.sum())
+    # exact P(unresolved) = 0.4493 at this cap; measured 1.5 SE below it
+    p = float(oracles.unresolved_probability(2, 3, 50))
+    assert abs(count - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+
+    (record,) = caplog.records
+    assert record.msg.startswith("%d capped attempts while sampling %d walks")
+    assert record.args[:2] == (count, n)
+
+    est = walks.poisson_kernel_mc(cfg, n, 6)
+    assert est.unresolved_count == count
+    assert est.unresolved == count / n
+    assert sum(est.counts.values()) + est.out_count + est.unresolved_count == n
+    arr = walks.mc_exit_array(cfg, n, 8)
+    assert arr.sum() + est.unresolved == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exit_offsets_are_symmetric():
-    # chi-square on +x vs -x tallies; measured p = 0.40 with this seed
+    # chi-square on +x vs -x tallies; measured p = 0.17 with this seed
     cfg = walks.WalkConfig(d=2, z=3, seed=12345)
-    off = walks._simulate_exits(cfg, 4000)[:, 0]
+    off = walks._simulate_exits(cfg, 4000)[0][:, 0]
     chi2 = 0.0
     pairs = 0
     for x in range(1, 11):
@@ -77,16 +151,15 @@ def test_exit_offsets_are_symmetric():
 
 def test_stepwise_and_factorized_samplers_agree():
     """Total variation between the two samplers' folded exit histograms;
-    measured 0.054 at these sample sizes."""
+    measured 0.050 at these sample sizes."""
     L = 16
-    direct = walks._simulate_exits(walks.WalkConfig(d=2, z=2, seed=777), 2000)[:, 0]
     step = np.array(
         [
             oracles.sample_exit(walks.WalkConfig(d=2, z=2, seed=778), i)[0]
             for i in range(2000)
         ]
     )
-    fd = np.bincount(np.mod(direct, 2 * L), minlength=2 * L) / 2000
+    fd = walks.mc_exit_array(walks.WalkConfig(d=2, z=2, seed=777), 2000, L)
     fs = np.bincount(np.mod(step, 2 * L), minlength=2 * L) / 2000
     assert 0.5 * np.abs(fd - fs).sum() < 0.1
 
@@ -101,14 +174,17 @@ def test_mc_matches_spectral_kernel_at_the_center():
 
 
 def test_mc_exit_array_mass_and_layout():
-    cfg = walks.WalkConfig(d=2, z=2, seed=3)
-    arr = walks.mc_exit_array(cfg, 500, 8)
-    assert arr.shape == (16,)
-    assert (arr >= 0).all()
-    assert arr.sum() == pytest.approx(1.0, abs=1e-12)
-    arr3 = walks.mc_exit_array(walks.WalkConfig(d=3, z=1, seed=3), 200, 4)
-    assert arr3.shape == (8, 8)
-    assert arr3.sum() == pytest.approx(1.0, abs=1e-12)
+    for cfg, n, L, shape in (
+        (walks.WalkConfig(d=2, z=2, seed=3), 500, 8, (16,)),
+        (walks.WalkConfig(d=3, z=1, seed=3), 200, 4, (8, 8)),
+        (walks.WalkConfig(d=3, z=4, seed=3, max_steps=60), 500, 4, (8, 8)),
+    ):
+        arr = walks.mc_exit_array(cfg, n, L)
+        assert arr.shape == shape
+        assert (arr >= 0).all()
+        unresolved = walks._simulate_exits(cfg, n)[1].mean()
+        assert arr.sum() + unresolved == pytest.approx(1.0, abs=1e-12)
+    assert unresolved > 0  # the 60-step cap leaves walks unresolved
 
 
 def test_kernel_estimate_mass_accounting_is_exact():
@@ -117,8 +193,9 @@ def test_kernel_estimate_mass_accounting_is_exact():
     window = 6
     est = walks.poisson_kernel_mc(cfg, n, window)
     assert est.n_samples == n
-    assert sum(est.counts.values()) + est.out_count == n
+    assert sum(est.counts.values()) + est.out_count + est.unresolved_count == n
     assert est.out_of_window == est.out_count / n
+    assert est.unresolved == est.unresolved_count / n
     for key, c in est.counts.items():
         assert len(key) == 1 and abs(key[0]) <= window
         p, se = est.probabilities[key]
@@ -147,13 +224,14 @@ def test_standard_errors_shrink_like_root_n():
 
 def test_boundary_data_average_reproduces_the_extension():
     """Averaging boundary data over sampled exit points agrees with the
-    spectral extension value within 3 standard errors (measured 1.8)."""
+    spectral extension value within 3 standard errors (measured 2.5)."""
     rng = np.random.default_rng(6)
     L = 16
     b = rng.standard_normal(2 * L)
     for z in (2, 5, 8):
-        offs = walks._simulate_exits(walks.WalkConfig(d=2, z=z, seed=200 + z), 10000)
-        offs = offs[:, 0]
+        cfg = walks.WalkConfig(d=2, z=z, seed=200 + z)
+        offs, unresolved = walks._simulate_exits(cfg, 10000)
+        offs = offs[~unresolved, 0]
         exact_layer = halfspace.halfspace_layer(b, z)
         for x in (0, 3):
             vals = b[np.mod(x + offs, 2 * L)]
