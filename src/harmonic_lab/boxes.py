@@ -100,8 +100,8 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
 def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
     """Harmonic function whose inward normal differences match ``g``.
 
-    ``g`` lists one value per edge of lattice.normal_edges(d, N), in that
-    order, and must sum to zero (no solution exists otherwise).  The
+    ``g[j]`` belongs to the edge ``lattice.normal_edges(d, N)[j]``, and the
+    values must sum to zero (no solution exists otherwise).  The
     interior system is the grid-graph Laplacian diag(deg) - A on (N-1)^d
     vertices, solved by an orthonormal type-II cosine transform whose modes
     k in {0..N-2}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / (N-1))).
@@ -127,8 +127,8 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             "no harmonic extension"
         )
 
-    tails = tuple(np.array([e[0] for e in edges]).T)
-    heads = tuple(np.array([e[1] for e in edges]).T)
+    tails = tuple(edges[:, 0].T)
+    heads = tuple(edges[:, 1].T)
     rhs = np.zeros((N - 1,) * d)
     np.subtract.at(rhs, tuple(h - 1 for h in heads), g)
 

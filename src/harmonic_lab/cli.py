@@ -120,6 +120,7 @@ def _dirichlet_data(generator, rng, d, N):
 
 
 def _neumann_data(generator, rng, d, N):
+    """Mean-zero normal data; ``g[j]`` belongs to ``lattice.normal_edges(d, N)[j]``."""
     edges = lattice.normal_edges(d, N)
     if generator == "iid-gaussian":
         raw = rng.standard_normal(len(edges))
@@ -127,11 +128,9 @@ def _neumann_data(generator, rng, d, N):
         k = rng.integers(1, N, size=d)
         logger.debug("single-mode wave vector %s for d=%d N=%d", k, d, N)
         h = math.pi / N
-        tails = np.array([e[0] for e in edges], dtype=float)
-        raw = np.cos(tails @ (h * k.astype(float)))
+        raw = np.cos(edges[:, 0].astype(float) @ (h * k.astype(float)))
     else:
-        tails = np.array([e[0] for e in edges])
-        raw = np.where(tails.sum(axis=1) % 2 == 0, 1.0, -1.0)
+        raw = np.where(edges[:, 0].sum(axis=1) % 2 == 0, 1.0, -1.0)
     g = raw - raw.mean()
     if float(np.abs(g).max(initial=0.0)) == 0.0:
         raise ValueError("generated normal data is identically zero")

@@ -6,13 +6,18 @@ boundary vertex when at least one coordinate equals 0 or N; otherwise it is
 interior.  Oriented edges are (tail, head) pairs of vertices at lattice
 distance one.
 
+Vertex sets are read-only intp arrays of shape (M, d) and edge sets read-only
+intp arrays of shape (E, 2, d), with ``edges[:, 0]`` the tails and
+``edges[:, 1]`` the heads, in lexicographic (tail, head) order.  Edge sets
+are built by index arithmetic from the tails on the boundary shell, with no
+candidate edges for the rest of the box.
+
 Periodic (strip) functions keep the height as the last axis, so ``u[..., y]``
 is the layer at height y.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -44,98 +49,77 @@ def _check_box(d, N):
         raise ValueError(f"box side length must be at least 2, got {N}")
 
 
-def _is_boundary(x, N):
-    return any(c == 0 or c == N for c in x)
+def _shell(d, N, width):
+    # boolean (N+1,)*d mask of the vertices within `width` steps of a face
+    axis = np.arange(N + 1)
+    near = np.minimum(axis, N - axis) <= width
+    mask = np.zeros((N + 1,) * d, dtype=bool)
+    for i in range(d):
+        mask |= near.reshape((-1,) + (1,) * (d - 1 - i))
+    return mask
 
 
-def _is_interior(x, N):
-    return all(0 < c < N for c in x)
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-@lru_cache(maxsize=None)
-def _boundary_vertices(d, N):
+# a sweep asks for the same two or three sets of one box in every cell; the
+# arrays are read-only, so the cells can share them
+@lru_cache(maxsize=4)
+def _edges(d, N, kind):
     _check_box(d, N)
-    return tuple(
-        x for x in itertools.product(range(N + 1), repeat=d) if _is_boundary(x, N)
-    )
+    # tails in lexicographic order; for a fixed tail the sorted heads are
+    # tail - e_0, ..., tail - e_{d-1}, tail + e_{d-1}, ..., tail + e_0, so the
+    # row-major nonzero of the (tail, direction) keep-mask is already sorted
+    tails = np.argwhere(_shell(d, N, 1 if kind == "full" else 0))
+    eye = np.eye(d, dtype=np.intp)
+    heads = tails[:, None, :] + np.concatenate([-eye, eye[::-1]])
+    inside = ((heads >= 0) & (heads <= N)).all(axis=2)
+    head_on_face = ((heads == 0) | (heads == N)).any(axis=2)
+    if kind == "tangential":
+        keep = inside & head_on_face
+    elif kind == "normal":
+        keep = inside & ~head_on_face
+    else:  # both endpoints in the box, at least one on a face
+        tail_on_face = ((tails == 0) | (tails == N)).any(axis=1)
+        keep = inside & (head_on_face | tail_on_face[:, None])
+    rows, steps = np.nonzero(keep)
+    return _read_only(np.stack([tails[rows], heads[rows, steps]], axis=1))
 
 
-def boundary_vertices(d: int, N: int) -> list:
-    """All vertices of {0..N}^d with some coordinate on a face, in
-    lexicographic order."""
-    return list(_boundary_vertices(d, N))
-
-
-def interior_vertices(d: int, N: int) -> list:
-    """All vertices of the open box {1..N-1}^d, in lexicographic order."""
+def boundary_vertices(d: int, N: int) -> np.ndarray:
+    """All vertices of {0..N}^d with some coordinate on a face, as a
+    read-only (M, d) intp array in lexicographic order."""
     _check_box(d, N)
-    return list(itertools.product(range(1, N), repeat=d))
+    return _read_only(np.argwhere(_shell(d, N, 0)))
 
 
-@lru_cache(maxsize=None)
-def _all_box_edges(d, N):
-    # every oriented nearest-neighbour edge with both endpoints in the box
-    edges = []
-    for tail in itertools.product(range(N + 1), repeat=d):
-        for i in range(d):
-            for s in (-1, 1):
-                c = tail[i] + s
-                if 0 <= c <= N:
-                    head = tail[:i] + (c,) + tail[i + 1 :]
-                    edges.append((tail, head))
-    edges.sort()
-    return tuple(edges)
-
-
-@lru_cache(maxsize=None)
-def _tangential_edges(d, N):
+def interior_vertices(d: int, N: int) -> np.ndarray:
+    """All vertices of the open box {1..N-1}^d, as a read-only (M, d) intp
+    array in lexicographic order."""
     _check_box(d, N)
-    return tuple(
-        e
-        for e in _all_box_edges(d, N)
-        if _is_boundary(e[0], N) and _is_boundary(e[1], N)
-    )
+    return _read_only(np.argwhere(~_shell(d, N, 0)))
 
 
-@lru_cache(maxsize=None)
-def _normal_edges(d, N):
-    _check_box(d, N)
-    return tuple(
-        e
-        for e in _all_box_edges(d, N)
-        if _is_boundary(e[0], N) and _is_interior(e[1], N)
-    )
-
-
-@lru_cache(maxsize=None)
-def _full_edge_set(d, N):
-    _check_box(d, N)
-    # midpoint outside the closed inner box [1, N-1]^d; test on 2*midpoint to
-    # stay in integers
-    return tuple(
-        (tail, head)
-        for tail, head in _all_box_edges(d, N)
-        if any(t + h < 2 or t + h > 2 * N - 2 for t, h in zip(tail, head))
-    )
-
-
-def tangential_edges(d: int, N: int) -> list:
+def tangential_edges(d: int, N: int) -> np.ndarray:
     """Oriented edges with both endpoints on the boundary shell."""
-    return list(_tangential_edges(d, N))
+    return _edges(d, N, "tangential")
 
 
-def normal_edges(d: int, N: int) -> list:
+def normal_edges(d: int, N: int) -> np.ndarray:
     """Oriented edges from a boundary vertex into the open interior."""
-    return list(_normal_edges(d, N))
+    return _edges(d, N, "normal")
 
 
-def full_edge_set(d: int, N: int) -> list:
+def full_edge_set(d: int, N: int) -> np.ndarray:
     """Oriented edges whose midpoint lies outside the closed inner box.
 
-    This is the union of the tangential edges, the normal edges, and the
-    reversals of the normal edges.
+    These are the edges with at least one endpoint on the boundary shell:
+    the tangential edges, the normal edges, and the reversals of the normal
+    edges.
     """
-    return list(_full_edge_set(d, N))
+    return _edges(d, N, "full")
 
 
 def _resolve_periodic(periodic_axes, ndim):
@@ -210,13 +194,19 @@ def edge_gradient(u: np.ndarray, e) -> float:
 
 
 def edge_gradients(u: np.ndarray, edges) -> np.ndarray:
-    """Gradients of ``u`` along a list of oriented edges, as one array."""
+    """Gradients of ``u`` along an (E, 2, d) array of oriented edges, as one
+    array; an endpoint outside ``u`` raises a ValueError."""
     u = np.asarray(u)
-    if len(edges) == 0:
-        return np.zeros(0, dtype=u.dtype)
-    tails = np.array([e[0] for e in edges])
-    heads = np.array([e[1] for e in edges])
-    return u[tuple(heads.T)] - u[tuple(tails.T)]
+    edges = np.asarray(edges, dtype=np.intp)
+    if edges.ndim != 3 or edges.shape[1:] != (2, u.ndim):
+        raise ValueError(
+            f"expected an (E, 2, {u.ndim}) edge array, got shape {edges.shape}"
+        )
+    if edges.size and (edges.min() < 0 or (edges.max(axis=(0, 1)) >= u.shape).any()):
+        ends = edges.reshape(-1, u.ndim)
+        bad = tuple(ends[((ends < 0) | (ends >= u.shape)).any(axis=1)][0].tolist())
+        raise ValueError(f"edge endpoint {bad} lies outside the domain")
+    return u[tuple(edges[:, 1].T)] - u[tuple(edges[:, 0].T)]
 
 
 def _is_max_norm(p) -> bool:

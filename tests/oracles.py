@@ -2,9 +2,9 @@
 
 Everything in here is deliberately slow and literal: direct nested sums
 for the transform, full dense linear systems without elimination for the
-solvers, pure-python loops for the dyadic variation quantities, and a
-random walk that takes every step.  None of it shares code with the
-package under test.
+solvers, pure-python loops for the dyadic variation quantities and the box
+vertex and edge sets, and a random walk that takes every step.  None of it
+shares code with the package under test.
 """
 
 import itertools
@@ -330,6 +330,63 @@ def brute_total_variation(a, L):
 
             best = max(best, reduce((), 0))
     return best
+
+
+# tuple enumeration of the box vertex and edge sets, in sorted order
+
+
+def _on_face(x, N):
+    return any(c == 0 or c == N for c in x)
+
+
+def _in_open_box(x, N):
+    return all(0 < c < N for c in x)
+
+
+def boundary_vertices(d, N):
+    return [x for x in itertools.product(range(N + 1), repeat=d) if _on_face(x, N)]
+
+
+def interior_vertices(d, N):
+    return list(itertools.product(range(1, N), repeat=d))
+
+
+def box_edges(d, N):
+    'Every oriented nearest-neighbour edge with both endpoints in the box, sorted.'
+    edges = []
+    for tail in itertools.product(range(N + 1), repeat=d):
+        for i in range(d):
+            for s in (-1, 1):
+                c = tail[i] + s
+                if 0 <= c <= N:
+                    edges.append((tail, tail[:i] + (c,) + tail[i + 1 :]))
+    edges.sort()
+    return edges
+
+
+def tangential_edges(d, N):
+    return [e for e in box_edges(d, N) if _on_face(e[0], N) and _on_face(e[1], N)]
+
+
+def normal_edges(d, N):
+    return [e for e in box_edges(d, N) if _on_face(e[0], N) and _in_open_box(e[1], N)]
+
+
+def full_edge_set(d, N):
+    'Edges whose doubled midpoint leaves the closed box [2, 2N-2]^d.'
+    return [
+        (tail, head)
+        for tail, head in box_edges(d, N)
+        if any(t + h < 2 or t + h > 2 * N - 2 for t, h in zip(tail, head))
+    ]
+
+
+def as_tuples(a):
+    'A vertex array as a list of tuples, an edge array as a list of (tail, head) pairs.'
+    rows = np.asarray(a).tolist()
+    if np.ndim(a) == 3:
+        return [(tuple(t), tuple(h)) for t, h in rows]
+    return [tuple(x) for x in rows]
 
 
 def laplacian_at(u, x):

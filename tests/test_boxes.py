@@ -362,7 +362,7 @@ def test_boundary_poincare_constant_shrinks_with_size():
         cs = []
         for _ in range(20):
             u = rng.standard_normal((N + 1, N + 1))
-            vals = np.array([u[v] for v in verts])
+            vals = u[tuple(verts.T)]
             vals -= vals.mean()
             num = np.linalg.norm(vals) / N
             den = lattice.lp_norm(lattice.edge_gradients(u, edges), 2)

@@ -1,5 +1,9 @@
 """Tests for the box geometry, edge sets, and norm conventions."""
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +24,13 @@ import oracles
     [(2, 2, 8), (2, 3, 12), (3, 2, 26)],
 )
 def test_boundary_vertex_counts(d, N, count):
-    verts = lattice.boundary_vertices(d, N)
+    verts = oracles.as_tuples(lattice.boundary_vertices(d, N))
     assert len(verts) == count
     assert len(set(verts)) == count
 
 
 def test_d2n2_boundary_is_everything_but_center():
-    verts = set(lattice.boundary_vertices(2, 2))
+    verts = set(oracles.as_tuples(lattice.boundary_vertices(2, 2)))
     expected = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
     assert verts == expected
 
@@ -39,13 +43,13 @@ def test_boundary_count_formula(d, N):
 
 
 def test_boundary_order_is_lexicographic():
-    verts = lattice.boundary_vertices(2, 3)
+    verts = oracles.as_tuples(lattice.boundary_vertices(2, 3))
     assert verts == sorted(verts)
 
 
 def test_interior_vertices():
-    assert lattice.interior_vertices(2, 2) == [(1, 1)]
-    inner = lattice.interior_vertices(3, 4)
+    assert oracles.as_tuples(lattice.interior_vertices(2, 2)) == [(1, 1)]
+    inner = oracles.as_tuples(lattice.interior_vertices(3, 4))
     assert len(inner) == 27
     assert all(all(0 < c < 4 for c in v) for v in inner)
 
@@ -56,13 +60,13 @@ def test_tangential_edge_counts(d, N, count):
 
 
 def test_tangential_contains_both_orientations():
-    edges = lattice.tangential_edges(2, 2)
+    edges = oracles.as_tuples(lattice.tangential_edges(2, 2))
     assert ((0, 0), (0, 1)) in edges
     assert ((0, 1), (0, 0)) in edges
 
 
 def test_normal_edges_d2n2_exact():
-    edges = lattice.normal_edges(2, 2)
+    edges = oracles.as_tuples(lattice.normal_edges(2, 2))
     assert sorted(edges) == [
         ((0, 1), (1, 1)),
         ((1, 0), (1, 1)),
@@ -77,7 +81,7 @@ def test_normal_edge_count_d2n3():
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
 def test_normal_edge_tails_are_face_interiors(d, N):
-    edges = lattice.normal_edges(d, N)
+    edges = oracles.as_tuples(lattice.normal_edges(d, N))
     tails = [e[0] for e in edges]
     # exactly one inward edge per face-interior vertex
     assert len(tails) == len(set(tails))
@@ -95,9 +99,9 @@ def test_full_edge_set_counts(d, N, count):
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 4)])
 def test_edge_set_relations(d, N):
-    tan = set(lattice.tangential_edges(d, N))
-    nor = set(lattice.normal_edges(d, N))
-    full = set(lattice.full_edge_set(d, N))
+    tan = set(oracles.as_tuples(lattice.tangential_edges(d, N)))
+    nor = set(oracles.as_tuples(lattice.normal_edges(d, N)))
+    full = set(oracles.as_tuples(lattice.full_edge_set(d, N)))
     assert tan.isdisjoint(nor)
     assert tan <= full
     assert nor <= full
@@ -105,6 +109,77 @@ def test_edge_set_relations(d, N):
     for tail, head in full:
         mid = [(a + b) / 2 for a, b in zip(tail, head)]
         assert not all(1 <= m <= N - 1 for m in mid)
+
+
+SETS = [
+    "boundary_vertices",
+    "interior_vertices",
+    "tangential_edges",
+    "normal_edges",
+    "full_edge_set",
+]
+
+
+@pytest.mark.parametrize(
+    "d,N", [(2, 2), (2, 3), (2, 8), (3, 2), (3, 3), (3, 5), (4, 2), (4, 4)]
+)
+def test_edge_and_vertex_arrays_match_the_enumeration_oracle(d, N):
+    # exact equality, order included: Neumann data is indexed by normal_edges
+    for name in SETS:
+        got = getattr(lattice, name)(d, N)
+        expected = np.array(getattr(oracles, name)(d, N), dtype=np.intp)
+        assert got.dtype == np.intp
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_edge_sets_at_target_sizes_stay_read_only_and_small():
+    builders = (lattice.tangential_edges, lattice.normal_edges, lattice.full_edge_set)
+    lattice._edges.cache_clear()
+    tracemalloc.start()
+    try:
+        sets = [build(3, 64) for build in builders]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-box (V, 2d, d) candidate array alone would peak near 100 MB
+    assert peak < 4 * sum(e.nbytes for e in sets)
+    for a in sets + [lattice.boundary_vertices(3, 4), lattice.interior_vertices(3, 4)]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    d, N = 2, 512
+    assert len(lattice.boundary_vertices(d, N)) == (N + 1) ** d - (N - 1) ** d
+    assert len(lattice.normal_edges(d, N)) == 2 * d * (N - 1) ** (d - 1)
+    assert lattice.full_edge_set(d, N).shape == (
+        len(lattice.tangential_edges(d, N)) + 2 * len(lattice.normal_edges(d, N)), 2, d
+    )
+
+
+def test_cached_edge_sets_are_shared_safely_between_threads():
+    # more workers than cores and more distinct sets than cache entries, so
+    # the bounded cache is filled and evicted concurrently
+    boxes = [(2, 5), (2, 9), (3, 4), (3, 6)]
+    builders = (lattice.tangential_edges, lattice.normal_edges, lattice.full_edge_set)
+    jobs = [(build, d, N) for d, N in boxes for build in builders]
+    expected = {(b, d, N): np.array(b(d, N)) for b, d, N in jobs}
+
+    def work(offset):
+        for i in range(60):
+            build, d, N = jobs[(offset + i) % len(jobs)]
+            got = build(d, N)
+            if got.flags.writeable or not np.array_equal(got, expected[build, d, N]):
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lattice._edges.cache_clear()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [pool.submit(work, k) for k in range(8)]
+            assert all(r.result(timeout=60) for r in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +236,25 @@ def test_edge_gradient_values():
 def test_edge_gradient_out_of_domain():
     with pytest.raises(ValueError, match="outside"):
         lattice.edge_gradient(np.zeros((3, 3)), ((0, 0), (0, 3)))
+
+
+def test_edge_gradients_reject_endpoints_outside_and_bad_shapes():
+    u = np.arange(9.0).reshape(3, 3)
+    # a negative coordinate would otherwise wrap to the far side of u
+    for edges in ([((0, 0), (0, -1))], [((1, 1), (1, 2)), ((3, 0), (2, 0))]):
+        with pytest.raises(ValueError, match="outside the domain") as single:
+            lattice.edge_gradient(u, edges[-1])
+        with pytest.raises(ValueError, match="outside the domain") as batch:
+            lattice.edge_gradients(u, edges)
+        assert str(batch.value) == str(single.value)
+    for shape in [(2, 2), (1, 2, 3), (1, 3, 2)]:
+        with pytest.raises(ValueError, match="edge array"):
+            lattice.edge_gradients(u, np.zeros(shape, dtype=int))
+    edges = lattice.full_edge_set(2, 2)
+    np.testing.assert_array_equal(
+        lattice.edge_gradients(u, edges), [lattice.edge_gradient(u, e) for e in edges]
+    )
+    assert lattice.edge_gradients(u, np.zeros((0, 2, 2), dtype=int)).shape == (0,)
 
 
 def test_laplacian_is_divergence_of_outgoing_gradients():
