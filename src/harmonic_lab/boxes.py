@@ -13,7 +13,7 @@ and is diagonalized by the type-I sine transform (the odd reflection of
 free path Laplacians and is diagonalized by the type-II cosine transform,
 whose zero mode carries the mean-zero gauge.  See Buzbee, Golub & Nielson,
 "On direct methods for solving Poisson's equations", SIAM J. Numer. Anal. 7
-(1970).
+(1970).  Both solvers import ``scipy.fft`` on first use, so no other path needs it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.fft
 
 from . import lattice
 from .halfspace import dirichlet_strip_solve
@@ -86,6 +85,7 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     k in {1..N-1}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / N)).  The
     solution is unique, so no gauge is needed.
     """
+    import scipy.fft
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
     rhs = _dirichlet_boundary_rhs(f, d, N)
@@ -111,6 +111,7 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
     are set, in increasing boundary codimension, to the mean of their
     already filled neighbours.
     """
+    import scipy.fft
     if N < 2 or d < 2:
         raise ValueError(f"need d >= 2 and N >= 2, got d={d}, N={N}")
     edges = lattice.normal_edges(d, N)

@@ -56,10 +56,13 @@ def tangential_angles(d: int, L: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _mode_factors(d: int, L: int):
+    """lambda(hk) and Q(lambda(hk)), read-only: every caller shares them."""
     lam = lambda_symbol(tangential_angles(d, L), d)
     q = q_symbol(lam).real
+    lam.flags.writeable = False
+    q.flags.writeable = False
     return lam, q
 
 

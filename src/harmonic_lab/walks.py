@@ -9,7 +9,8 @@ constant for comparison against the spectral machinery.
 The sampler factors the walk instead of stepping it: the number of
 vertical moves to first contact follows the classical first-passage law
 of the 1-d walk, tabulated up to the step cap from P(V = z) = 2^-z and
-P(V = n+2) / P(V = n) = n(n+1) / ((n+z+2)(n-z+2)); the horizontal move
+P(V = n+2) / P(V = n) = n(n+1) / ((n+z+2)(n-z+2)) and streamed, one
+chunk of CDF_CHUNK entries held at a time; the horizontal move
 count between those is negative binomial, and the horizontal
 displacement is a multinomially split binomial.  Walks are drawn in
 blocks of BLOCK, each from its own Philox stream (Salmon et al.,
@@ -51,9 +52,13 @@ DEFAULT_STEP_CAP = 10_000_000
 #: walks per Philox stream
 BLOCK = 4096
 
-#: bytes the hitting-time table may take while it is built: three float64
-#: arrays of one entry per two steps up to the cap
+#: bound on the work of building the hitting-time table, not on memory
+#: (it is streamed): its length, one entry per two steps up to the cap,
+#: counted as the bytes three float64 arrays of that length would take
 CDF_TABLE_BUDGET = 2**30
+
+#: table entries built at a time; a chunk's 512 KiB arrays stay in cache
+CDF_CHUNK = 2**16
 
 #: the table starts from 2^-z, a normal double only up to this height
 MAX_START_HEIGHT = 1022
@@ -102,33 +107,53 @@ class KernelEstimate:
     n_samples: int
 
 
-def _vertical_hit_cdf(z: int, cap: int) -> np.ndarray:
+def _cdf_chunks(z: int, cap: int, chunk: int = CDF_CHUNK):
     """CDF of the first time a 1-d simple walk from z hits 0, on the
-    support {z, z+2, ...} up to cap, built in place from the pmf ratio."""
-    n = np.arange(z, cap - 1, 2, dtype=np.float64)
-    cdf = np.empty(n.size + 1)
-    cdf[0] = 2.0**-z
-    ratio = cdf[1:]
-    np.add(n, 1.0, out=ratio)
-    ratio *= n
-    den = n + (z + 2)
-    n -= z - 2
-    den *= n
-    ratio /= den
-    del n, den
-    np.cumprod(cdf, out=cdf)
-    return np.cumsum(cdf, out=cdf)
+    support {z, z+2, ...} up to cap: the first entry, then chunks of at most
+    ``chunk`` entries built from the pmf ratio.  Each chunk continues the
+    last product and running sum of the one before, so the entries equal a
+    one-shot cumprod and cumsum bit for bit."""
+    size = (cap - z) // 2 + 1
+    prod = total = 2.0**-z
+    yield np.array([total])
+    for start in range(1, size, chunk):
+        stop = min(start + chunk, size)
+        n = np.arange(z + 2 * start - 2, z + 2 * stop - 2, 2, dtype=np.float64)
+        buf = np.empty(n.size + 1)
+        ratio = buf[1:]
+        np.add(n, 1.0, out=ratio)
+        ratio *= n
+        den = n + (z + 2)
+        n -= z - 2
+        den *= n
+        ratio /= den
+        buf[0] = prod
+        prod = np.cumprod(buf, out=buf)[-1]
+        buf[0] = total
+        total = np.cumsum(buf, out=buf)[-1]
+        yield buf[1:]
 
 
-def _simulate_block(cfg: WalkConfig, cdf: np.ndarray, block: int):
-    """Offsets (zero when unresolved) and unresolved mask of the walks
-    block*BLOCK .. (block+1)*BLOCK-1.  The Philox counter (0, block, 0, 1)
-    stays apart from the reference walker's (0, walk, attempt, 0)."""
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, block, 0, 1]))
-    u = gen.random(BLOCK)
-    vertical = cfg.z + 2 * np.searchsorted(cdf, u, side="left")
+def _hit_counts(z: int, cap: int, u: np.ndarray, chunk: int = CDF_CHUNK):
+    """``searchsorted(table, u, side="left")`` for a 1-d ``u``, streamed: a
+    chunk is searched only for the uniforms above every entry before it."""
+    counts = np.zeros(u.shape, dtype=np.intp)
+    live = np.arange(u.size)
+    for part in _cdf_chunks(z, cap, chunk):
+        counts[live] += np.searchsorted(part, u[live], side="left")
+        live = live[u[live] > part[-1]]
+    return counts
+
+
+def _simulate_block(cfg: WalkConfig, gen, below):
+    """Offsets (zero when unresolved) and unresolved mask of a block whose
+    uniforms, drawn first from ``gen``, have ``below`` table entries under
+    them.  Block b reads Philox at counter (0, b, 0, 1), apart from the
+    reference walker's (0, walk, attempt, 0).  A uniform above the whole
+    table puts the vertical count past the cap, so the step test covers it."""
+    vertical = cfg.z + 2 * below
     horizontal = gen.negative_binomial(vertical, 1.0 / cfg.d)
-    unresolved = (u > cdf[-1]) | (vertical + horizontal > cfg.max_steps)
+    unresolved = vertical + horizontal > cfg.max_steps
     steps = gen.multinomial(horizontal, [1.0 / (cfg.d - 1)] * (cfg.d - 1))
     offsets = 2 * gen.binomial(steps, 0.5) - steps
     offsets[unresolved] = 0
@@ -142,8 +167,11 @@ def _simulate_exits(cfg: WalkConfig, n_samples: int):
     report share a single simulation."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    cdf = _vertical_hit_cdf(cfg.z, cfg.max_steps)
-    blocks = [_simulate_block(cfg, cdf, b) for b in range(-(-n_samples // BLOCK))]
+    gens = [np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, b, 0, 1]))
+            for b in range(-(-n_samples // BLOCK))]
+    u = np.concatenate([gen.random(BLOCK) for gen in gens])
+    below = _hit_counts(cfg.z, cfg.max_steps, u).reshape(-1, BLOCK)
+    blocks = [_simulate_block(cfg, *row) for row in zip(gens, below)]
     offsets, unresolved = (np.concatenate(part)[:n_samples] for part in zip(*blocks))
     if unresolved.any():
         logger.warning(

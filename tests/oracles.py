@@ -459,6 +459,25 @@ def sample_exit(cfg, walk_index=0):
 # first-passage law of the vertical coordinate and the step cap
 
 
+def vertical_hit_cdf(z, cap):
+    """The hitting-time table built whole: P(V = z) = 2^-z and the pmf
+    ratio n(n+1) / ((n+z+2)(n-z+2)) in one array, then one cumprod and
+    one cumsum over all of it.  The streamed build must match it bit for
+    bit."""
+    n = np.arange(z, cap - 1, 2, dtype=np.float64)
+    cdf = np.empty(n.size + 1)
+    cdf[0] = 2.0**-z
+    ratio = cdf[1:]
+    np.add(n, 1.0, out=ratio)
+    ratio *= n
+    den = n + (z + 2)
+    n -= z - 2
+    den *= n
+    ratio /= den
+    np.cumprod(cdf, out=cdf)
+    return np.cumsum(cdf, out=cdf)
+
+
 def first_passage_cdf(z, cap):
     """P(V <= n) for n = z, z+2, ... <= cap, from the closed form
     P(V = n) = (z/n) C(n, (n+z)/2) 2^-n summed in log-gamma terms."""

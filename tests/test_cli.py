@@ -274,17 +274,27 @@ def test_kernel_report_window_shrinks_with_small_L():
 
 def test_kernel_report_simulates_each_block_once(monkeypatch):
     simulate = walks._simulate_block
+    stream_chunks = walks._cdf_chunks
     calls = collections.Counter()
+    passes = collections.Counter()
 
-    def counted(cfg, cdf, block):
+    def counted(cfg, gen, below):
+        # block b's Philox stream carries b in the second counter word
+        block = int(gen.bit_generator.state["state"]["counter"][1])
         calls[cfg.z, block] += 1
-        return simulate(cfg, cdf, block)
+        return simulate(cfg, gen, below)
+
+    def counted_chunks(z, cap, *rest):
+        passes[z] += 1
+        return stream_chunks(z, cap, *rest)
 
     monkeypatch.setattr(walks, "_simulate_block", counted)
+    monkeypatch.setattr(walks, "_cdf_chunks", counted_chunks)
     walks._simulate_exits.cache_clear()
     payload = cli.run_kernel_report(2, (1, 3), 16, 5000)
     nblocks = -(-5000 // walks.BLOCK)
     assert calls == {(z, b): 1 for z in (1, 3) for b in range(nblocks)}
+    assert passes == {1: 1, 3: 1}
     for block in payload["blocks"]:
         assert block["unresolved"] >= 0.0
 
@@ -425,6 +435,45 @@ def test_log_level_reaches_the_debug_records(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", "--log-level", "TRACE", "--out", str(tmp_path)])
     assert exc.value.code == 1
+
+
+def test_only_the_box_solvers_load_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running the two
+    reports leaves scipy unloaded; the first sweep solve loads scipy.fft."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = str(tmp_path)
+    code = f"""
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+seen = {{}}
+from harmonic_lab.cli import main
+seen["import"] = loaded()
+commands = {{
+    "symbol-report": ["--d", "2", "--l-list", "8"],
+    "kernel-report": ["--d", "2", "--z-list", "1", "--L", "8", "--samples", "100"],
+    "dirichlet-sweep": ["--d", "2", "--n-list", "4", "--samples", "1"],
+}}
+for name, args in commands.items():
+    assert main([name, *args, "--out", {out!r}]) == 0, name
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["symbol-report"] == []
+    assert seen["kernel-report"] == []
+    assert "scipy.fft" in seen["dirichlet-sweep"]
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):

@@ -36,29 +36,76 @@ def test_walk_config_validation():
         cfg.z = 4
 
 
+def _streamed_table(z, cap, chunk=walks.CDF_CHUNK):
+    return np.concatenate(list(walks._cdf_chunks(z, cap, chunk)))
+
+
 def test_vertical_hit_cdf_frozen_values():
-    cdf1 = walks._vertical_hit_cdf(1, 99)
+    cdf1 = _streamed_table(1, 99)
     # P(V=1) = 1/2, P(V=3) = 1/8, P(V=5) = 1/16
     assert cdf1[0] == pytest.approx(0.5, rel=1e-12)
     assert cdf1[1] == pytest.approx(0.625, rel=1e-12)
     assert cdf1[2] == pytest.approx(0.6875, rel=1e-12)
-    cdf2 = walks._vertical_hit_cdf(2, 100)
+    cdf2 = _streamed_table(2, 100)
     assert cdf2[0] == pytest.approx(0.25, rel=1e-12)
     assert (np.diff(cdf1) > 0).all()
     assert cdf1[-1] < 1.0
-    assert walks._vertical_hit_cdf(1, 10**6)[-1] > 0.999
+    assert _streamed_table(1, 10**6)[-1] > 0.999
 
 
 @pytest.mark.parametrize("z", [1, 3, 10])
 def test_vertical_hit_cdf_matches_the_closed_form(z):
     """The in-place recurrence against the log-gamma closed form."""
     cap = 10**5 + z % 2
-    table = walks._vertical_hit_cdf(z, cap)
+    table = _streamed_table(z, cap)
     reference = oracles.first_passage_cdf(z, cap)
     assert table.shape == reference.shape
     np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
     exact = [float(oracles.first_passage_pmf(z, z + 2 * i)) for i in range(4)]
     np.testing.assert_allclose(np.diff(table[:4], prepend=0.0), exact, rtol=1e-14)
+
+
+def _check_streamed_against_one_shot(z, cap, chunk):
+    reference = oracles.vertical_hit_cdf(z, cap)
+    assert np.array_equal(_streamed_table(z, cap, chunk), reference)
+    rng = np.random.default_rng(z)
+    # ties on table entries, and uniforms below the first and above the last
+    u = np.concatenate([rng.random(3000), reference[::97], [0.0, reference[-1], 1.0]])
+    counts = walks._hit_counts(z, cap, u, chunk)
+    assert np.array_equal(counts, np.searchsorted(reference, u, side="left"))
+    # a count equal to the table length is exactly a uniform above the last value
+    assert np.array_equal(counts == reference.size, u > reference[-1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("z, cap", [(1, 1), (2, 2), (3, 20), (1, 9001), (4, 9002)])
+def test_streamed_table_matches_the_one_shot_build(z, cap, chunk):
+    """Carrying the last product and running sum across chunks reproduces
+    every entry, every search count and the last value exactly."""
+    _check_streamed_against_one_shot(z, cap, chunk)
+
+
+def test_streamed_table_spans_several_default_chunks():
+    cap = 2 * 3 * walks.CDF_CHUNK + 11
+    # the first entry, three full chunks and a partial one
+    assert sum(1 for _ in walks._cdf_chunks(3, cap)) == 5
+    _check_streamed_against_one_shot(3, cap, walks.CDF_CHUNK)
+
+
+def test_sampler_memory_stays_at_one_table_chunk():
+    """At the default cap the whole table would take 5e6 entries times
+    three float64 arrays (120 MB); streamed, one chunk is resident."""
+    cfg = walks.WalkConfig(d=2, z=1, seed=0)
+    assert cfg.max_steps == walks.DEFAULT_STEP_CAP
+    walks._simulate_exits.cache_clear()
+    tracemalloc.start()
+    try:
+        walks._simulate_exits(cfg, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        walks._simulate_exits.cache_clear()
+    assert peak < 16 << 20
 
 
 def test_step_cap_budget_refuses_before_allocating():
