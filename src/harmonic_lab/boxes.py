@@ -13,7 +13,10 @@ and is diagonalized by the type-I sine transform (the odd reflection of
 free path Laplacians and is diagonalized by the type-II cosine transform,
 whose zero mode carries the mean-zero gauge.  See Buzbee, Golub & Nielson,
 "On direct methods for solving Poisson's equations", SIAM J. Numer. Anal. 7
-(1970).  Both solvers import ``scipy.fft`` on first use, so no other path needs it.
+(1970).  Both transforms are built on ``numpy.fft``: the DST-I from the real
+FFT of the odd extension, the DCT-II and its inverse from one real FFT of the
+same length after Makhoul's even/odd reordering (Makhoul, "A fast cosine
+transform in one and two dimensions", IEEE Trans. ASSP 28 (1980)).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _REFLECT_CONSISTENCY_TOL = 1e-8
+_BLOCK = 1 << 16  # entries per row-kernel call; bounds every transform temporary
 
 
 def _box_dims(u: np.ndarray):
@@ -56,6 +60,79 @@ def _eigenvalues(path_eigenvalues, d):
     """Eigenvalues of the d-fold tensor sum of one path operator, as a
     (n,)*d array broadcast from the per-axis eigenvalues."""
     return sum(np.meshgrid(*[path_eigenvalues] * d, indexing="ij", sparse=True))
+
+
+def _along_every_axis(a, rows):
+    """Apply the row kernel ``rows`` along every axis of the cube ``a``,
+    overwriting ``a``.
+
+    Each pass feeds the last axis to the kernel in blocks of about
+    ``_BLOCK`` entries and writes the result with that axis rotated to the
+    front, so after d passes the axes are back in order.  The passes
+    alternate between ``a`` and one spare array, so a transform holds two
+    arrays and one block of kernel temporaries.
+    """
+    n = a.shape[-1]
+    step = max(1, _BLOCK // n)
+    spare = np.empty(a.shape)
+    for _ in range(a.ndim):
+        src = a.reshape(-1, n)
+        dst = spare.reshape(n, -1).T  # row r of dst is spare[:, r]: the rotated layout
+        for i in range(0, len(src), step):
+            dst[i : i + step] = rows(src[i : i + step])
+        a, spare = spare, a
+    return a
+
+
+def _dst1_rows(x):
+    """Orthonormal DST-I of each row of ``x``, its own inverse: minus the
+    imaginary part of the real FFT of the odd extension [0, x, 0, -x reversed]
+    of length 2(n+1), scaled by 1/sqrt(2(n+1))."""
+    n = x.shape[1]
+    z = np.zeros((len(x), 2 * n + 2))
+    z[:, 1 : n + 1] = x
+    np.negative(x[:, ::-1], out=z[:, n + 2 :])
+    return np.fft.rfft(z)[:, 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
+
+
+def _quarter_wave(M):
+    """Orthonormal DCT-II twiddle s_k exp(-i pi k / 2M) for k = 0..M//2, with
+    s_0 = sqrt(1/M) and s_k = sqrt(2/M) otherwise."""
+    k = np.arange(M // 2 + 1)
+    t = np.sqrt(2.0 / M) * np.exp(-0.5j * np.pi * k / M)
+    t[0] = np.sqrt(1.0 / M)
+    return t
+
+
+def _dct2_rows(x):
+    """Orthonormal DCT-II of each row of ``x`` (Makhoul): reorder to the even
+    entries followed by the odd ones reversed, take one real FFT Z of length
+    M, and read y_k = Re(t_k Z_k) and y_{M-k} = -Im(t_k Z_k)."""
+    M = x.shape[1]
+    v = np.concatenate([x[:, ::2], x[:, 1::2][:, ::-1]], axis=1)
+    z = np.fft.rfft(v) * _quarter_wave(M)
+    y = np.empty(x.shape)
+    y[:, : M // 2 + 1] = z.real
+    np.negative(z.imag[:, (M + 1) // 2 - 1 : 0 : -1], out=y[:, M // 2 + 1 :])
+    return y
+
+
+def _dct3_rows(y):
+    """Orthonormal DCT-III of each row of ``y``, the inverse of
+    ``_dct2_rows``: rebuild Z_k = (y_k - i y_{M-k}) / t_k for k = 0..M//2,
+    invert the real FFT, and undo the even/odd reordering."""
+    M = y.shape[1]
+    h = M // 2 + 1
+    z = np.empty((len(y), h), dtype=complex)
+    z.real = y[:, :h]
+    z.imag[:, 0] = 0.0
+    np.negative(y[:, M - 1 : M - h : -1], out=z.imag[:, 1:])
+    v = np.fft.irfft(z / _quarter_wave(M), n=M)
+    half = (M + 1) // 2
+    x = np.empty(y.shape)
+    x[:, ::2] = v[:, :half]
+    x[:, 1::2] = v[:, half:][:, ::-1]
+    return x
 
 
 def _dirichlet_boundary_rhs(f, d, N):
@@ -81,20 +158,30 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     ``f`` is a full (N+1,)^d array; only its boundary entries are read and
     they are copied into the result bit for bit.  After boundary
     elimination the interior system (2d*I - A) u = rhs on (N-1)^d vertices
-    is solved by an orthonormal type-I sine transform, whose modes
-    k in {1..N-1}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / N)).  The
-    solution is unique, so no gauge is needed.
+    is solved by an orthonormal type-I sine transform along every axis,
+    whose modes k in {1..N-1}^d have eigenvalues
+    sum_i (2 - 2 cos(pi k_i / N)).  Each axis transform is minus the
+    imaginary part of one real FFT of the odd extension of length 2N; the
+    DST-I is its own inverse.  The solution is unique, so no gauge is needed.
     """
-    import scipy.fft
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
-    rhs = _dirichlet_boundary_rhs(f, d, N)
     k = np.arange(1, N)
     lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / N), d)
-    coeffs = scipy.fft.dstn(rhs, type=1, norm="ortho") / lam
+    coeffs = _along_every_axis(_dirichlet_boundary_rhs(f, d, N), _dst1_rows)
+    coeffs /= lam
     out = f.copy()
-    out[(slice(1, N),) * d] = scipy.fft.idstn(coeffs, type=1, norm="ortho")
+    out[(slice(1, N),) * d] = _along_every_axis(coeffs, _dst1_rows)
     return out
+
+
+def _neumann_rhs(edges, g, d, N):
+    """Interior right-hand side -sum of g over the normal edges entering each
+    interior vertex, as one bincount over flat head indices.  It is taken
+    from 0.0 rather than negated, so vertices without a head hold +0.0."""
+    shape = (N - 1,) * d
+    flat = np.ravel_multi_index(tuple((edges[:, 1] - 1).T), shape)
+    return 0.0 - np.bincount(flat, weights=g, minlength=(N - 1) ** d).reshape(shape)
 
 
 def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -103,15 +190,17 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
     ``g[j]`` belongs to the edge ``lattice.normal_edges(d, N)[j]``, and the
     values must sum to zero (no solution exists otherwise).  The
     interior system is the grid-graph Laplacian diag(deg) - A on (N-1)^d
-    vertices, solved by an orthonormal type-II cosine transform whose modes
-    k in {0..N-2}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / (N-1))).
+    vertices, solved by an orthonormal type-II cosine transform along every
+    axis, whose modes k in {0..N-2}^d have eigenvalues
+    sum_i (2 - 2 cos(pi k_i / (N-1))).  Each axis transform and its inverse,
+    the type-III transform, is one real FFT of length N-1 after Makhoul's
+    even/odd reordering, with a quarter-wave twiddle.
     The constant mode k = 0 is the kernel; setting it to zero is the gauge,
     so the interior has mean zero.  Face vertices are filled through their
     unique inward edge; ridge and corner vertices carry no constraint and
     are set, in increasing boundary codimension, to the mean of their
     already filled neighbours.
     """
-    import scipy.fft
     if N < 2 or d < 2:
         raise ValueError(f"need d >= 2 and N >= 2, got d={d}, N={N}")
     edges = lattice.normal_edges(d, N)
@@ -130,16 +219,15 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
 
     tails = tuple(edges[:, 0].T)
     heads = tuple(edges[:, 1].T)
-    rhs = np.zeros((N - 1,) * d)
-    np.subtract.at(rhs, tuple(h - 1 for h in heads), g)
 
     k = np.arange(N - 1)
     lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / (N - 1)), d)
     lam[(0,) * d] = np.inf  # the constant mode is the kernel: gauge it to 0
-    coeffs = scipy.fft.dctn(rhs, type=2, norm="ortho") / lam
+    coeffs = _along_every_axis(_neumann_rhs(edges, g, d, N), _dct2_rows)
+    coeffs /= lam
 
     out = np.full((N + 1,) * d, np.nan)
-    out[(slice(1, N),) * d] = scipy.fft.idctn(coeffs, type=2, norm="ortho")
+    out[(slice(1, N),) * d] = _along_every_axis(coeffs, _dct3_rows)
     out[tails] = out[heads] - g
 
     # ridge and corner fill by increasing codimension: the saturated

@@ -61,6 +61,35 @@ def dft_inverse_direct(a):
     return out
 
 
+def dst1_matrix(n):
+    """Orthonormal DST-I matrix, entry by entry:
+    S[k, j] = sqrt(2/(n+1)) sin(pi (j+1)(k+1) / (n+1))."""
+    S = np.zeros((n, n))
+    for k in range(n):
+        for j in range(n):
+            S[k, j] = math.sqrt(2.0 / (n + 1)) * math.sin(math.pi * (j + 1) * (k + 1) / (n + 1))
+    return S
+
+
+def dct2_matrix(M):
+    """Orthonormal DCT-II matrix, entry by entry:
+    C[k, j] = s_k cos(pi k (2j+1) / 2M), s_0 = sqrt(1/M), s_k = sqrt(2/M)."""
+    C = np.zeros((M, M))
+    for k in range(M):
+        s = math.sqrt((1.0 if k == 0 else 2.0) / M)
+        for j in range(M):
+            C[k, j] = s * math.cos(math.pi * k * (2 * j + 1) / (2 * M))
+    return C
+
+
+def along_every_axis(matrix, a):
+    'Apply ``matrix`` along every axis of ``a``, one dense product per axis.'
+    out = np.asarray(a, dtype=float)
+    for axis in range(out.ndim):
+        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
+    return out
+
+
 def dense_dirichlet_box(f):
     """Solve the box Dirichlet problem as one full linear system.
 

@@ -1,6 +1,8 @@
 """Box extension operators, reflections, face decomposition, and the
 gradient comparison report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,58 @@ def _boundary_mask(shape):
         sl[ax] = -1
         mask[tuple(sl)] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# sine and cosine transforms
+# ---------------------------------------------------------------------------
+
+# every length 1-9 at d = 2, 3, 4; lengths 127 and 128 at d = 2, 3 only,
+# since one d = 4 array of side 128 alone would take 2 GB
+TRANSFORM_CASES = [(d, n) for d in (2, 3, 4) for n in range(1, 10)] + [
+    (d, n) for d in (2, 3) for n in (127, 128)
+]
+
+
+def _transform_input(d, n):
+    return np.random.default_rng(1000 * d + n).standard_normal((n,) * d)
+
+
+@pytest.mark.parametrize("d,n", TRANSFORM_CASES)
+def test_transforms_match_dense_sine_and_cosine_matrices(d, n):
+    a = _transform_input(d, n)
+    S, C = oracles.dst1_matrix(n), oracles.dct2_matrix(n)
+    for rows, matrix in (
+        (boxes._dst1_rows, S), (boxes._dct2_rows, C), (boxes._dct3_rows, C.T)
+    ):
+        got = boxes._along_every_axis(a.copy(), rows)
+        want = oracles.along_every_axis(matrix, a)
+        assert got.shape == a.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("d,n", TRANSFORM_CASES)
+def test_transforms_round_trip(d, n):
+    a = _transform_input(d, n)
+    for forward, inverse in (
+        (boxes._dst1_rows, boxes._dst1_rows), (boxes._dct2_rows, boxes._dct3_rows)
+    ):
+        back = boxes._along_every_axis(boxes._along_every_axis(a.copy(), forward), inverse)
+        assert np.abs(back - a).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
+    # measured peak 4.31 x the input; whole-array row kernels measured
+    # 8.98 x, and a third live array in the transform passes adds 1 x
+    f = np.random.default_rng(5).standard_normal((1025, 1025))
+    boxes.dirichlet_extension(f)
+    tracemalloc.start()
+    try:
+        boxes.dirichlet_extension(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * f.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +224,18 @@ def test_neumann_transform_solve_matches_dense_oracle(d, N):
         boxes.neumann_extension(g, d, N), oracles.dense_neumann_box(g, d, N),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("d,N", [(2, 5), (3, 6), (4, 4)])
+def test_neumann_rhs_is_bit_identical_to_the_subtract_at_scatter(d, N):
+    edges = lattice.normal_edges(d, N)
+    g = np.random.default_rng(31 + d).standard_normal(len(edges))
+    g -= g.mean()
+    want = np.zeros((N - 1,) * d)
+    np.subtract.at(want, tuple(edges[:, 1].T - 1), g)
+    got = boxes._neumann_rhs(edges, g, d, N)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_large_boxes_solve_to_certificate_without_a_dense_system():

@@ -437,9 +437,9 @@ def test_log_level_reaches_the_debug_records(tmp_path):
     assert exc.value.code == 1
 
 
-def test_only_the_box_solvers_load_scipy(tmp_path):
-    """In a fresh interpreter, importing the CLI and running the two
-    reports leaves scipy unloaded; the first sweep solve loads scipy.fft."""
+def test_no_command_loads_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running both sweeps,
+    both reports and the self test leaves every scipy module unloaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -452,9 +452,11 @@ seen = {{}}
 from harmonic_lab.cli import main
 seen["import"] = loaded()
 commands = {{
+    "dirichlet-sweep": ["--d", "2,3", "--n-list", "4", "--samples", "1"],
+    "neumann-sweep": ["--d", "2,3", "--n-list", "4", "--samples", "1"],
     "symbol-report": ["--d", "2", "--l-list", "8"],
     "kernel-report": ["--d", "2", "--z-list", "1", "--L", "8", "--samples", "100"],
-    "dirichlet-sweep": ["--d", "2", "--n-list", "4", "--samples", "1"],
+    "selftest": ["--threads", "2"],
 }}
 for name, args in commands.items():
     assert main([name, *args, "--out", {out!r}]) == 0, name
@@ -470,10 +472,7 @@ print(json.dumps(seen))
     )
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["symbol-report"] == []
-    assert seen["kernel-report"] == []
-    assert "scipy.fft" in seen["dirichlet-sweep"]
+    assert all(modules == [] for modules in seen.values()), seen
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):
