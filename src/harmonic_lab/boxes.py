@@ -135,20 +135,22 @@ def _dct3_rows(y):
     return x
 
 
+def _transform_solve(rhs, lam, forward, inverse):
+    """Interior solution of the system diagonalized by the row transform
+    ``forward`` with eigenvalues ``lam``; ``inverse`` undoes ``forward``."""
+    coeffs = _along_every_axis(rhs, forward)
+    coeffs /= lam
+    return _along_every_axis(coeffs, inverse)
+
+
 def _dirichlet_boundary_rhs(f, d, N):
     rhs = np.zeros((N - 1,) * d)
-    inner = [slice(1, N)] * d
     for i in range(d):
-        lo = list(inner)
-        lo[i] = 0
-        hi = list(inner)
-        hi[i] = N
-        dst_lo = [slice(None)] * d
-        dst_lo[i] = 0
-        dst_hi = [slice(None)] * d
-        dst_hi[i] = N - 2
-        rhs[tuple(dst_lo)] += f[tuple(lo)]
-        rhs[tuple(dst_hi)] += f[tuple(hi)]
+        # axis i in front: its two faces, the other axes on the interior
+        src = np.moveaxis(f, i, 0)[(slice(None),) + (slice(1, N),) * (d - 1)]
+        dst = np.moveaxis(rhs, i, 0)
+        dst[0] += src[0]
+        dst[-1] += src[N]
     return rhs
 
 
@@ -168,10 +170,10 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     d, N = _box_dims(f)
     k = np.arange(1, N)
     lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / N), d)
-    coeffs = _along_every_axis(_dirichlet_boundary_rhs(f, d, N), _dst1_rows)
-    coeffs /= lam
+    rhs = _dirichlet_boundary_rhs(f, d, N)
+    interior = _transform_solve(rhs, lam, _dst1_rows, _dst1_rows)
     out = f.copy()
-    out[(slice(1, N),) * d] = _along_every_axis(coeffs, _dst1_rows)
+    out[(slice(1, N),) * d] = interior
     return out
 
 
@@ -201,8 +203,6 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
     are set, in increasing boundary codimension, to the mean of their
     already filled neighbours.
     """
-    if N < 2 or d < 2:
-        raise ValueError(f"need d >= 2 and N >= 2, got d={d}, N={N}")
     edges = lattice.normal_edges(d, N)
     g = np.asarray(g, dtype=float)
     if g.shape != (len(edges),):
@@ -217,33 +217,29 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             "no harmonic extension"
         )
 
-    tails = tuple(edges[:, 0].T)
-    heads = tuple(edges[:, 1].T)
-
     k = np.arange(N - 1)
     lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / (N - 1)), d)
     lam[(0,) * d] = np.inf  # the constant mode is the kernel: gauge it to 0
-    coeffs = _along_every_axis(_neumann_rhs(edges, g, d, N), _dct2_rows)
-    coeffs /= lam
-
+    rhs = _neumann_rhs(edges, g, d, N)
+    interior = _transform_solve(rhs, lam, _dct2_rows, _dct3_rows)
     out = np.full((N + 1,) * d, np.nan)
-    out[(slice(1, N),) * d] = _along_every_axis(coeffs, _dct3_rows)
-    out[tails] = out[heads] - g
+    out[(slice(1, N),) * d] = interior
+    out[tuple(edges[:, 0].T)] = out[tuple(edges[:, 1].T)] - g
 
-    # ridge and corner fill by increasing codimension: the saturated
-    # coordinates of a vertex step inward, summed in increasing axis order
-    axis = np.arange(N + 1)
-    inward = np.clip(axis, 1, N - 1)
-    saturated = [
-        (inward != axis).reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)
-    ]
-    codim = sum(saturated)
+    # ridge and corner fill by increasing codimension over the boundary
+    # vertices: the saturated coordinates step inward, summed in increasing
+    # axis order
+    verts = lattice.boundary_vertices(d, N)
+    saturated = (verts == 0) | (verts == N)
+    codim = saturated.sum(axis=1)
     for c in range(2, d + 1):
-        ridge = codim == c
-        acc = np.zeros(out.shape)
+        ridge, sat = verts[codim == c], saturated[codim == c]
+        acc = np.zeros(len(ridge))
         for i in range(d):
-            acc += np.where(saturated[i], np.take(out, inward, axis=i), 0.0)
-        out[ridge] = acc[ridge] / c
+            step = ridge.copy()
+            step[:, i] = np.clip(ridge[:, i], 1, N - 1)
+            acc += np.where(sat[:, i], out[tuple(step.T)], 0.0)
+        out[tuple(ridge.T)] = acc / c
     return out
 
 
@@ -268,9 +264,7 @@ def odd_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
             f"data reaches {worst:.3e} at a fixed point of the odd "
             "reflection; an odd extension forces 0 there"
         )
-    sl = [slice(None)] * data.ndim
-    sl[axis] = slice(N - 1, 0, -1)
-    return np.concatenate([data, -data[tuple(sl)]], axis=axis)
+    return _reflect(data, axis, -1.0)
 
 
 def even_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -302,14 +296,14 @@ def even_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate([data[tuple(keep)], data[tuple(tail)]], axis=axis)
 
 
-def _even_reflect_integer(data: np.ndarray, axis: int = 0) -> np.ndarray:
-    """2N-periodic extension even about the integer mirrors 0 and N; any
-    face data extends this way, no consistency constraint."""
+def _reflect(data, axis, sign):
+    """2N-periodic extension of face data of length N+1 about the integer
+    mirrors 0 and N, odd for ``sign`` -1 and even for +1.  The even
+    extension needs no consistency constraint; the odd one needs zeros at
+    the mirrors, which ``odd_reflect`` checks."""
     data = np.asarray(data, dtype=float)
-    N = data.shape[axis] - 1
-    sl = [slice(None)] * data.ndim
-    sl[axis] = slice(N - 1, 0, -1)
-    return np.concatenate([data, data[tuple(sl)]], axis=axis)
+    mirrored = np.take(data, np.arange(data.shape[axis] - 2, 0, -1), axis=axis)
+    return np.concatenate([data, sign * mirrored], axis=axis)
 
 
 def face_decomposition_dirichlet(u: np.ndarray, p):
@@ -337,8 +331,8 @@ def face_decomposition_dirichlet(u: np.ndarray, p):
                 lo = odd_reflect(lo, axis=ax)
                 hi = odd_reflect(hi, axis=ax)
             else:
-                lo = _even_reflect_integer(lo, axis=ax)
-                hi = _even_reflect_integer(hi, axis=ax)
+                lo = _reflect(lo, ax, 1.0)
+                hi = _reflect(hi, ax, 1.0)
         strip = dirichlet_strip_solve(lo, hi, N)
         window = tuple([slice(0, N + 1)] * (d - 1) + [slice(None)])
         w = np.moveaxis(strip[window], -1, i)

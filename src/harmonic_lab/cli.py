@@ -323,7 +323,7 @@ def _format_value(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy floats repr as np.float64(...)
     return str(value)
 
 
@@ -364,6 +364,17 @@ def _sweep_descriptor(command, spec):
     }
 
 
+def _emit(args, descriptor, payload, header, rows):
+    """Write ``rows`` as CSV or ``payload`` as JSON, as ``args.format`` asks,
+    under the name hashed from ``descriptor``, and print the path."""
+    path = _output_path(args.out, descriptor["command"], descriptor, args.format)
+    if args.format == "csv":
+        _write_csv_lines(path, header, rows)
+    else:
+        _write_json(path, payload)
+    print(path)
+
+
 def _cmd_sweep(args, kind):
     spec = SweepSpec(
         d_list=tuple(args.d),
@@ -373,15 +384,10 @@ def _cmd_sweep(args, kind):
         seed=args.seed,
         generator=args.generator,
     )
-    runner = run_dirichlet_sweep if kind == "dirichlet" else run_neumann_sweep
-    rows, summary = runner(spec, threads=args.threads)
+    rows, summary = _run_sweep(kind, spec, args.threads)
     descriptor = _sweep_descriptor(f"{kind}-sweep", spec)
-    path = _output_path(args.out, f"{kind}-sweep", descriptor, args.format)
-    if args.format == "csv":
-        _write_csv_lines(path, CSV_COLUMNS, rows)
-    else:
-        _write_json(path, {"spec": descriptor, "rows": rows, "summary": summary})
-    print(path)
+    payload = {"spec": descriptor, "rows": rows, "summary": summary}
+    _emit(args, descriptor, payload, CSV_COLUMNS, rows)
     for key, block in summary.items():
         print(f"{key}: growth={block['growth']}")
     return 0
@@ -397,26 +403,13 @@ def _cmd_kernel(args):
         "n_samples": args.samples,
         "seed": args.seed,
     }
-    path = _output_path(args.out, "kernel-report", descriptor, args.format)
-    if args.format == "csv":
-        header = ("z", "offset", "mc_p", "mc_se", "spectral_p", "continuum")
-        rows = []
-        for block in payload["blocks"]:
-            for entry in block["offsets"]:
-                rows.append(
-                    {
-                        "z": block["z"],
-                        "offset": ";".join(str(v) for v in entry["offset"]),
-                        "mc_p": entry["mc_p"],
-                        "mc_se": entry["mc_se"],
-                        "spectral_p": entry["spectral_p"],
-                        "continuum": entry["continuum"],
-                    }
-                )
-        _write_csv_lines(path, header, rows)
-    else:
-        _write_json(path, payload)
-    print(path)
+    header = ("z", "offset", "mc_p", "mc_se", "spectral_p", "continuum")
+    rows = [
+        dict(entry, z=block["z"], offset=";".join(str(v) for v in entry["offset"]))
+        for block in payload["blocks"]
+        for entry in block["offsets"]
+    ]
+    _emit(args, descriptor, payload, header, rows)
     for block in payload["blocks"]:
         print(
             f"z={block['z']}: tv={block['tv_mc_vs_spectral']:.4f} "
@@ -429,25 +422,13 @@ def _cmd_kernel(args):
 def _cmd_symbol(args):
     payload = run_symbol_report(args.d, args.l_list)
     descriptor = {"command": "symbol-report", "d": args.d, "L": list(args.l_list)}
-    path = _output_path(args.out, "symbol-report", descriptor, args.format)
-    if args.format == "csv":
-        header = ("L", "symbol", "max_lvar", "total_var", "bound_ok")
-        rows = []
-        for block in payload["blocks"]:
-            for name in ("neumann_axis0", "dirichlet_glued"):
-                rows.append(
-                    {
-                        "L": block["L"],
-                        "symbol": name,
-                        "max_lvar": block[name]["max_lvar"],
-                        "total_var": block[name]["total_var"],
-                        "bound_ok": block[name]["bound_ok"],
-                    }
-                )
-        _write_csv_lines(path, header, rows)
-    else:
-        _write_json(path, payload)
-    print(path)
+    header = ("L", "symbol", "max_lvar", "total_var", "bound_ok")
+    rows = [
+        dict(block[name], L=block["L"], symbol=name)
+        for block in payload["blocks"]
+        for name in ("neumann_axis0", "dirichlet_glued")
+    ]
+    _emit(args, descriptor, payload, header, rows)
     print(f"stability: {payload['stability']}")
     return 0
 
@@ -469,12 +450,9 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
         seed=SELFTEST_SEED,
     )
     emitted = []
-    for kind, runner in (
-        ("dirichlet", run_dirichlet_sweep),
-        ("neumann", run_neumann_sweep),
-    ):
-        rows_single, summary = runner(spec, threads=1)
-        rows_pooled, _ = runner(spec, threads=threads)
+    for kind in ("dirichlet", "neumann"):
+        rows_single, summary = _run_sweep(kind, spec, 1)
+        rows_pooled, _ = _run_sweep(kind, spec, threads)
         for rows in (rows_single, rows_pooled):
             for row in rows:
                 row["runtime_ms"] = 0.0
@@ -525,24 +503,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_parser(convert, name):
+    """Argument type for a comma-separated list of ``convert`` values."""
+
+    def parse(text):
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return parse
 
 
-def _float_list(text):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+_int_list = _list_parser(int, "integer")
+_float_list = _list_parser(float, "float")
 
 
 def _add_common(sub):

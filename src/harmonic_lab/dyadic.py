@@ -87,14 +87,6 @@ def dyadic_integers(level: int, L: int) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _index_of_scalar(nu: int) -> int:
-    if nu > 0:
-        return int(nu).bit_length()
-    if nu < 0:
-        return -int(-nu).bit_length()
-    return 0
-
-
 def dyadic_index_of(nu, L: int | None = None):
     """Per-axis dyadic level of an integer frequency vector.
 
@@ -104,12 +96,11 @@ def dyadic_index_of(nu, L: int | None = None):
     arr = np.asarray(nu)
     if L is not None:
         arr = (arr + L - 1) % (2 * L) - L + 1
-    if arr.ndim == 0:
-        return _index_of_scalar(int(arr))
     mag = np.abs(arr)
     # bit_length via frexp: integers up to 2**52 have exact float mantissas
     bits = np.frexp(mag.astype(float))[1]
-    return np.where(arr > 0, bits, np.where(arr < 0, -bits, 0))
+    level = np.where(arr > 0, bits, np.where(arr < 0, -bits, 0))
+    return int(level) if level.ndim == 0 else level
 
 
 def dyadic_rectangle_is_empty(k, L: int) -> bool:
@@ -134,14 +125,6 @@ def alpha_difference(a: np.ndarray, i: int, alpha: int) -> np.ndarray:
     if alpha != 1:
         raise ValueError(f"difference flag must be 0 or 1, got {alpha}")
     return np.roll(a, -1, axis=i) - a
-
-
-def _rectangle_index_sets(k, L):
-    sets = []
-    for level in k:
-        vals = dyadic_integers(level, L)
-        sets.append(vals % (2 * L))
-    return sets
 
 
 def _nonempty_levels(L: int) -> list:
@@ -241,12 +224,9 @@ def glue_local_symbols(family: dict, L: int) -> np.ndarray:
     d = len(shape)
     out = np.zeros(shape, dtype=complex)
     for k in itertools.product(_nonempty_levels(L), repeat=d):
-        sets = _rectangle_index_sets(k, L)
-        if any(s.size == 0 for s in sets):
-            continue
         if k not in family:
             raise KeyError(f"family member for dyadic index {k} is missing")
-        block = np.ix_(*sets)
+        block = np.ix_(*[dyadic_integers(level, L) % (2 * L) for level in k])
         out[block] = np.asarray(family[k])[block]
     return out
 

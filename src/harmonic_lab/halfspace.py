@@ -107,6 +107,18 @@ def halfspace_strip(bottom: np.ndarray, N: int) -> np.ndarray:
     return out.real if np.isrealobj(bottom) else out
 
 
+def _mode_sum(A, B, q, N, real, slope=0.0):
+    """Strip whose mode k at height y is A Q^(-y) + B Q^(-(N-y)), plus
+    ``slope`` * y / N on the mean mode, taken back to physical space; the
+    real part when ``real``."""
+    ys = np.arange(N + 1, dtype=float)
+    decay = q[..., None] ** (-ys)
+    coef = A[..., None] * decay + B[..., None] * decay[..., ::-1]
+    coef[(0,) * q.ndim] += slope * ys / N
+    out = inverse_dft(coef, axes=range(q.ndim))
+    return out.real if real else out
+
+
 def dirichlet_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.ndarray:
     """Harmonic strip function with prescribed bottom and top layers.
 
@@ -130,15 +142,10 @@ def dirichlet_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.nda
     denom[zero] = 1.0  # placeholder entry, the mean mode is overwritten below
     A = (b0 - bN * qN) / denom
     B = (bN - b0 * qN) / denom
-
-    ys = np.arange(N + 1, dtype=float)
-    decay = q[..., None] ** (-ys)
-    coef = A[..., None] * decay + B[..., None] * decay[..., ::-1]
-    coef[zero] = b0[zero] + (bN[zero] - b0[zero]) * ys / N
-    out = inverse_dft(coef, axes=range(d - 1))
-    if np.isrealobj(bottom) and np.isrealobj(top):
-        return out.real
-    return out
+    # Q = 1 on the mean mode: the constant b0 plus the linear term
+    A[zero], B[zero] = b0[zero], 0.0
+    real = np.isrealobj(bottom) and np.isrealobj(top)
+    return _mode_sum(A, B, q, N, real, slope=bN[zero] - b0[zero])
 
 
 def _check_zero_mean(layer, name):
@@ -181,14 +188,7 @@ def neumann_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.ndarr
     B = (gt * m11 - gb * m21) / det
     A[zero] = 0.0
     B[zero] = 0.0
-
-    ys = np.arange(N + 1, dtype=float)
-    decay = q[..., None] ** (-ys)
-    coef = A[..., None] * decay + B[..., None] * decay[..., ::-1]
-    out = inverse_dft(coef, axes=range(d - 1))
-    if np.isrealobj(bottom) and np.isrealobj(top):
-        return out.real
-    return out
+    return _mode_sum(A, B, q, N, np.isrealobj(bottom) and np.isrealobj(top))
 
 
 def _check_aspect(L, N, bounds):
@@ -201,14 +201,15 @@ def _check_aspect(L, N, bounds):
         )
 
 
-def _run_telescope(seed, N, tol, extend, defect):
-    """Shared alternating-extension loop.
+def _run_telescope(seed, N, tol, solve, defect, down_sign):
+    """Alternating-extension loop for one mean-zero seed layer.
 
-    ``extend`` maps a seed layer to an upward strip, ``defect`` extracts the
-    next seed from that strip.  Down steps reuse the upward solve through
-    the flip symmetry of the strip.  Returns the accumulated strip, with
-    orientation and sign handled per construction by the callers through
-    ``extend``'s sign conventions, plus the seed-norm trace.
+    ``solve(seed, N)`` is the upward strip that matches ``seed`` at the
+    bottom, and ``defect(strip)`` reads the next seed off its top.  Up steps
+    add the strip; down steps add ``down_sign`` times its flip, which
+    cancels the pending top defect while leaving a new bottom defect, so
+    both orientations read the next seed off the unflipped strip.  Returns
+    the accumulated strip and the seed-norm trace.
     """
     norm0 = float(np.linalg.norm(seed.ravel()))
     trace = [norm0]
@@ -223,8 +224,8 @@ def _run_telescope(seed, N, tol, extend, defect):
                 "telescope iteration stopped contracting: seed norms "
                 f"{trace[-2]:.6e} -> {trace[-1]:.6e}"
             )
-        strip, contribution = extend(seed, up)
-        w = w + contribution
+        strip = solve(seed, N)
+        w = w + (strip if up else down_sign * strip[..., ::-1])
         seed = defect(strip)
         trace.append(float(np.linalg.norm(seed.ravel())))
         up = not up
@@ -232,20 +233,6 @@ def _run_telescope(seed, N, tol, extend, defect):
         f"telescope did not reach tolerance {tol} within "
         f"{MAX_TELESCOPE_STEPS} steps"
     )
-
-
-def _telescope_core_dirichlet(v, N, tol):
-    """Telescope for boundary layers (v, 0) with mean-zero ``v``: alternating
-    upward and downward extensions, each matching the previous defect."""
-
-    def extend(seed, up):
-        strip = halfspace_strip(seed, N)
-        return strip, strip if up else -strip[..., ::-1]
-
-    def defect(strip):
-        return strip[..., N]
-
-    return _run_telescope(np.asarray(v), N, tol, extend, defect)
 
 
 def _neumann_up(data, N):
@@ -263,25 +250,6 @@ def _neumann_up(data, N):
     if np.isrealobj(data):
         bottom = bottom.real
     return halfspace_strip(bottom, N)
-
-
-def _telescope_core_neumann(v, N, tol):
-    """Telescope for normal differences (v, 0) with mean-zero ``v``.
-
-    Up steps add the upward solve of the current seed; down steps add its
-    flip, which cancels the pending top defect while leaving a new bottom
-    defect.  Both orientations read the next seed off the top backward
-    difference of the unflipped solve.
-    """
-
-    def extend(seed, up):
-        strip = _neumann_up(seed, N)
-        return strip, strip if up else strip[..., ::-1]
-
-    def defect(strip):
-        return strip[..., N] - strip[..., N - 1]
-
-    return _run_telescope(np.asarray(v), N, tol, extend, defect)
 
 
 def telescope_dirichlet(
@@ -314,8 +282,9 @@ def telescope_dirichlet(
     affine = m0 * (N - ys) / N + mN * ys / N
     w = np.broadcast_to(affine, bottom.shape + (N + 1,)).copy()
 
-    w1, trace_bottom = _telescope_core_dirichlet(bottom - m0, N, tol)
-    w2, trace_top = _telescope_core_dirichlet(top - mN, N, tol)
+    steps = (N, tol, halfspace_strip, lambda strip: strip[..., N], -1.0)
+    w1, trace_bottom = _run_telescope(bottom - m0, *steps)
+    w2, trace_top = _run_telescope(top - mN, *steps)
     w += w1 + w2[..., ::-1]
     return w, {"bottom": trace_bottom, "top": trace_top}
 
@@ -357,8 +326,9 @@ def telescope_neumann(
     ys = np.arange(N + 1, dtype=float)
     w = np.broadcast_to(mb * ys, bottom.shape + (N + 1,)).copy()
 
-    w1, trace_bottom = _telescope_core_neumann(bottom - mb, N, tol)
-    w2, trace_top = _telescope_core_neumann(-(top - mt), N, tol)
+    steps = (N, tol, _neumann_up, lambda strip: strip[..., N] - strip[..., N - 1], 1.0)
+    w1, trace_bottom = _run_telescope(bottom - mb, *steps)
+    w2, trace_top = _run_telescope(-(top - mt), *steps)
     w += w1 + w2[..., ::-1]
     return w, {"bottom": trace_bottom, "top": trace_top}
 

@@ -387,6 +387,40 @@ def test_main_sweep_json_format(tmp_path, capsys):
     assert len(payload["rows"]) == 1
 
 
+def test_report_csv_rows_equal_the_json_payload(tmp_path, capsys):
+    def written(args, fmt):
+        assert cli.main([*args, "--format", fmt, "--out", str(tmp_path)]) == 0
+        return open(capsys.readouterr().out.splitlines()[0]).read()
+
+    kernel = ["kernel-report", "--d", "3", "--z-list", "1,3", "--L", "8",
+              "--samples", "2000"]
+    payload = json.loads(written(kernel, "json"))
+    lines = written(kernel, "csv").splitlines()
+    assert lines[0] == "z,offset,mc_p,mc_se,spectral_p,continuum"
+    entries = [(b["z"], e) for b in payload["blocks"] for e in b["offsets"]]
+    assert len(lines) == 1 + len(entries) > 1
+    for line, (z, entry) in zip(lines[1:], entries):
+        cells = line.split(",")
+        assert int(cells[0]) == z
+        assert [int(v) for v in cells[1].split(";")] == entry["offset"]
+        for cell, name in zip(cells[2:], ("mc_p", "mc_se", "spectral_p", "continuum")):
+            assert float(cell) == entry[name]
+
+    symbol = ["symbol-report", "--d", "3", "--l-list", "4,8"]
+    payload = json.loads(written(symbol, "json"))
+    lines = written(symbol, "csv").splitlines()
+    assert lines[0] == "L,symbol,max_lvar,total_var,bound_ok"
+    names = ("neumann_axis0", "dirichlet_glued")
+    blocks = [(b["L"], name, b[name]) for b in payload["blocks"] for name in names]
+    assert len(lines) == 1 + len(blocks)
+    for line, (L, name, block) in zip(lines[1:], blocks):
+        cells = line.split(",")
+        assert (int(cells[0]), cells[1]) == (L, name)
+        assert float(cells[2]) == block["max_lvar"]
+        assert float(cells[3]) == block["total_var"]
+        assert cells[4] == str(block["bound_ok"])
+
+
 def test_main_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
