@@ -56,25 +56,18 @@ def _box_dims(u: np.ndarray):
     return d, N
 
 
-def _eigenvalues(path_eigenvalues, d):
-    """Eigenvalues of the d-fold tensor sum of one path operator, as a
-    (n,)*d array broadcast from the per-axis eigenvalues."""
-    return sum(np.meshgrid(*[path_eigenvalues] * d, indexing="ij", sparse=True))
-
-
-def _along_every_axis(a, rows):
+def _along_every_axis(a, rows, spare):
     """Apply the row kernel ``rows`` along every axis of the cube ``a``,
-    overwriting ``a``.
+    overwriting ``a`` and ``spare``, an array of the same shape.
 
     Each pass feeds the last axis to the kernel in blocks of about
     ``_BLOCK`` entries and writes the result with that axis rotated to the
     front, so after d passes the axes are back in order.  The passes
-    alternate between ``a`` and one spare array, so a transform holds two
+    alternate between ``a`` and the spare array, so a transform holds two
     arrays and one block of kernel temporaries.
     """
     n = a.shape[-1]
     step = max(1, _BLOCK // n)
-    spare = np.empty(a.shape)
     for _ in range(a.ndim):
         src = a.reshape(-1, n)
         dst = spare.reshape(n, -1).T  # row r of dst is spare[:, r]: the rotated layout
@@ -136,11 +129,23 @@ def _dct3_rows(y):
 
 
 def _transform_solve(rhs, lam, forward, inverse):
-    """Interior solution of the system diagonalized by the row transform
-    ``forward`` with eigenvalues ``lam``; ``inverse`` undoes ``forward``."""
-    coeffs = _along_every_axis(rhs, forward)
-    coeffs /= lam
-    return _along_every_axis(coeffs, inverse)
+    """Interior solution of the d-fold tensor sum of one path operator with
+    eigenvalues ``lam``, diagonalized along every axis by the row transform
+    ``forward``; ``inverse`` undoes ``forward``.  ``rhs`` is consumed: it
+    and one spare array carry every pass, and the solution ends in it.  The
+    eigenvalue sums are formed a block along axis 0 at a time, in axis
+    order; a zero sum (the Neumann constant mode, the kernel) divides by
+    inf, which gauges that mode to zero."""
+    spare = np.empty(rhs.shape)
+    coeffs = _along_every_axis(rhs, forward, spare)
+    d, n = rhs.ndim, len(lam)
+    step = max(1, _BLOCK // n ** (d - 1))
+    for i in range(0, n, step):
+        axes = [lam[i : i + step]] + [lam] * (d - 1)
+        block = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
+        block[block == 0.0] = np.inf
+        coeffs[i : i + step] /= block
+    return _along_every_axis(coeffs, inverse, spare if coeffs is rhs else rhs)
 
 
 def _dirichlet_boundary_rhs(f, d, N):
@@ -169,7 +174,7 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
     k = np.arange(1, N)
-    lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / N), d)
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / N)
     rhs = _dirichlet_boundary_rhs(f, d, N)
     interior = _transform_solve(rhs, lam, _dst1_rows, _dst1_rows)
     out = f.copy()
@@ -218,8 +223,7 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
         )
 
     k = np.arange(N - 1)
-    lam = _eigenvalues(2.0 - 2.0 * np.cos(np.pi * k / (N - 1)), d)
-    lam[(0,) * d] = np.inf  # the constant mode is the kernel: gauge it to 0
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / (N - 1))
     rhs = _neumann_rhs(edges, g, d, N)
     interior = _transform_solve(rhs, lam, _dct2_rows, _dct3_rows)
     out = np.full((N + 1,) * d, np.nan)

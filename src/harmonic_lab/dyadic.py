@@ -97,8 +97,10 @@ def dyadic_index_of(nu, L: int | None = None):
     if L is not None:
         arr = (arr + L - 1) % (2 * L) - L + 1
     mag = np.abs(arr)
-    # bit_length via frexp: integers up to 2**52 have exact float mantissas
+    # bit_length via frexp, one less where the float copy of an integer
+    # above 2**53 rounded up to the next power of two
     bits = np.frexp(mag.astype(float))[1]
+    bits = bits - ((mag >> np.maximum(bits - 1, 0)) == 0)
     level = np.where(arr > 0, bits, np.where(arr < 0, -bits, 0))
     return int(level) if level.ndim == 0 else level
 

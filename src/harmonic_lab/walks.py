@@ -8,21 +8,28 @@ constant for comparison against the spectral machinery.
 
 The sampler factors the walk instead of stepping it: the number of
 vertical moves to first contact follows the classical first-passage law
-of the 1-d walk, tabulated up to the step cap from P(V = z) = 2^-z and
+of the 1-d walk.  Its head is tabulated from P(V = z) = 2^-z and
 P(V = n+2) / P(V = n) = n(n+1) / ((n+z+2)(n-z+2)) and streamed, one
-chunk of CDF_CHUNK entries held at a time; the horizontal move
-count between those is negative binomial, and the horizontal
-displacement is a multinomially split binomial.  Walks are drawn in
-blocks of BLOCK, each from its own Philox stream (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11) with every draw
-vectorized over the block; whole blocks are simulated and truncated, so
-the first n walks do not depend on how many are requested.  A walk longer
-than the step cap is not resampled but reported as unresolved mass, next
-to the out-of-window mass, so no estimate is conditioned on the walk
-length; the tail P(V > n) ~ z sqrt(2 / (pi n)) (Lawler & Limic, Random
-Walk: A Modern Introduction) sets its size.  The test suite cross-checks
-the sampler against a literal step-by-step reference walker
-(``tests/oracles.py``) and against the spectral kernel.
+chunk of CDF_CHUNK entries held at a time, until at most TAIL_SWITCH of
+the mass lies beyond it or the step cap is reached.  The rest is
+inverted in closed form: by the reflection principle (Lawler & Limic,
+Random Walk: A Modern Introduction)
+P(V > z+2k) = P(k <= Bin(z+2k, 1/2) <= k+z-1), whose first binomial
+term comes from Loader's saddle-point method (C. Loader, "Fast and
+Accurate Computation of Binomial Probabilities", 2000) and the others
+from the pmf ratio, and each uniform left over is placed by bisection.
+The horizontal move count between vertical moves is negative binomial,
+and the horizontal displacement is a multinomially split binomial.
+Walks are drawn in blocks of BLOCK, each from its own Philox stream
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+with every draw vectorized over the block; whole blocks are simulated
+and truncated, so the first n walks do not depend on how many are
+requested.  A walk longer than the step cap is not resampled but
+reported as unresolved mass, next to the out-of-window mass, so no
+estimate is conditioned on the walk length; the tail
+P(V > n) ~ z sqrt(2 / (pi n)) sets its size.  The test suite
+cross-checks the sampler against a literal step-by-step reference
+walker (``tests/oracles.py``) and against the spectral kernel.
 """
 
 from __future__ import annotations
@@ -52,13 +59,28 @@ DEFAULT_STEP_CAP = 10_000_000
 #: walks per Philox stream
 BLOCK = 4096
 
-#: bound on the work of building the hitting-time table, not on memory
-#: (it is streamed): its length, one entry per two steps up to the cap,
-#: counted as the bytes three float64 arrays of that length would take
+#: bound on the work of streaming the head of the hitting-time table, not
+#: on memory: the head's longest length, one entry per two steps up to the
+#: cap, counted as the bytes three float64 arrays of that length would
+#: take.  Only large heights need the head all the way to the cap.
 CDF_TABLE_BUDGET = 2**30
 
 #: table entries built at a time; a chunk's 512 KiB arrays stay in cache
 CDF_CHUNK = 2**16
+
+#: the head ends at the first chunk boundary with at most this much mass
+#: beyond it; the closed-form tail places the uniforms above that
+TAIL_SWITCH = 2.0**-6
+
+#: Loader's Stirling-formula error log(n!) - log(sqrt(2 pi n) (n/e)^n) at
+#: n = 0..15, where its Stirling series is not yet accurate (entry 0 unused)
+_STIRLERR_TABLE = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 #: the table starts from 2^-z, a normal double only up to this height
 MAX_START_HEIGHT = 1022
@@ -134,14 +156,79 @@ def _cdf_chunks(z: int, cap: int, chunk: int = CDF_CHUNK):
         yield buf[1:]
 
 
+def _stirlerr(n):
+    """Loader's log(n!) - log(sqrt(2 pi n) (n/e)^n) for integer-valued
+    float n >= 1: the table up to 15, the Stirling series above."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn)
+                        / nn) / nn) / n
+    return np.where(n <= 15, _STIRLERR_TABLE[np.minimum(n, 15).astype(np.intp)], series)
+
+
+def _bd0(x, m):
+    """Loader's deviance x log(x/m) + m - x, by its series in
+    v = (x-m)/(x+m) where |x-m| < (x+m)/10 and directly elsewhere."""
+    d = x - m
+    near = np.abs(d) < 0.1 * (x + m)
+    v = np.where(near, d / (x + m), 0.0)
+    s = d * v
+    term = 2.0 * x * v
+    v *= v
+    for j in range(3, 41, 2):
+        term *= v
+        step = s + term / j
+        if np.array_equal(step, s):
+            break
+        s = step
+    return np.where(near, s, x * np.log(x / m) + m - x)
+
+
+def _hit_tail(z: int, k: np.ndarray) -> np.ndarray:
+    """P(V > z + 2k) for integer k >= 1, by the reflection principle the
+    binomial sum P(k <= Bin(z+2k, 1/2) <= k+z-1): its first term from
+    Loader's saddle-point formula, the others by the pmf ratio
+    (n-x)/(x+1), all z of them multiplied out in one cumprod per row."""
+    x = np.asarray(k, dtype=np.float64)
+    n = 2.0 * x + z
+    lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(x + z)
+          - _bd0(x, n / 2) - _bd0(x + z, n / 2))
+    terms = np.empty((x.size, z))
+    terms[:, 0] = np.exp(lc) * np.sqrt(n / (2 * math.pi * x * (x + z)))
+    j = np.arange(z - 1)
+    terms[:, 1:] = (x[:, None] + (z - j)) / (x[:, None] + (j + 1))
+    return np.cumprod(terms, axis=1).sum(axis=1)
+
+
 def _hit_counts(z: int, cap: int, u: np.ndarray, chunk: int = CDF_CHUNK):
-    """``searchsorted(table, u, side="left")`` for a 1-d ``u``, streamed: a
-    chunk is searched only for the uniforms above every entry before it."""
+    """Index of the first hitting-time CDF entry at or above each uniform
+    of a 1-d ``u``, or the table length.  The head is searched as
+    ``searchsorted(table, u, side="left")``, streamed: a chunk is searched
+    only for the uniforms above every entry before it, and streaming stops
+    at the first chunk boundary with at most TAIL_SWITCH mass beyond it.
+    Each uniform above the head gets, by bisection, the first k in
+    [head length, table length) with P(V > z + 2k) <= 1 - u (exact for u
+    on the 2^-53 grid), or the table length.  The switch depends on
+    (z, cap, chunk) alone, so counts stay prefix-stable."""
+    size = (cap - z) // 2 + 1
     counts = np.zeros(u.shape, dtype=np.intp)
     live = np.arange(u.size)
+    head = 0
     for part in _cdf_chunks(z, cap, chunk):
         counts[live] += np.searchsorted(part, u[live], side="left")
         live = live[u[live] > part[-1]]
+        head += part.size
+        if not live.size or 1.0 - part[-1] <= TAIL_SWITCH:
+            break
+    if live.size and head < size:
+        mass = 1.0 - u[live]
+        lo = np.full(live.size, head)
+        hi = np.full(live.size, size)
+        for _ in range((size - head).bit_length()):
+            mid = (lo + hi) // 2
+            below = _hit_tail(z, mid) <= mass
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, np.minimum(mid + 1, hi))
+        counts[live] = lo
     return counts
 
 

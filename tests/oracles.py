@@ -7,6 +7,7 @@ vertex and edge sets, and a random walk that takes every step.  None of it
 shares code with the package under test.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -529,6 +530,65 @@ def first_passage_pmf(z, n):
     return Fraction(z * math.comb(n, (n + z) // 2), n * 2**n)
 
 
+def first_passage_tail(z, k):
+    """Exact P(V > z + 2k) by the reflection principle: the walk from z is
+    still above 0 after n = z + 2k steps exactly when a Bin(n, 1/2) count
+    lies in [k, k + z - 1]."""
+    n = z + 2 * k
+    term = math.comb(n, k)
+    total = 0
+    for x in range(k, k + z):
+        total += term
+        term = term * (n - x) // (x + 1)
+    return Fraction(total, 2**n)
+
+
+def first_passage_pmfs(z, cap):
+    """Exact P(V = n) for n = z, z+2, ... <= cap, from P(V = z) = 2^-z by
+    the pmf ratio in rational arithmetic: equal to first_passage_pmf term
+    by term, without a large binomial coefficient per term."""
+    p = Fraction(1, 2**z)
+    for n in range(z, cap + 1, 2):
+        yield p
+        p *= Fraction(n * (n + 1), (n + z + 2) * (n - z + 2))
+
+
+def first_passage_cdf_fixed(z, cap, bits=256):
+    """floor(2^bits P(V <= n)) for n = z, z+2, ... <= cap, from
+    P(V = z) = 2^-z and the pmf ratio in integer arithmetic.  Every floor
+    rounds down, so entry k lies below the exact value by fewer than
+    (k + 1)^2 2^(z + 1) units of 2^-bits."""
+    p = 1 << (bits - z)
+    total = p
+    scaled = [total]
+    for n in range(z, cap - 1, 2):
+        p = p * n * (n + 1) // ((n + z + 2) * (n - z + 2))
+        total += p
+        scaled.append(total)
+    return scaled
+
+
+def invert_first_passage_cdf(z, cap, u, start=0, bits=256):
+    """For each u in [0, 1]: the first k >= start with P(V <= z + 2k) >= u,
+    or the table length if there is none, and the distance from u to the
+    nearest table entry.  The entries come from first_passage_cdf_fixed,
+    within (k + 1)^2 2^(z + 1 - bits) of the exact rationals, so for every u
+    farther than that from them the counts invert the exact table."""
+    scaled = first_passage_cdf_fixed(z, cap, bits)
+    one = 1 << bits
+    counts = []
+    gaps = []
+    for x in u:
+        level = Fraction(float(x)) * one
+        assert level.denominator == 1, "u must lie on the 2^-bits grid"
+        at = bisect.bisect_left(scaled, level.numerator)
+        counts.append(max(at, start))
+        near = [abs(level.numerator - scaled[i]) for i in (at - 1, at)
+                if 0 <= i < len(scaled)]
+        gaps.append(min(near) / one)
+    return np.array(counts), np.array(gaps)
+
+
 def unresolved_probability(d, z, cap):
     """Exact probability that a walk from height z in Z^d takes more than
     cap steps to reach height 0: one minus the sum over v <= cap of
@@ -553,7 +613,7 @@ def replay_unresolved(cfg, n_samples, block):
     A walk is unresolved when its vertical count lies beyond the cap or
     its total step count exceeds it."""
     support = list(range(cfg.z, cfg.max_steps + 1, 2))
-    pmf = (float(first_passage_pmf(cfg.z, v)) for v in support)
+    pmf = (float(p) for p in first_passage_pmfs(cfg.z, cfg.max_steps))
     cum = list(itertools.accumulate(pmf))
     beyond = cfg.z + 2 * len(support)
     masks = []

@@ -44,7 +44,7 @@ def test_transforms_match_dense_sine_and_cosine_matrices(d, n):
     for rows, matrix in (
         (boxes._dst1_rows, S), (boxes._dct2_rows, C), (boxes._dct3_rows, C.T)
     ):
-        got = boxes._along_every_axis(a.copy(), rows)
+        got = boxes._along_every_axis(a.copy(), rows, np.empty(a.shape))
         want = oracles.along_every_axis(matrix, a)
         assert got.shape == a.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
@@ -56,13 +56,15 @@ def test_transforms_round_trip(d, n):
     for forward, inverse in (
         (boxes._dst1_rows, boxes._dst1_rows), (boxes._dct2_rows, boxes._dct3_rows)
     ):
-        back = boxes._along_every_axis(boxes._along_every_axis(a.copy(), forward), inverse)
+        coeffs = boxes._along_every_axis(a.copy(), forward, np.empty(a.shape))
+        back = boxes._along_every_axis(coeffs, inverse, np.empty(a.shape))
         assert np.abs(back - a).max() <= 1e-13 * np.abs(a).max()
 
 
 def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
-    # measured peak 3.31 x the input; whole-array row kernels measured
-    # 8.98 x, and a third live array in the transform passes adds 1 x
+    # measured peak 2.38 x the input (3.31 x with a whole eigenvalue
+    # array); whole-array row kernels measured 8.98 x, and a third live
+    # array in the transform passes adds 1 x
     f = np.random.default_rng(5).standard_normal((1025, 1025))
     boxes.dirichlet_extension(f)
     tracemalloc.start()
@@ -74,9 +76,27 @@ def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
     assert peak <= 4.5 * f.nbytes
 
 
+def test_odd_dimension_solve_holds_two_interior_arrays():
+    """At odd d the forward passes end in the spare array; the consumed
+    right-hand side carries the inverse passes, and the eigenvalue sums are
+    formed block by block.  Measured peak 2.19 x the interior at (3,128),
+    4.17 x with a whole eigenvalue array and a third array kept live."""
+    d, N = 3, 128
+    f = np.random.default_rng(5).standard_normal((N + 1,) * d)
+    boxes.dirichlet_extension(f)
+    tracemalloc.start()
+    try:
+        boxes.dirichlet_extension(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * (N - 1) ** d * f.itemsize
+
+
 def test_neumann_solve_memory_is_bounded_like_the_dirichlet_solve():
-    # measured peak 3.19 x the output; a ridge and corner fill over full
-    # (N+1)^d temporaries measured 7.12 x
+    # measured peak 2.24 x the output (3.19 x with a whole eigenvalue
+    # array); a ridge and corner fill over full (N+1)^d temporaries
+    # measured 7.12 x
     d, N = 2, 1024
     g = np.random.default_rng(5).standard_normal(len(lattice.normal_edges(d, N)))
     g -= g.mean()

@@ -40,6 +40,18 @@ def test_intervals_partition_the_integers():
     assert dyadic.dyadic_index_of(2**16 - 1) == 16
 
 
+def test_index_of_is_exact_above_2_to_the_53():
+    """Integers whose float copy rounds up to a power of two keep their
+    bit length."""
+    values = [2**53 + 1, 2**54 - 1, -(2**60 - 1), 2**62]
+    levels = [int(np.sign(v)) * abs(v).bit_length() for v in values]
+    assert levels == [54, 54, -60, 63]
+    assert [dyadic.dyadic_index_of(v) for v in values] == levels
+    np.testing.assert_array_equal(
+        dyadic.dyadic_index_of(np.array(values, dtype=np.int64)), levels
+    )
+
+
 def test_index_of_array_and_periodic_reduction():
     nu = np.array([0, 3, -1, 4, 5])
     np.testing.assert_array_equal(dyadic.dyadic_index_of(nu), [0, 2, -1, 3, 3])

@@ -65,6 +65,15 @@ def test_vertical_hit_cdf_matches_the_closed_form(z):
     np.testing.assert_allclose(np.diff(table[:4], prepend=0.0), exact, rtol=1e-14)
 
 
+def _head_length(reference, chunk):
+    """Entries the streamed head covers: it stops at the first chunk
+    boundary with at most TAIL_SWITCH of the mass beyond it."""
+    for seen in range(1, reference.size, chunk):
+        if 1.0 - reference[seen - 1] <= walks.TAIL_SWITCH:
+            return seen
+    return reference.size
+
+
 def _check_streamed_against_one_shot(z, cap, chunk):
     reference = oracles.vertical_hit_cdf(z, cap)
     assert np.array_equal(_streamed_table(z, cap, chunk), reference)
@@ -72,24 +81,69 @@ def _check_streamed_against_one_shot(z, cap, chunk):
     # ties on table entries, and uniforms below the first and above the last
     u = np.concatenate([rng.random(3000), reference[::97], [0.0, reference[-1], 1.0]])
     counts = walks._hit_counts(z, cap, u, chunk)
-    assert np.array_equal(counts, np.searchsorted(reference, u, side="left"))
-    # a count equal to the table length is exactly a uniform above the last value
-    assert np.array_equal(counts == reference.size, u > reference[-1])
+    head = _head_length(reference, chunk)
+    # the head searches the float table: every count matches, ties included
+    in_head = u <= reference[head - 1]
+    assert np.array_equal(
+        counts[in_head], np.searchsorted(reference, u[in_head], side="left")
+    )
+    # above the head the closed-form tail inverts the exact law, so a tie
+    # with a float entry is decided by the exact entry; a count equal to
+    # the table length is exactly a uniform above the exact last value
+    exact, gaps = oracles.invert_first_passage_cdf(z, cap, u[~in_head], start=head)
+    far = gaps > 1e-15
+    assert np.array_equal(counts[~in_head][far], exact[far])
+    return head
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("z, cap", [(1, 1), (2, 2), (3, 20), (1, 9001), (4, 9002)])
 def test_streamed_table_matches_the_one_shot_build(z, cap, chunk):
     """Carrying the last product and running sum across chunks reproduces
-    every entry, every search count and the last value exactly."""
-    _check_streamed_against_one_shot(z, cap, chunk)
+    every entry, every head count and the last value exactly; at z=1 the
+    head stops before the cap and the tail takes over."""
+    head = _check_streamed_against_one_shot(z, cap, chunk)
+    assert (head < (cap - z) // 2 + 1) == (cap == 9001)
 
 
 def test_streamed_table_spans_several_default_chunks():
     cap = 2 * 3 * walks.CDF_CHUNK + 11
     # the first entry, three full chunks and a partial one
     assert sum(1 for _ in walks._cdf_chunks(3, cap)) == 5
-    _check_streamed_against_one_shot(3, cap, walks.CDF_CHUNK)
+    # the head ends after the first full chunk
+    head = _check_streamed_against_one_shot(3, cap, walks.CDF_CHUNK)
+    assert head == 1 + walks.CDF_CHUNK
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 10, 57])
+def test_closed_form_tail_matches_exact_binomial_sums(z):
+    for k in range(6):
+        head = sum(oracles.first_passage_pmf(z, z + 2 * i) for i in range(k + 1))
+        assert oracles.first_passage_tail(z, k) == 1 - head
+    k = np.unique(np.r_[np.arange(1, 65), np.geomspace(65, 4000, 40).astype(int)])
+    exact = [float(oracles.first_passage_tail(z, int(i))) for i in k]
+    np.testing.assert_allclose(walks._hit_tail(z, k), exact, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("z", [1, 3, 10])
+def test_default_cap_streams_at_most_three_chunks(z, monkeypatch):
+    """The head stops once at most TAIL_SWITCH of the mass lies beyond it,
+    even with a uniform left above the whole table (78 otherwise: the
+    first entry and 77 chunks)."""
+    streamed = []
+    chunks = walks._cdf_chunks
+
+    def counted(*args):
+        for part in chunks(*args):
+            streamed.append(part.size)
+            yield part
+
+    monkeypatch.setattr(walks, "_cdf_chunks", counted)
+    u = np.random.default_rng(z).random(20480)
+    u[-1] = 1.0
+    counts = walks._hit_counts(z, walks.DEFAULT_STEP_CAP, u)
+    assert len(streamed) <= 3
+    assert counts[-1] == (walks.DEFAULT_STEP_CAP - z) // 2 + 1
 
 
 def test_sampler_memory_stays_at_one_table_chunk():
@@ -147,6 +201,38 @@ def test_batch_sampler_is_prefix_stable():
             short_offsets, short_unresolved = walks._simulate_exits(cfg, n)
             np.testing.assert_array_equal(offsets[:n], short_offsets)
             np.testing.assert_array_equal(unresolved[:n], short_unresolved)
+
+
+def test_sampler_with_the_tail_forced_matches_the_replay(monkeypatch):
+    """Seven-entry chunks end the head at entry 1310 of 10001; walks placed
+    by the closed-form tail keep the replayed masks and prefix stability."""
+    B = walks.BLOCK
+    cfg = walks.WalkConfig(d=2, z=1, seed=61, max_steps=20001)
+    size = (cfg.max_steps - cfg.z) // 2 + 1
+    head = _head_length(oracles.vertical_hit_cdf(cfg.z, cfg.max_steps), 7)
+    assert head < size
+    seen = []
+    hit_counts = walks._hit_counts
+
+    def forced(z, cap, u):
+        seen.append(hit_counts(z, cap, u, chunk=7))
+        return seen[-1]
+
+    monkeypatch.setattr(walks, "_hit_counts", forced)
+    walks._simulate_exits.cache_clear()
+    try:
+        offsets, unresolved = walks._simulate_exits(cfg, 2 * B + 3)
+        np.testing.assert_array_equal(
+            unresolved, oracles.replay_unresolved(cfg, 2 * B + 3, B)
+        )
+        counts = seen[0][: 2 * B + 3]
+        assert ((counts >= head) & (counts < size) & ~unresolved).any()
+        for n in (25, B, B + 1):
+            short_offsets, short_unresolved = walks._simulate_exits(cfg, n)
+            np.testing.assert_array_equal(offsets[:n], short_offsets)
+            np.testing.assert_array_equal(unresolved[:n], short_unresolved)
+    finally:
+        walks._simulate_exits.cache_clear()
 
 
 def test_sampler_output_is_read_only():
