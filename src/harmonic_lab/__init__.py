@@ -6,9 +6,18 @@ Fourier layer with the propagation symbols, dyadic variation machinery for
 multiplier bounds, spectral and iterative solvers on periodic strips,
 extension operators on boxes, and random-walk estimators for the discrete
 Poisson kernel.  The ``cli`` module drives reproducible experiment sweeps.
+
+Submodules load on first access, so importing the package loads none of
+them.
 """
 
-from . import boxes, dyadic, halfspace, lattice, spectral, walks
+import importlib
 
 __all__ = ["boxes", "dyadic", "halfspace", "lattice", "spectral", "walks"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

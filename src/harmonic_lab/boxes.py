@@ -215,8 +215,10 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             f"expected {len(edges)} normal edge values for d={d}, N={N}, "
             f"got shape {g.shape}"
         )
+    # the rounding error of a sum of n terms stays below n * eps * sum|g|,
+    # so only a total above that bound is a flux and not rounding
     total = float(g.sum())
-    if abs(total) > 1e-12 * max(1.0, float(np.abs(g).max(initial=0.0))):
+    if abs(total) > len(g) * np.finfo(float).eps * float(np.abs(g).sum()):
         raise ValueError(
             f"normal data sums to {total:.3e}; a nonzero total flux admits "
             "no harmonic extension"

@@ -215,21 +215,40 @@ def total_variation(a: np.ndarray, L: int) -> float:
 def glue_local_symbols(family: dict, L: int) -> np.ndarray:
     """Assemble a symbol taking the value of family[k] on rectangle k.
 
-    ``family`` maps dyadic index vectors (tuples) to full symbol arrays of a
-    common shape (2L,)*d.  Every index with a nonempty rectangle must be
-    present.
+    ``family`` maps dyadic index vectors (tuples) to full symbol arrays of
+    shape (2L,)*d.  Every index with a nonempty rectangle must be present.
+    A table maps each rectangle to its member, counting a member shared by
+    several rectangles once; one ``np.ix_`` gather spreads the table over the
+    grid, and ``np.choose`` picks each point's value from its member.
     """
     shapes = {np.shape(v) for v in family.values()}
     if len(shapes) != 1:
         raise ValueError(f"family members disagree on shape: {shapes}")
     (shape,) = shapes
     d = len(shape)
-    out = np.zeros(shape, dtype=complex)
-    for k in itertools.product(_nonempty_levels(L), repeat=d):
+    if shape != (2 * L,) * d:
+        raise ValueError(f"symbol shape {shape} does not match half-period {L}")
+    levels = _nonempty_levels(L)
+    members, slot = [], {}
+    table = np.empty((len(levels),) * d, dtype=np.intp)
+    for pos in itertools.product(range(len(levels)), repeat=d):
+        k = tuple(levels[j] for j in pos)
         if k not in family:
             raise KeyError(f"family member for dyadic index {k} is missing")
-        block = np.ix_(*[dyadic_integers(level, L) % (2 * L) for level in k])
-        out[block] = np.asarray(family[k])[block]
+        member = family[k]
+        if id(member) not in slot:
+            slot[id(member)] = len(members)
+            members.append(np.asarray(member))
+        table[pos] = slot[id(member)]
+    position = np.searchsorted(levels, dyadic_index_of(np.arange(2 * L), L))
+    labels = table[np.ix_(*[position] * d)]
+    out = np.zeros(shape, dtype=complex)
+    # np.choose takes at most 31 arrays before numpy 2 (63 since): the
+    # output so far and 30 members
+    for start in range(0, len(members), 30):
+        chunk = members[start : start + 30]
+        inside = (labels >= start) & (labels < start + len(chunk))
+        np.choose(np.where(inside, labels - start + 1, 0), [out, *chunk], out=out)
     return out
 
 

@@ -23,7 +23,9 @@ shift by one site along axis i multiplies the transform by exp(-i h k_i).
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,8 @@ __all__ = [
     "f_symbol",
     "neumann_symbol",
     "dirichlet_symbol",
+    "GridSymbols",
+    "grid_symbols",
     "scaled_symbol",
     "cosine_constant",
 ]
@@ -113,18 +117,14 @@ def principal_sqrt(z):
     """Principal branch square root, continuous off (-inf, 0), with 0 at 0.
 
     Accepts scalars or arrays; inputs on the open negative real axis are
-    rejected.  The real part of the result is never negative.
+    rejected.  The real part of the result is never negative.  This is
+    numpy's complex square root, which takes the principal branch.
     """
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    neg = (arr.real < 0) & (arr.imag == 0)
-    if neg.any():
+    arr = np.asarray(z, dtype=complex)
+    if np.any((arr.real < 0) & (arr.imag == 0)):
         raise ValueError("square root is not defined on the negative real axis")
-    out = np.zeros_like(arr)
-    nz = arr != 0
-    out[nz] = np.exp(0.5 * np.log(arr[nz]))
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    out = np.sqrt(arr)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _as_angles(t, d: int) -> np.ndarray:
@@ -166,36 +166,81 @@ def f_symbol(z):
     return 1.0 / q_symbol(z) - 1.0
 
 
+def _phase(t):
+    """The shift symbol exp(-i t) - 1."""
+    return np.exp(-1j * t) - 1.0
+
+
+def _quotient(num, den, zero):
+    """num / den with the value 0 on the mask ``zero``, where den may
+    vanish; the operands broadcast against each other."""
+    out = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    return complex(out) if out.ndim == 0 else out
+
+
+def _axis_angles(i: int, t, d: int):
+    t = _as_angles(t, d)
+    if not 0 <= i < d - 1:
+        raise ValueError(f"tangential axis {i} out of range for d={d}")
+    return t, t[..., i]
+
+
 def neumann_symbol(i: int, t, d: int):
     """Ratio (exp(-i t_i) - 1) / f(lambda(t)), with value 0 at t = 0.
 
     ``i`` is the tangential axis, 0-based.
     """
-    t = _as_angles(t, d)
-    if not 0 <= i < d - 1:
-        raise ValueError(f"tangential axis {i} out of range for d={d}")
-    lam = lambda_symbol(t, d)
-    num = np.exp(-1j * t[..., i]) - 1.0
+    t, ti = _axis_angles(i, t, d)
     origin = np.all(t == 0.0, axis=-1)
-    den = np.where(origin, 1.0, f_symbol(np.where(origin, 2.0, lam)))
-    out = np.where(origin, 0.0, num / den)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _quotient(_phase(ti), f_symbol(lambda_symbol(t, d)), origin)
 
 
 def dirichlet_symbol(i: int, t, d: int):
     """Ratio f(lambda(t)) / (exp(-i t_i) - 1), with value 0 where t_i = 0."""
-    t = _as_angles(t, d)
-    if not 0 <= i < d - 1:
-        raise ValueError(f"tangential axis {i} out of range for d={d}")
-    lam = lambda_symbol(t, d)
-    den = np.exp(-1j * t[..., i]) - 1.0
-    zero = t[..., i] == 0.0
-    out = np.where(zero, 0.0, f_symbol(lam) / np.where(zero, 1.0, den))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    t, ti = _axis_angles(i, t, d)
+    return _quotient(f_symbol(lambda_symbol(t, d)), _phase(ti), ti == 0.0)
+
+
+class GridSymbols(NamedTuple):
+    """f(lambda(t)) on the stored angle grid t = h k, k in I_L^(d-1), with
+    h = pi / L (the grid of ``halfspace.tangential_angles(d, L)`` without
+    its component axis), and the 1-D angles h * index_grid(L) of each axis.
+    """
+
+    f: np.ndarray
+    angles: np.ndarray
+
+    def _on_axis(self, i: int) -> np.ndarray:
+        return self.angles.reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
+
+    def dirichlet(self, i: int) -> np.ndarray:
+        """``dirichlet_symbol(i, t, d)`` on the grid."""
+        t = self._on_axis(i)
+        return _quotient(self.f, _phase(t), t == 0.0)
+
+    def neumann(self, i: int) -> np.ndarray:
+        """``neumann_symbol(i, t, d)`` on the grid."""
+        zeros = [self._on_axis(j) == 0.0 for j in range(self.f.ndim)]
+        origin = functools.reduce(np.logical_and, zeros)
+        return _quotient(_phase(self._on_axis(i)), self.f, origin)
+
+
+def grid_symbols(d: int, L: int) -> GridSymbols:
+    """Evaluate f(lambda(t)) once on the stored angle grid of half-period L.
+
+    lambda is summed from the 1-D cosines in axis order, which reproduces
+    ``lambda_symbol`` bit for bit up to d = 8 (numpy sums 8 or more terms
+    pairwise); every quotient symbol of the grid is then one division
+    (``GridSymbols.dirichlet`` and ``GridSymbols.neumann``).
+    """
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    angles = (math.pi / L) * index_grid(L)
+    cos = np.cos(angles)
+    total = 0.0
+    for i in range(d - 1):
+        total = total + cos.reshape((-1,) + (1,) * (d - 2 - i))
+    return GridSymbols(f_symbol(d - total), angles)
 
 
 def scaled_symbol(symbol, h: float, xi):

@@ -281,10 +281,15 @@ def poisson_kernel_mc(cfg: WalkConfig, n_samples: int, window: int) -> KernelEst
         raise ValueError("window radius must be nonnegative")
     offsets, unresolved = _simulate_exits(cfg, n_samples)
     inside = (np.abs(offsets).max(axis=1) <= window) & ~unresolved
-    kept, tallies = np.unique(offsets[inside], axis=0, return_counts=True)
+    # one integer key per offset, in the lexicographic order of the offsets;
+    # a bincount over all (2 window + 1)^(d-1) keys would not stay bounded
+    shape = (2 * window + 1,) * offsets.shape[1]
+    keys = np.ravel_multi_index(tuple((offsets[inside] + window).T), shape)
+    kept, tallies = np.unique(keys, return_counts=True)
+    rows = np.stack(np.unravel_index(kept, shape), axis=1) - window
     counts = {}
     probabilities = {}
-    for row, c in zip(kept, tallies):
+    for row, c in zip(rows, tallies):
         key = tuple(int(v) for v in row)
         counts[key] = int(c)
         p = c / n_samples

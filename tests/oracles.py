@@ -296,6 +296,18 @@ def rectangle_integers(level, L):
     return [nu for nu in range(-L + 1, L + 1) if interval_contains(level, nu)]
 
 
+def glue_by_rectangle(family, L):
+    """The glued symbol one dyadic rectangle at a time: the block of grid
+    positions whose frequencies lie in rectangle k is copied from family[k]."""
+    (shape,) = {np.shape(v) for v in family.values()}
+    out = np.zeros(shape, dtype=complex)
+    levels = [level for level in range(-60, 61) if rectangle_integers(level, L)]
+    for k in itertools.product(levels, repeat=len(shape)):
+        block = np.ix_(*[np.array(rectangle_integers(level, L)) % (2 * L) for level in k])
+        out[block] = np.asarray(family[k])[block]
+    return out
+
+
 def _mixed_diff(a, nu, axes, period):
     if not axes:
         return a[tuple(c % period for c in nu)]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmonic_lab import boxes, lattice
+from harmonic_lab import boxes, cli, lattice
 
 import oracles
 
@@ -242,6 +242,28 @@ def test_neumann_rejects_net_flux():
     g[0] = 0.1
     with pytest.raises(ValueError, match="flux"):
         boxes.neumann_extension(g, 2, 3)
+
+
+# the sweep cells whose mean-zero data summed to a few 1e-12 through
+# rounding alone, above the former fixed tolerance of 1e-12 * max|g|
+SWEEP_FLUX_CELLS = [("checkerboard", 3, 64), ("iid-gaussian", 4, 32)]
+
+
+@pytest.mark.parametrize("generator,d,N", SWEEP_FLUX_CELLS)
+def test_neumann_sweep_accepts_its_own_mean_zero_data(tmp_path, generator, d, N):
+    argv = ["neumann-sweep", "--d", str(d), "--n-list", str(N),
+            "--generator", generator, "--samples", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("generator,d,N", SWEEP_FLUX_CELLS)
+def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
+    rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
+    g = cli._neumann_data(generator, rng, d, N)
+    assert abs(g.sum()) > 1e-12 * np.abs(g).max()
+    g[0] += 1e-6 * np.abs(g).sum()
+    with pytest.raises(ValueError, match="flux"):
+        boxes.neumann_extension(g, d, N)
 
 
 def test_neumann_rejects_wrong_edge_count():

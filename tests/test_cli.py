@@ -211,25 +211,16 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
 ):
     d = 3
     calls = collections.Counter()
+    f_symbol = spectral.f_symbol
 
-    def counting(name, fn):
-        def wrapper(i, t, dim):
-            calls[name, np.shape(t)[0] // 2] += 1
-            return fn(i, t, dim)
+    def counting(z):
+        # f(lambda) over the whole (2L,)*(d-1) grid of one L
+        calls[np.shape(z)] += 1
+        return f_symbol(z)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        cli, "dirichlet_symbol", counting("dirichlet", spectral.dirichlet_symbol)
-    )
-    monkeypatch.setattr(
-        cli, "neumann_symbol", counting("neumann", spectral.neumann_symbol)
-    )
+    monkeypatch.setattr(spectral, "f_symbol", counting)
     payload = cli.run_symbol_report(d, (4, 8))
-    for L in (4, 8):
-        assert calls["dirichlet", L] == d - 1
-        assert calls["neumann", L] == 1
-    assert sum(calls.values()) == 2 * d
+    assert calls == {(8, 8): 1, (16, 16): 1}
 
     for block in payload["blocks"]:
         L = block["L"]
@@ -507,6 +498,50 @@ print(json.dumps(seen))
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert all(modules == [] for modules in seen.values()), seen
+
+
+def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
+    """In a fresh interpreter, importing the CLI and parsing a symbol-report
+    command line loads no box, walk or thread-pool module; running it loads
+    the symbol modules alone, and every submodule still resolves from the
+    package on first access."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"""
+import json, sys
+def loaded():
+    names = ["harmonic_lab." + m for m in
+             ("boxes", "dyadic", "halfspace", "lattice", "spectral", "walks")]
+    return sorted(m for m in names + ["concurrent.futures"] if m in sys.modules)
+seen = {{}}
+from harmonic_lab import cli
+args = ["symbol-report", "--d", "3", "--l-list", "4,8", "--out", {str(tmp_path)!r}]
+cli.build_parser().parse_args(args)
+seen["parse"] = loaded()
+assert cli.main(args) == 0
+seen["run"] = loaded()
+import harmonic_lab
+seen["boxes"] = harmonic_lab.boxes.dirichlet_extension.__name__
+try:
+    harmonic_lab.nope
+except AttributeError as exc:
+    seen["nope"] = str(exc)
+print(json.dumps(seen))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["parse"] == []
+    assert seen["run"] == ["harmonic_lab.dyadic", "harmonic_lab.spectral"]
+    assert seen["boxes"] == "dirichlet_extension"
+    assert "nope" in seen["nope"]
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):

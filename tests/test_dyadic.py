@@ -319,6 +319,28 @@ def test_glue_restriction_and_variation():
         )
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 4, 8])
+def test_glue_matches_the_per_rectangle_oracle(d, L):
+    rng = np.random.default_rng(40 + 10 * d + L)
+    shape = (2 * L,) * d
+    levels = [lv for lv in range(-8, 9) if oracles.rectangle_integers(lv, L)]
+    indices = list(itertools.product(levels, repeat=d))
+
+    def member():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # distinct members (more than one np.choose call takes from L = 2, d = 3)
+    # and a few members shared by many rectangles, as the symbol report has
+    distinct = {k: member() for k in indices}
+    pool = [member() for _ in range(3)]
+    shared = {k: pool[sum(k) % 3] for k in indices}
+    for family in (distinct, shared):
+        np.testing.assert_array_equal(
+            dyadic.glue_local_symbols(family, L), oracles.glue_by_rectangle(family, L)
+        )
+
+
 def test_glue_missing_member():
     family = {k: np.zeros(8) for k in _nonempty_indices(1, 4)}
     del family[(2,)]

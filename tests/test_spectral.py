@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from harmonic_lab import spectral
+from harmonic_lab import halfspace, spectral
 
 import oracles
 
@@ -292,6 +292,21 @@ def test_dirichlet_symbol_zero_convention():
     assert spectral.dirichlet_symbol(0, t, 3) == 0.0
     assert spectral.dirichlet_symbol(1, t, 3) != 0.0
     assert spectral.dirichlet_symbol(0, 0.0, 2) == 0.0
+
+
+@pytest.mark.parametrize("d,L", [(2, 1), (2, 16), (3, 8), (4, 4)])
+def test_grid_symbols_match_the_pointwise_symbols_bit_for_bit(d, L):
+    angles = halfspace.tangential_angles(d, L)
+    grid = spectral.grid_symbols(d, L)
+    lam = spectral.lambda_symbol(angles, d)
+    np.testing.assert_array_equal(grid.f, spectral.f_symbol(lam))
+    for i in range(d - 1):
+        dirichlet, neumann = grid.dirichlet(i), grid.neumann(i)
+        assert dirichlet.shape == neumann.shape == lam.shape
+        np.testing.assert_array_equal(dirichlet, spectral.dirichlet_symbol(i, angles, d))
+        np.testing.assert_array_equal(neumann, spectral.neumann_symbol(i, angles, d))
+    with pytest.raises(ValueError):
+        spectral.grid_symbols(1, L)
 
 
 def test_ratio_symbols_are_reciprocal():

@@ -5,6 +5,7 @@ thresholds were chosen from measured values with generous margins (3
 standard errors or better).
 """
 
+import collections
 import dataclasses
 import logging
 import math
@@ -335,6 +336,20 @@ def test_kernel_estimate_mass_accounting_is_exact():
         assert p == c / n
         assert se == pytest.approx(math.sqrt(p * (1 - p) / n), rel=1e-12)
     assert est.out_count > 0  # z=4 spreads well past |x| <= 6
+
+
+def test_kernel_estimate_tallies_each_offset_in_lexicographic_order():
+    cfg = walks.WalkConfig(d=3, z=2, seed=21)
+    n, window = 3000, 3
+    offsets, unresolved = walks._simulate_exits(cfg, n)
+    expected = collections.Counter(
+        tuple(int(v) for v in row)
+        for row, capped in zip(offsets, unresolved)
+        if not capped and np.abs(row).max() <= window
+    )
+    est = walks.poisson_kernel_mc(cfg, n, window)
+    assert est.counts == expected
+    assert list(est.counts) == sorted(expected)
 
 
 def test_kernel_estimate_zero_window():
