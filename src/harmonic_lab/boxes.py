@@ -1,10 +1,11 @@
 """Harmonic extension operators on the box {0,...,N}^d.
 
 Builds the Dirichlet extension (boundary values prescribed), the Neumann
-extension (inward normal differences prescribed), odd and even reflections
-of face data, the face-by-face decomposition of a box harmonic function
-into periodic strip solutions, and the tangential/normal gradient
-comparison report those constructions feed.
+extension (inward normal differences prescribed), the batched operators
+from either kind of boundary data to the tangential and normal boundary
+gradients, odd and even reflections of face data, the face-by-face
+decomposition of a box harmonic function into periodic strip solutions, and
+the tangential/normal gradient comparison report those constructions feed.
 
 Both box solvers are exact fast transforms, with no matrix assembled.  The
 interior Dirichlet operator 2d*I - A is a sum of Dirichlet path Laplacians
@@ -17,20 +18,29 @@ whose zero mode carries the mean-zero gauge.  See Buzbee, Golub & Nielson,
 FFT of the odd extension, the DCT-II and its inverse from one real FFT of the
 same length after Makhoul's even/odd reordering (Makhoul, "A fast cosine
 transform in one and two dimensions", IEEE Trans. ASSP 28 (1980)).
+
+The gradient operators solve the same systems only where the gradients read
+the solution: the right-hand side lives on the outer layer of the interior
+and the gradients read the layer next to each face, so dense orthonormal
+sine and cosine matrices applied along the faces and contracted along the
+normal axis replace the transform passes over the whole interior.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lattice
-from .halfspace import dirichlet_strip_solve
 
 __all__ = [
     "dirichlet_extension",
     "neumann_extension",
+    "dirichlet_operator",
+    "neumann_operator",
     "odd_reflect",
     "even_reflect",
     "face_decomposition_dirichlet",
@@ -41,6 +51,16 @@ logger = logging.getLogger(__name__)
 
 _REFLECT_CONSISTENCY_TOL = 1e-8
 _BLOCK = 1 << 16  # entries per row-kernel call; bounds every transform temporary
+
+
+def __getattr__(name):
+    # the strip solver, once imported here by name, resolved on first access
+    # for code that still reads it from here (the benchmark's tracer tests do)
+    if name == "dirichlet_strip_solve":
+        from .halfspace import dirichlet_strip_solve
+
+        return dirichlet_strip_solve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _box_dims(u: np.ndarray):
@@ -128,24 +148,63 @@ def _dct3_rows(y):
     return x
 
 
-def _transform_solve(rhs, lam, forward, inverse):
-    """Interior solution of the d-fold tensor sum of one path operator with
-    eigenvalues ``lam``, diagonalized along every axis by the row transform
-    ``forward``; ``inverse`` undoes ``forward``.  ``rhs`` is consumed: it
-    and one spare array carry every pass, and the solution ends in it.  The
-    eigenvalue sums are formed a block along axis 0 at a time, in axis
+def _divide_by_eigenvalue_sums(coeffs, lam, d):
+    """Divide the transform coefficients on the last d axes of ``coeffs``,
+    in place, by the eigenvalue sums lam[k_0] + ... + lam[k_{d-1}] of the
+    d-fold tensor sum of one path operator.  Leading axes are a batch.  The
+    sums are formed a block along the first mode axis at a time, in axis
     order; a zero sum (the Neumann constant mode, the kernel) divides by
     inf, which gauges that mode to zero."""
-    spare = np.empty(rhs.shape)
-    coeffs = _along_every_axis(rhs, forward, spare)
-    d, n = rhs.ndim, len(lam)
+    n = len(lam)
+    modes = coeffs.reshape((-1,) + (n,) * d)
     step = max(1, _BLOCK // n ** (d - 1))
     for i in range(0, n, step):
         axes = [lam[i : i + step]] + [lam] * (d - 1)
         block = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
         block[block == 0.0] = np.inf
-        coeffs[i : i + step] /= block
+        modes[:, i : i + step] /= block
+
+
+def _transform_solve(rhs, lam, forward, inverse):
+    """Interior solution of the d-fold tensor sum of one path operator with
+    eigenvalues ``lam``, diagonalized along every axis by the row transform
+    ``forward``; ``inverse`` undoes ``forward``.  ``rhs`` is consumed: it
+    and one spare array carry every pass, and the solution ends in it."""
+    spare = np.empty(rhs.shape)
+    coeffs = _along_every_axis(rhs, forward, spare)
+    _divide_by_eigenvalue_sums(coeffs, lam, rhs.ndim)
     return _along_every_axis(coeffs, inverse, spare if coeffs is rhs else rhs)
+
+
+def _path_eigenvalues(kind, n):
+    """Eigenvalues 2 - 2 cos(theta_k) of the path operator on n vertices:
+    Dirichlet ends (modes k = 1..n, theta_k = pi k / (n+1)) or free ends
+    (modes k = 0..n-1, theta_k = pi k / n)."""
+    if kind == "dirichlet":
+        return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+
+
+@lru_cache(maxsize=4)
+def _path_matrix(kind, n):
+    """Orthonormal n x n transform T diagonalizing the path operator, mode k
+    in row k: the DST-I sqrt(2/(n+1)) sin(pi (k+1)(j+1) / (n+1)) for
+    Dirichlet ends, the DCT-II s_k cos(pi k (2j+1) / 2n) with s_0 = sqrt(1/n)
+    and s_k = sqrt(2/n) for free ends.  The integer phase is reduced modulo
+    its period and looks up one table of that period.  Read-only, as callers
+    share it."""
+    k = np.arange(n)
+    if kind == "dirichlet":
+        period = 2 * n + 2
+        phase = np.outer(k + 1, k + 1) % period
+        T = np.sqrt(2.0 / (n + 1)) * np.sin(2.0 * np.pi / period * np.arange(period))[phase]
+    else:
+        period = 4 * n
+        phase = np.outer(k, 2 * k + 1) % period
+        T = np.sqrt(2.0 / n) * np.cos(2.0 * np.pi / period * np.arange(period))[phase]
+        T[0] = np.sqrt(1.0 / n)
+    T.flags.writeable = False
+    return T
 
 
 def _dirichlet_boundary_rhs(f, d, N):
@@ -173,8 +232,7 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
-    k = np.arange(1, N)
-    lam = 2.0 - 2.0 * np.cos(np.pi * k / N)
+    lam = _path_eigenvalues("dirichlet", N - 1)
     rhs = _dirichlet_boundary_rhs(f, d, N)
     interior = _transform_solve(rhs, lam, _dst1_rows, _dst1_rows)
     out = f.copy()
@@ -189,6 +247,97 @@ def _neumann_rhs(edges, g, d, N):
     shape = (N - 1,) * d
     flat = np.ravel_multi_index(tuple((edges[:, 1] - 1).T), shape)
     return 0.0 - np.bincount(flat, weights=g, minlength=(N - 1) ** d).reshape(shape)
+
+
+def _check_flux(g):
+    """Raise a ValueError unless every row of the normal data ``g`` (edges
+    on the last axis) sums to zero.  The rounding error of a sum of n terms
+    stays below n * eps * sum|g|, so only a total above that bound is a flux
+    and not rounding."""
+    total = g.sum(axis=-1)
+    bound = g.shape[-1] * np.finfo(float).eps * np.abs(g).sum(axis=-1)
+    bad = np.flatnonzero(np.abs(total) > bound)
+    if bad.size:
+        raise ValueError(
+            f"normal data sums to {float(total.flat[bad[0]]):.3e}; a nonzero "
+            "total flux admits no harmonic extension"
+        )
+
+
+class _BoxMaps(NamedTuple):
+    """Flat indices of one box, shared by the Neumann extension and both
+    gradient operators.  Positions count boundary vertices in
+    ``lattice.boundary_vertices`` order; the face layout orders the face
+    vertices by (axis, side 0 or N, remaining coordinates in C order)."""
+
+    flat: np.ndarray  # boundary vertex -> flat index into the (N+1)^d array
+    tan_tail: np.ndarray  # tangential edge -> position of its tail
+    tan_head: np.ndarray  # tangential edge -> position of its head
+    nor_tail: np.ndarray  # normal edge -> position of its tail (a face vertex)
+    edge_face: np.ndarray  # normal edge -> face layout index of its tail
+    face_edge: np.ndarray  # face layout index -> normal edge, the inverse
+    fill: tuple  # per codimension 2..d: (targets, sources), see _neumann_boundary
+
+
+@lru_cache(maxsize=4)
+def _box_maps(d, N):
+    verts = lattice.boundary_vertices(d, N)
+    shape = (N + 1,) * d
+    flat = np.ravel_multi_index(tuple(verts.T), shape)
+
+    def position(points):
+        return np.searchsorted(flat, np.ravel_multi_index(tuple(points.T), shape))
+
+    tan, nor = lattice.tangential_edges(d, N), lattice.normal_edges(d, N)
+    tails = nor[:, 0]
+    # a face vertex has exactly one coordinate at 0 or N: its face's axis
+    on_face = (tails == 0) | (tails == N)
+    axis = on_face.argmax(axis=1)
+    side = tails[np.arange(len(tails)), axis] == N
+    rest = tails[~on_face].reshape(len(tails), d - 1) - 1
+    edge_face = (2 * axis + side) * (N - 1) ** (d - 1) + np.ravel_multi_index(
+        tuple(rest.T), (N - 1,) * (d - 1)
+    )
+    face_edge = np.empty_like(edge_face)
+    face_edge[edge_face] = np.arange(len(edge_face))
+
+    # ridge and corner vertices by codimension, each with its inward
+    # neighbours along its saturated axes in increasing axis order
+    saturated = (verts == 0) | (verts == N)
+    codim = saturated.sum(axis=1)
+    fill = []
+    for c in range(2, d + 1):
+        targets = np.flatnonzero(codim == c)
+        rows, axes = np.nonzero(saturated[targets])
+        inward = verts[targets[rows]]
+        step = (np.arange(len(rows)), axes)
+        inward[step] = np.clip(inward[step], 1, N - 1)
+        fill.append((targets, position(inward).reshape(len(targets), c).T))
+
+    maps = _BoxMaps(
+        flat, position(tan[:, 0]), position(tan[:, 1]), position(tails),
+        edge_face, face_edge, tuple(fill),
+    )
+    for a in (*maps[:-1], *(a for pair in fill for a in pair)):
+        a.flags.writeable = False  # every caller shares them
+    return maps
+
+
+def _neumann_boundary(layer, g, maps):
+    """Boundary values (..., M) of the Neumann solution whose values at the
+    heads of the normal edges are ``layer`` (..., E): each face vertex
+    through its unique inward edge, then the ridge and corner vertices, which
+    carry no constraint, in increasing boundary codimension, each set to the
+    mean of its already filled inward neighbours, summed in increasing axis
+    order."""
+    out = np.empty(layer.shape[:-1] + maps.flat.shape)
+    out[..., maps.nor_tail] = layer - g
+    for targets, sources in maps.fill:
+        acc = out[..., sources[0]]
+        for source in sources[1:]:
+            acc += out[..., source]
+        out[..., targets] = acc / len(sources)
+    return out
 
 
 def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -215,38 +364,132 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             f"expected {len(edges)} normal edge values for d={d}, N={N}, "
             f"got shape {g.shape}"
         )
-    # the rounding error of a sum of n terms stays below n * eps * sum|g|,
-    # so only a total above that bound is a flux and not rounding
-    total = float(g.sum())
-    if abs(total) > len(g) * np.finfo(float).eps * float(np.abs(g).sum()):
-        raise ValueError(
-            f"normal data sums to {total:.3e}; a nonzero total flux admits "
-            "no harmonic extension"
-        )
-
-    k = np.arange(N - 1)
-    lam = 2.0 - 2.0 * np.cos(np.pi * k / (N - 1))
+    _check_flux(g)
+    lam = _path_eigenvalues("neumann", N - 1)
     rhs = _neumann_rhs(edges, g, d, N)
     interior = _transform_solve(rhs, lam, _dct2_rows, _dct3_rows)
-    out = np.full((N + 1,) * d, np.nan)
+    out = np.empty((N + 1,) * d)
     out[(slice(1, N),) * d] = interior
-    out[tuple(edges[:, 0].T)] = out[tuple(edges[:, 1].T)] - g
-
-    # ridge and corner fill by increasing codimension over the boundary
-    # vertices: the saturated coordinates step inward, summed in increasing
-    # axis order
-    verts = lattice.boundary_vertices(d, N)
-    saturated = (verts == 0) | (verts == N)
-    codim = saturated.sum(axis=1)
-    for c in range(2, d + 1):
-        ridge, sat = verts[codim == c], saturated[codim == c]
-        acc = np.zeros(len(ridge))
-        for i in range(d):
-            step = ridge.copy()
-            step[:, i] = np.clip(ridge[:, i], 1, N - 1)
-            acc += np.where(sat[:, i], out[tuple(step.T)], 0.0)
-        out[tuple(ridge.T)] = acc / c
+    maps = _box_maps(d, N)
+    out.reshape(-1)[maps.flat] = _neumann_boundary(out[tuple(edges[:, 1].T)], g, maps)
     return out
+
+
+def _along_face_axes(x, mat, m):
+    """Apply ``mat`` (y = mat @ v) along each of the m face axes of ``x``,
+    shaped (B, F, n**m): B samples of F faces, each an m-dimensional cube
+    in C order.  Each pass transforms the last axis and rotates it to the
+    front, so after m passes the axes are back in order.  The samples are
+    the stacking axis of the matrix product, so each sample's arithmetic
+    does not depend on how many share the batch (a BLAS product over rows
+    of several samples at once does)."""
+    B, F, n = x.shape[0], x.shape[1], len(mat)
+    for _ in range(m):
+        y = np.matmul(x.reshape(B, -1, n), mat.T)
+        x = y.reshape(B, F, -1, n).transpose(0, 1, 3, 2).reshape(B, F, -1)
+    return x
+
+
+def _layer_values(faces, T, lam):
+    """Values next to each face of the interior solution whose right-hand
+    side is ``faces`` on the outer layer of the interior.
+
+    ``faces`` has shape (B, 2d, n**(d-1)) in the face layout of
+    ``_BoxMaps``: the data of face (axis i, side s) enters the interior
+    vertices at index 0 (s = 0) or n-1 (s = 1) along axis i.  With T the
+    orthonormal transform in which the interior operator has eigenvalue
+    sums lam_k = lam[k_0] + ... + lam[k_{d-1}], and F^_{i,s} the
+    (d-1)-dimensional transform of the data of face (i, s), the solution
+    has the coefficients
+
+        c_k = sum_i (T[k_i, 0] F^_{i,0} + T[k_i, n-1] F^_{i,1})(k without k_i) / lam_k
+
+    and its values on the layer next to face (j, s) are the inverse face
+    transform of sum_{k_j} T[k_j, 0 or n-1] c_k.  Every step is a matrix
+    product or a broadcast over at most n^d entries per sample.
+    """
+    B, F, _ = faces.shape
+    d, n = F // 2, len(lam)
+    ends = T[:, [0, n - 1]]  # each mode's weight on the first and last layer
+    hat = _along_face_axes(faces, T, d - 1)
+    coeffs = np.zeros((B,) + (n,) * d)
+    for i in range(d):
+        along_i = coeffs.reshape(B, n**i, n, -1)
+        for s in range(2):
+            along_i += ends[:, s, None] * hat[:, 2 * i + s].reshape(B, n**i, 1, -1)
+    _divide_by_eigenvalue_sums(coeffs, lam, d)
+    layers = np.empty((B, d, 2, n ** (d - 1)))
+    for j in range(d - 1):
+        pair = np.matmul(ends.T, coeffs.reshape(B * n**j, n, -1))
+        layers.reshape(B, d, 2, n**j, -1)[:, j] = pair.reshape(B, n**j, 2, -1).transpose(0, 2, 1, 3)
+    layers[:, d - 1] = np.matmul(coeffs.reshape(B, -1, n), ends).transpose(0, 2, 1)
+    return _along_face_axes(layers.reshape(B, F, -1), T.T, d - 1)
+
+
+def _batch(x, size, what):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != size:
+        raise ValueError(f"expected {size} {what} on the last axis, got shape {x.shape}")
+    return x.reshape(-1, size)
+
+
+def dirichlet_operator(d: int, N: int):
+    """Batched map from Dirichlet boundary values to boundary gradients.
+
+    Returns a function of ``f``, shaped (..., M): the values on the M
+    vertices of ``lattice.boundary_vertices(d, N)``, in that order, one
+    sample per leading index.  It returns ``(tan, nor)``, the gradients of
+    each sample's harmonic extension along ``lattice.tangential_edges(d, N)``
+    and ``lattice.normal_edges(d, N)``, shaped (..., E_T) and (..., E_N).
+    These are the gradients of ``dirichlet_extension`` without its interior:
+    the layer next to each face comes from dense orthonormal sine matrices
+    (``_layer_values``), O(d n^d) work per sample with n = N-1 and no FFT.
+    """
+    maps = _box_maps(d, N)
+    T, lam = _path_matrix("dirichlet", N - 1), _path_eigenvalues("dirichlet", N - 1)
+    face_vertices = maps.nor_tail[maps.face_edge]
+
+    def apply(f):
+        lead = np.shape(f)[:-1]
+        f = _batch(f, len(maps.flat), "boundary values")
+        faces = f[:, face_vertices].reshape(len(f), 2 * d, -1)
+        layer = _layer_values(faces, T, lam).reshape(len(f), -1)[:, maps.edge_face]
+        tan = f[:, maps.tan_head] - f[:, maps.tan_tail]
+        nor = layer - f[:, maps.nor_tail]
+        return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
+
+    return apply
+
+
+def neumann_operator(d: int, N: int):
+    """Batched map from Neumann normal data to boundary gradients.
+
+    Returns a function of ``g``, shaped (..., E_N): normal data on
+    ``lattice.normal_edges(d, N)``, each sample summing to zero, one sample
+    per leading index.  It returns ``(tan, nor)``, the gradients of each
+    sample's mean-zero harmonic extension along
+    ``lattice.tangential_edges(d, N)`` and ``lattice.normal_edges(d, N)``,
+    with the ridge and corner values of ``neumann_extension``.  The layer
+    next to each face comes from dense orthonormal cosine matrices
+    (``_layer_values``), O(d n^d) work per sample with n = N-1 and no FFT,
+    so prime n costs no more than its neighbours.  A sample with a net flux
+    raises a ValueError.
+    """
+    maps = _box_maps(d, N)
+    T, lam = _path_matrix("neumann", N - 1), _path_eigenvalues("neumann", N - 1)
+
+    def apply(g):
+        lead = np.shape(g)[:-1]
+        g = _batch(g, len(maps.nor_tail), "normal edge values")
+        _check_flux(g)
+        faces = np.negative(g[:, maps.face_edge]).reshape(len(g), 2 * d, -1)
+        layer = _layer_values(faces, T, lam).reshape(len(g), -1)[:, maps.edge_face]
+        boundary = _neumann_boundary(layer, g, maps)
+        tan = boundary[:, maps.tan_head] - boundary[:, maps.tan_tail]
+        nor = layer - boundary[:, maps.nor_tail]
+        return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
+
+    return apply
 
 
 def _reflect_scale(data):
@@ -322,6 +565,8 @@ def face_decomposition_dirichlet(u: np.ndarray, p):
     residual and each strip's gradient norm over the full boundary edge
     set in the l^p norm.
     """
+    from .halfspace import dirichlet_strip_solve
+
     u = np.asarray(u, dtype=float)
     d, N = _box_dims(u)
     r = u.copy()

@@ -67,6 +67,10 @@ GENERATORS = ("iid-gaussian", "single-mode", "checkerboard")
 
 SELFTEST_SEED = 20240801
 
+#: largest gap, relative to the largest gradient, the selftest allows between
+#: the gradient operators and the full-field extensions
+OPERATOR_RTOL = 1e-12
+
 #: library functions this module once imported by name, resolved on first
 #: access for code that still reads them from here (the benchmark's tracer
 #: tests do)
@@ -154,45 +158,77 @@ def _neumann_data(generator, rng, d, N):
     return g
 
 
-def _one_cell(kind, spec, d, N, sample):
-    from . import boxes, lattice
+def _chunk_inputs(kind, spec, d, N, samples):
+    """Cell seeds and the operator input for ``samples`` of cell (d, N): the
+    Dirichlet values on ``lattice.boundary_vertices(d, N)`` or the Neumann
+    normal data, one row per sample."""
+    from . import lattice
 
-    cell_seed = _cell_seed(spec.seed, d, N, sample)
-    rng = np.random.default_rng(cell_seed)
+    if kind == "dirichlet":
+        boundary = tuple(lattice.boundary_vertices(d, N).T)
+    seeds, rows = [], []
+    for sample in samples:
+        seeds.append(_cell_seed(spec.seed, d, N, sample))
+        rng = np.random.default_rng(seeds[-1])
+        if kind == "dirichlet":
+            rows.append(_dirichlet_data(spec.generator, rng, d, N)[boundary])
+        else:
+            rows.append(_neumann_data(spec.generator, rng, d, N))
+    return seeds, np.stack(rows)
+
+
+def _operator(kind, d, N):
+    from . import boxes
+
+    build = boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator
+    return build(d, N)
+
+
+def _chunk_rows(kind, spec, d, N, samples):
+    """Rows of the cells (d, N, sample) for ``samples``, solved as one batch;
+    each row's runtime_ms is its share of the chunk's time."""
+    from . import lattice
+
     try:
         started = time.perf_counter()
-        if kind == "dirichlet":
-            u = boxes.dirichlet_extension(_dirichlet_data(spec.generator, rng, d, N))
-        else:
-            u = boxes.neumann_extension(_neumann_data(spec.generator, rng, d, N), d, N)
-        # one gather per edge set, reused for every exponent
-        tan_grad = lattice.edge_gradients(u, lattice.tangential_edges(d, N))
-        nor_grad = lattice.edge_gradients(u, lattice.normal_edges(d, N))
+        seeds, batch = _chunk_inputs(kind, spec, d, N, samples)
+        # each sample's gradients, reused for every exponent
         norms = [
-            (p, lattice.lp_norm(tan_grad, p), lattice.lp_norm(nor_grad, p))
-            for p in spec.p_list
+            [(p, lattice.lp_norm(tan, p), lattice.lp_norm(nor, p)) for p in spec.p_list]
+            for tan, nor in zip(*_operator(kind, d, N)(batch))
         ]
-        per_row_ms = (time.perf_counter() - started) * 1000.0 / len(spec.p_list)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
     except Exception as exc:
-        raise RuntimeError(f"cell d={d} N={N} sample={sample} failed: {exc}") from exc
+        if len(samples) == 1:
+            raise RuntimeError(
+                f"cell d={d} N={N} sample={samples[0]} failed: {exc}"
+            ) from exc
+        # rerun the cells one at a time, so the error names the failing one
+        for sample in samples:
+            _chunk_rows(kind, spec, d, N, [sample])
+        raise RuntimeError(
+            f"cells d={d} N={N} samples={samples[0]}..{samples[-1]} failed: {exc}"
+        ) from exc
+    per_row_ms = round(elapsed_ms / (len(samples) * len(spec.p_list)), 3)
     rows = []
-    for p, tan, nor in norms:
-        # the same ratios as boxes.gradient_comparison: nor/tan for Dirichlet
-        # data, tan/nor for Neumann data
-        num, den = (nor, tan) if kind == "dirichlet" else (tan, nor)
-        rows.append(
-            {
-                "d": d,
-                "N": N,
-                "p": p,
-                "sample": sample,
-                "seed": cell_seed,
-                "tan_norm": tan,
-                "nor_norm": nor,
-                "ratio": num / den if den > 0 else None,
-                "runtime_ms": round(per_row_ms, 3),
-            }
-        )
+    for sample, cell_seed, cell in zip(samples, seeds, norms):
+        for p, tan, nor in cell:
+            # the same ratios as boxes.gradient_comparison: nor/tan for
+            # Dirichlet data, tan/nor for Neumann data
+            num, den = (nor, tan) if kind == "dirichlet" else (tan, nor)
+            rows.append(
+                {
+                    "d": d,
+                    "N": N,
+                    "p": p,
+                    "sample": sample,
+                    "seed": cell_seed,
+                    "tan_norm": tan,
+                    "nor_norm": nor,
+                    "ratio": num / den if den > 0 else None,
+                    "runtime_ms": per_row_ms,
+                }
+            )
     return rows
 
 
@@ -218,19 +254,25 @@ def _summarize(rows):
 
 
 def _run_sweep(kind, spec, threads):
-    tasks = [
-        (d, N, s)
-        for d in spec.d_list
-        for N in spec.n_list
-        for s in range(spec.samples)
-    ]
+    from . import boxes
+
+    tasks = []
+    for d in spec.d_list:
+        for N in spec.n_list:
+            # each chunk holds at most boxes._BLOCK interior coefficients
+            # (one sample when a single one holds more)
+            size = max(1, boxes._BLOCK // (N - 1) ** d)
+            tasks += [
+                (d, N, range(s, min(s + size, spec.samples)))
+                for s in range(0, spec.samples, size)
+            ]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _one_cell(kind, spec, *t), tasks))
+            chunks = list(pool.map(lambda t: _chunk_rows(kind, spec, *t), tasks))
     else:
-        chunks = [_one_cell(kind, spec, *t) for t in tasks]
+        chunks = [_chunk_rows(kind, spec, *t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["d"], r["N"], r["p"], r["sample"]))
     return rows, _summarize(rows)
@@ -460,13 +502,34 @@ def _cmd_symbol(args):
     return 0
 
 
+def _operator_gap(kind, spec, d, N):
+    """Largest difference between the gradients of the ``kind`` operator and
+    those of the full-field extension on the sweep data of every sample of
+    (d, N), relative to the largest extension gradient."""
+    from . import boxes, lattice
+
+    _, batch = _chunk_inputs(kind, spec, d, N, range(spec.samples))
+    if kind == "dirichlet":
+        fields = np.zeros((len(batch),) + (N + 1,) * d)
+        fields[(slice(None),) + tuple(lattice.boundary_vertices(d, N).T)] = batch
+        fields = [boxes.dirichlet_extension(f) for f in fields]
+    else:
+        fields = [boxes.neumann_extension(g, d, N) for g in batch]
+    edges = np.concatenate([lattice.tangential_edges(d, N), lattice.normal_edges(d, N)])
+    want = np.stack([lattice.edge_gradients(u, edges) for u in fields])
+    got = np.concatenate(_operator(kind, d, N)(batch), axis=1)
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
 def run_selftest(out_dir=".", threads=1, fmt="csv"):
     """Small deterministic pipeline check.
 
     Runs both sweeps twice (single-threaded and with the requested thread
-    count), requires identical rows, checks the variation bound and the
-    cross-L stability of the symbol metrics, and writes the sweep rows with
-    the runtime column zeroed so the file is byte-reproducible.
+    count), requires identical rows, checks the gradient operators against
+    the full-field extensions on the sweep's own cells, checks the variation
+    bound and the cross-L stability of the symbol metrics, and writes the
+    sweep rows with the runtime column zeroed so the file is
+    byte-reproducible.
     """
     failures = []
     spec = SweepSpec(
@@ -491,6 +554,14 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
             growth = block["growth"]
             if growth is None or not math.isfinite(growth) or growth <= 0:
                 failures.append(f"{kind} growth diagnostic degenerate for {key}")
+        for d in spec.d_list:
+            for N in spec.n_list:
+                gap = _operator_gap(kind, spec, d, N)
+                if not gap <= OPERATOR_RTOL:
+                    failures.append(
+                        f"{kind} operator and extension gradients differ by "
+                        f"{gap:.3e} (relative) at d={d} N={N}"
+                    )
         emitted.extend(rows_pooled)
 
     symbol = run_symbol_report(2, (4, 8))

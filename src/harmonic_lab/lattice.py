@@ -103,12 +103,22 @@ def interior_vertices(d: int, N: int) -> np.ndarray:
 
 
 def tangential_edges(d: int, N: int) -> np.ndarray:
-    """Oriented edges with both endpoints on the boundary shell."""
+    """Oriented edges with both endpoints on the boundary shell.
+
+    Each undirected boundary edge is listed in both orientations (64
+    oriented edges for 32 undirected ones at d=2, N=8), while
+    ``normal_edges`` lists each edge once.  An l^p norm over this set is
+    therefore 2^(1/p) times the norm over the undirected edges.
+    """
     return _edges(d, N, "tangential")
 
 
 def normal_edges(d: int, N: int) -> np.ndarray:
-    """Oriented edges from a boundary vertex into the open interior."""
+    """Oriented edges from a boundary vertex into the open interior.
+
+    Each edge is listed once, oriented inward from its face vertex, while
+    ``tangential_edges`` lists each boundary edge in both orientations.
+    """
     return _edges(d, N, "normal")
 
 

@@ -242,6 +242,10 @@ def test_neumann_rejects_net_flux():
     g[0] = 0.1
     with pytest.raises(ValueError, match="flux"):
         boxes.neumann_extension(g, 2, 3)
+    batch = np.zeros((3, len(g)))
+    batch[2] = g
+    with pytest.raises(ValueError, match="flux"):
+        boxes.neumann_operator(2, 3)(batch)
 
 
 # the sweep cells whose mean-zero data summed to a few 1e-12 through
@@ -261,9 +265,12 @@ def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
     rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
     g = cli._neumann_data(generator, rng, d, N)
     assert abs(g.sum()) > 1e-12 * np.abs(g).max()
+    boxes.neumann_operator(d, N)(g)
     g[0] += 1e-6 * np.abs(g).sum()
     with pytest.raises(ValueError, match="flux"):
         boxes.neumann_extension(g, d, N)
+    with pytest.raises(ValueError, match="flux"):
+        boxes.neumann_operator(d, N)(g)
 
 
 def test_neumann_rejects_wrong_edge_count():
@@ -271,6 +278,12 @@ def test_neumann_rejects_wrong_edge_count():
         boxes.neumann_extension(np.zeros(5), 2, 3)
     with pytest.raises(ValueError):
         boxes.neumann_extension(np.zeros(4), 2, 1)
+    with pytest.raises(ValueError, match="normal edge values"):
+        boxes.neumann_operator(2, 3)(np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        boxes.neumann_operator(2, 1)
+    with pytest.raises(ValueError, match="boundary values"):
+        boxes.dirichlet_operator(2, 3)(np.zeros(len(lattice.normal_edges(2, 3))))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 5), (3, 4)])
@@ -313,6 +326,75 @@ def test_large_boxes_solve_to_certificate_without_a_dense_system():
     assert not np.isnan(u).any()
     np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
     assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# gradient operators
+# ---------------------------------------------------------------------------
+
+# N - 1 = 127 is prime: the length at which a real FFT is slowest
+OPERATOR_CASES = [(d, N) for d in (2, 3, 4) for N in (2, 3, 4, 8, 32)] + [(2, 128)]
+
+
+def _operator_and_extension_inputs(kind, d, N, samples):
+    """A batch of operator inputs and, per sample, the extension's input."""
+    rng = np.random.default_rng(100 * d + N)
+    if kind == "dirichlet":
+        f = rng.standard_normal((samples,) + (N + 1,) * d)
+        return f[(slice(None),) + tuple(lattice.boundary_vertices(d, N).T)], list(f)
+    g = rng.standard_normal((samples, len(lattice.normal_edges(d, N))))
+    g -= g.mean(axis=1, keepdims=True)
+    return g, list(g)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", OPERATOR_CASES)
+def test_operators_match_the_extension_gradients(kind, d, N):
+    batch, inputs = _operator_and_extension_inputs(kind, d, N, 2)
+    if kind == "dirichlet":
+        tan, nor = boxes.dirichlet_operator(d, N)(batch)
+        fields = [boxes.dirichlet_extension(f) for f in inputs]
+    else:
+        tan, nor = boxes.neumann_operator(d, N)(batch)
+        fields = [boxes.neumann_extension(g, d, N) for g in inputs]
+    for j, u in enumerate(fields):
+        for got, edges in ((tan, lattice.tangential_edges(d, N)), (nor, lattice.normal_edges(d, N))):
+            want = lattice.edge_gradients(u, edges)
+            assert got[j].shape == want.shape
+            assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_operators_keep_leading_batch_axes(kind):
+    d, N = 3, 4
+    batch, _ = _operator_and_extension_inputs(kind, d, N, 6)
+    operator = boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator
+    flat = operator(d, N)(batch)
+    shaped = operator(d, N)(batch.reshape(2, 3, -1))
+    single = operator(d, N)(batch[4])
+    for a, b, c in zip(flat, shaped, single):
+        assert b.shape == (2, 3, a.shape[-1]) and c.shape == a.shape[-1:]
+        assert b.reshape(a.shape).tobytes() == a.tobytes()
+        assert c.tobytes() == a[4].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", [(2, 64), (3, 20), (4, 8)])
+def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
+    spec = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
+    assert boxes._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
+    chunk = cli._chunk_rows(kind, spec, d, N, range(spec.samples))
+    for sample in range(spec.samples):
+        alone = cli._chunk_rows(kind, spec, d, N, [sample])
+        inside = [row for row in chunk if row["sample"] == sample]
+        for row in alone + inside:
+            row["runtime_ms"] = 0.0
+        assert repr(alone) == repr(inside)
+    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
+    first, _ = run(cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=1, seed=7))
+    for row in first:
+        row["runtime_ms"] = 0.0
+    assert repr(first) == repr([row for row in chunk if row["sample"] == 0])
 
 
 # ---------------------------------------------------------------------------

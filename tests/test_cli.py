@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from harmonic_lab import cli, halfspace, lattice, spectral, walks
+from harmonic_lab import boxes, cli, halfspace, lattice, spectral, walks
 
 import oracles
 
@@ -500,11 +500,11 @@ print(json.dumps(seen))
     assert all(modules == [] for modules in seen.values()), seen
 
 
-def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
-    """In a fresh interpreter, importing the CLI and parsing a symbol-report
-    command line loads no box, walk or thread-pool module; running it loads
-    the symbol modules alone, and every submodule still resolves from the
-    package on first access."""
+def _modules_loaded_by(argv):
+    """In a fresh interpreter, import the CLI, parse ``argv`` and run it;
+    returns the library and thread-pool modules loaded after the parse
+    (none) and after the run, having checked that every submodule still
+    resolves from the package on first access."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -516,7 +516,7 @@ def loaded():
     return sorted(m for m in names + ["concurrent.futures"] if m in sys.modules)
 seen = {{}}
 from harmonic_lab import cli
-args = ["symbol-report", "--d", "3", "--l-list", "4,8", "--out", {str(tmp_path)!r}]
+args = {argv!r}
 cli.build_parser().parse_args(args)
 seen["parse"] = loaded()
 assert cli.main(args) == 0
@@ -539,9 +539,60 @@ print(json.dumps(seen))
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["parse"] == []
-    assert seen["run"] == ["harmonic_lab.dyadic", "harmonic_lab.spectral"]
     assert seen["boxes"] == "dirichlet_extension"
     assert "nope" in seen["nope"]
+    return seen["run"]
+
+
+def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
+    """Parsing a symbol-report command line loads no box, walk or
+    thread-pool module; running it loads the symbol modules alone, and every
+    submodule still resolves from the package on first access."""
+    argv = ["symbol-report", "--d", "3", "--l-list", "4,8", "--out", str(tmp_path)]
+    assert _modules_loaded_by(argv) == ["harmonic_lab.dyadic", "harmonic_lab.spectral"]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
+    """A sweep runs on the gradient operators: it loads neither the strip
+    solvers of halfspace nor their spectral layer, and one thread loads no
+    thread pool."""
+    argv = [f"{kind}-sweep", "--d", "2,3", "--n-list", "4", "--samples", "2",
+            "--out", str(tmp_path)]
+    assert _modules_loaded_by(argv) == ["harmonic_lab.boxes", "harmonic_lab.lattice"]
+
+
+def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
+    spec = _small_spec(n_list=(8,), p_list=(2.0,), samples=5)
+    assert boxes._BLOCK // 7**2 >= spec.samples  # one chunk holds all five
+    generate = cli._neumann_data
+
+    def with_flux(generator, rng, d, N):
+        g = generate(generator, rng, d, N)
+        if rng.bit_generator.seed_seq.entropy == cli._cell_seed(spec.seed, d, N, 3):
+            g[0] += 0.1
+        return g
+
+    monkeypatch.setattr(cli, "_neumann_data", with_flux)
+    with pytest.raises(RuntimeError, match=r"cell d=2 N=8 sample=3 failed: .*flux"):
+        cli.run_neumann_sweep(spec)
+
+
+def test_selftest_reports_an_operator_that_disagrees_with_the_extension(
+    tmp_path, capsys, monkeypatch
+):
+    build = boxes.neumann_operator
+
+    def skewed(d, N):
+        apply = build(d, N)
+        return lambda g: tuple(grads * (1.0 + 1e-9) for grads in apply(g))
+
+    monkeypatch.setattr(boxes, "neumann_operator", skewed)
+    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "selftest FAIL: neumann operator and extension gradients differ" in err
+    assert "at d=2 N=8" in err
+    assert "dirichlet operator" not in err
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):

@@ -65,6 +65,15 @@ def test_tangential_contains_both_orientations():
     assert ((0, 1), (0, 0)) in edges
 
 
+def test_tangential_edges_come_in_both_orientations_and_normal_edges_once():
+    tangential = oracles.as_tuples(lattice.tangential_edges(2, 8))
+    assert len(tangential) == 64
+    assert len({frozenset(e) for e in tangential}) == 32
+    assert {(head, tail) for tail, head in tangential} == set(tangential)
+    normal = oracles.as_tuples(lattice.normal_edges(2, 8))
+    assert len({frozenset(e) for e in normal}) == len(normal) == 28
+
+
 def test_normal_edges_d2n2_exact():
     edges = oracles.as_tuples(lattice.normal_edges(2, 2))
     assert sorted(edges) == [
