@@ -7,23 +7,19 @@ gradients, odd and even reflections of face data, the face-by-face
 decomposition of a box harmonic function into periodic strip solutions, and
 the tangential/normal gradient comparison report those constructions feed.
 
-Both box solvers are exact fast transforms, with no matrix assembled.  The
+Each box problem has one exact solver, the matrix decomposition of Buzbee,
+Golub & Nielson, "On direct methods for solving Poisson's equations", SIAM
+J. Numer. Anal. 7 (1970), on dense orthonormal matrices with no FFT.  The
 interior Dirichlet operator 2d*I - A is a sum of Dirichlet path Laplacians
-and is diagonalized by the type-I sine transform (the odd reflection of
+and is diagonalized by the type-I sine matrix (the odd reflection of
 ``odd_reflect``); the interior Neumann operator diag(deg) - A is a sum of
-free path Laplacians and is diagonalized by the type-II cosine transform,
-whose zero mode carries the mean-zero gauge.  See Buzbee, Golub & Nielson,
-"On direct methods for solving Poisson's equations", SIAM J. Numer. Anal. 7
-(1970).  Both transforms are built on ``numpy.fft``: the DST-I from the real
-FFT of the odd extension, the DCT-II and its inverse from one real FFT of the
-same length after Makhoul's even/odd reordering (Makhoul, "A fast cosine
-transform in one and two dimensions", IEEE Trans. ASSP 28 (1980)).
-
-The gradient operators solve the same systems only where the gradients read
-the solution: the right-hand side lives on the outer layer of the interior
-and the gradients read the layer next to each face, so dense orthonormal
-sine and cosine matrices applied along the faces and contracted along the
-normal axis replace the transform passes over the whole interior.
+free path Laplacians and is diagonalized by the type-II cosine matrix,
+whose zero mode carries the mean-zero gauge.  The right-hand side lives on
+the outer layer of the interior, so the coefficients of the solution come
+from the face data transformed along the faces alone (``_coefficients``).
+The gradient operators read the solution only on the layer next to each
+face, a contraction along the normal axis; the extensions read it
+everywhere, one inverse matrix product along every axis.
 """
 
 from __future__ import annotations
@@ -97,57 +93,6 @@ def _along_every_axis(a, rows, spare):
     return a
 
 
-def _dst1_rows(x):
-    """Orthonormal DST-I of each row of ``x``, its own inverse: minus the
-    imaginary part of the real FFT of the odd extension [0, x, 0, -x reversed]
-    of length 2(n+1), scaled by 1/sqrt(2(n+1))."""
-    n = x.shape[1]
-    z = np.zeros((len(x), 2 * n + 2))
-    z[:, 1 : n + 1] = x
-    np.negative(x[:, ::-1], out=z[:, n + 2 :])
-    return np.fft.rfft(z)[:, 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
-
-
-def _quarter_wave(M):
-    """Orthonormal DCT-II twiddle s_k exp(-i pi k / 2M) for k = 0..M//2, with
-    s_0 = sqrt(1/M) and s_k = sqrt(2/M) otherwise."""
-    k = np.arange(M // 2 + 1)
-    t = np.sqrt(2.0 / M) * np.exp(-0.5j * np.pi * k / M)
-    t[0] = np.sqrt(1.0 / M)
-    return t
-
-
-def _dct2_rows(x):
-    """Orthonormal DCT-II of each row of ``x`` (Makhoul): reorder to the even
-    entries followed by the odd ones reversed, take one real FFT Z of length
-    M, and read y_k = Re(t_k Z_k) and y_{M-k} = -Im(t_k Z_k)."""
-    M = x.shape[1]
-    v = np.concatenate([x[:, ::2], x[:, 1::2][:, ::-1]], axis=1)
-    z = np.fft.rfft(v) * _quarter_wave(M)
-    y = np.empty(x.shape)
-    y[:, : M // 2 + 1] = z.real
-    np.negative(z.imag[:, (M + 1) // 2 - 1 : 0 : -1], out=y[:, M // 2 + 1 :])
-    return y
-
-
-def _dct3_rows(y):
-    """Orthonormal DCT-III of each row of ``y``, the inverse of
-    ``_dct2_rows``: rebuild Z_k = (y_k - i y_{M-k}) / t_k for k = 0..M//2,
-    invert the real FFT, and undo the even/odd reordering."""
-    M = y.shape[1]
-    h = M // 2 + 1
-    z = np.empty((len(y), h), dtype=complex)
-    z.real = y[:, :h]
-    z.imag[:, 0] = 0.0
-    np.negative(y[:, M - 1 : M - h : -1], out=z.imag[:, 1:])
-    v = np.fft.irfft(z / _quarter_wave(M), n=M)
-    half = (M + 1) // 2
-    x = np.empty(y.shape)
-    x[:, ::2] = v[:, :half]
-    x[:, 1::2] = v[:, half:][:, ::-1]
-    return x
-
-
 def _divide_by_eigenvalue_sums(coeffs, lam, d):
     """Divide the transform coefficients on the last d axes of ``coeffs``,
     in place, by the eigenvalue sums lam[k_0] + ... + lam[k_{d-1}] of the
@@ -163,17 +108,6 @@ def _divide_by_eigenvalue_sums(coeffs, lam, d):
         block = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
         block[block == 0.0] = np.inf
         modes[:, i : i + step] /= block
-
-
-def _transform_solve(rhs, lam, forward, inverse):
-    """Interior solution of the d-fold tensor sum of one path operator with
-    eigenvalues ``lam``, diagonalized along every axis by the row transform
-    ``forward``; ``inverse`` undoes ``forward``.  ``rhs`` is consumed: it
-    and one spare array carry every pass, and the solution ends in it."""
-    spare = np.empty(rhs.shape)
-    coeffs = _along_every_axis(rhs, forward, spare)
-    _divide_by_eigenvalue_sums(coeffs, lam, rhs.ndim)
-    return _along_every_axis(coeffs, inverse, spare if coeffs is rhs else rhs)
 
 
 def _path_eigenvalues(kind, n):
@@ -207,46 +141,27 @@ def _path_matrix(kind, n):
     return T
 
 
-def _dirichlet_boundary_rhs(f, d, N):
-    rhs = np.zeros((N - 1,) * d)
-    for i in range(d):
-        # axis i in front: its two faces, the other axes on the interior
-        src = np.moveaxis(f, i, 0)[(slice(None),) + (slice(1, N),) * (d - 1)]
-        dst = np.moveaxis(rhs, i, 0)
-        dst[0] += src[0]
-        dst[-1] += src[N]
-    return rhs
-
-
 def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     """Solve the interior Laplace equation with boundary values from ``f``.
 
     ``f`` is a full (N+1,)^d array; only its boundary entries are read and
     they are copied into the result bit for bit.  After boundary
     elimination the interior system (2d*I - A) u = rhs on (N-1)^d vertices
-    is solved by an orthonormal type-I sine transform along every axis,
-    whose modes k in {1..N-1}^d have eigenvalues
-    sum_i (2 - 2 cos(pi k_i / N)).  Each axis transform is minus the
-    imaginary part of one real FFT of the odd extension of length 2N; the
-    DST-I is its own inverse.  The solution is unique, so no gauge is needed.
+    has the face values as its right-hand side and is diagonalized by the
+    orthonormal type-I sine matrix along every axis, whose modes
+    k in {1..N-1}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / N)).  The
+    coefficients are those of ``dirichlet_operator``; one inverse sine
+    matrix product along every axis gives the interior.  The solution is
+    unique, so no gauge is needed.
     """
     f = np.asarray(f, dtype=float)
     d, N = _box_dims(f)
-    lam = _path_eigenvalues("dirichlet", N - 1)
-    rhs = _dirichlet_boundary_rhs(f, d, N)
-    interior = _transform_solve(rhs, lam, _dst1_rows, _dst1_rows)
+    maps = _box_maps(d, N)
+    faces = f.reshape(-1)[maps.flat][maps.nor_tail[maps.face_edge]]
+    interior = _interior_solution("dirichlet", faces, d, N)
     out = f.copy()
     out[(slice(1, N),) * d] = interior
     return out
-
-
-def _neumann_rhs(edges, g, d, N):
-    """Interior right-hand side -sum of g over the normal edges entering each
-    interior vertex, as one bincount over flat head indices.  It is taken
-    from 0.0 rather than negated, so vertices without a head hold +0.0."""
-    shape = (N - 1,) * d
-    flat = np.ravel_multi_index(tuple((edges[:, 1] - 1).T), shape)
-    return 0.0 - np.bincount(flat, weights=g, minlength=(N - 1) ** d).reshape(shape)
 
 
 def _check_flux(g):
@@ -346,11 +261,12 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
     ``g[j]`` belongs to the edge ``lattice.normal_edges(d, N)[j]``, and the
     values must sum to zero (no solution exists otherwise).  The
     interior system is the grid-graph Laplacian diag(deg) - A on (N-1)^d
-    vertices, solved by an orthonormal type-II cosine transform along every
-    axis, whose modes k in {0..N-2}^d have eigenvalues
-    sum_i (2 - 2 cos(pi k_i / (N-1))).  Each axis transform and its inverse,
-    the type-III transform, is one real FFT of length N-1 after Makhoul's
-    even/odd reordering, with a quarter-wave twiddle.
+    vertices with right-hand side -g at the head of each normal edge,
+    diagonalized by the orthonormal type-II cosine matrix along every axis,
+    whose modes k in {0..N-2}^d have eigenvalues
+    sum_i (2 - 2 cos(pi k_i / (N-1))).  The coefficients are those of
+    ``neumann_operator``; one inverse cosine matrix product along every
+    axis gives the interior.
     The constant mode k = 0 is the kernel; setting it to zero is the gauge,
     so the interior has mean zero.  Face vertices are filled through their
     unique inward edge; ridge and corner vertices carry no constraint and
@@ -365,12 +281,10 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             f"got shape {g.shape}"
         )
     _check_flux(g)
-    lam = _path_eigenvalues("neumann", N - 1)
-    rhs = _neumann_rhs(edges, g, d, N)
-    interior = _transform_solve(rhs, lam, _dct2_rows, _dct3_rows)
+    maps = _box_maps(d, N)
+    interior = _interior_solution("neumann", -g[maps.face_edge], d, N)
     out = np.empty((N + 1,) * d)
     out[(slice(1, N),) * d] = interior
-    maps = _box_maps(d, N)
     out.reshape(-1)[maps.flat] = _neumann_boundary(out[tuple(edges[:, 1].T)], g, maps)
     return out
 
@@ -390,9 +304,9 @@ def _along_face_axes(x, mat, m):
     return x
 
 
-def _layer_values(faces, T, lam):
-    """Values next to each face of the interior solution whose right-hand
-    side is ``faces`` on the outer layer of the interior.
+def _coefficients(faces, T, lam):
+    """Transform coefficients, shaped (B,) + (n,)*d, of the interior solution
+    whose right-hand side is ``faces`` on the outer layer of the interior.
 
     ``faces`` has shape (B, 2d, n**(d-1)) in the face layout of
     ``_BoxMaps``: the data of face (axis i, side s) enters the interior
@@ -404,9 +318,8 @@ def _layer_values(faces, T, lam):
 
         c_k = sum_i (T[k_i, 0] F^_{i,0} + T[k_i, n-1] F^_{i,1})(k without k_i) / lam_k
 
-    and its values on the layer next to face (j, s) are the inverse face
-    transform of sum_{k_j} T[k_j, 0 or n-1] c_k.  Every step is a matrix
-    product or a broadcast over at most n^d entries per sample.
+    Every step is a matrix product or a broadcast over at most n^d entries
+    per sample.
     """
     B, F, _ = faces.shape
     d, n = F // 2, len(lam)
@@ -418,12 +331,32 @@ def _layer_values(faces, T, lam):
         for s in range(2):
             along_i += ends[:, s, None] * hat[:, 2 * i + s].reshape(B, n**i, 1, -1)
     _divide_by_eigenvalue_sums(coeffs, lam, d)
+    return coeffs
+
+
+def _layer_values(coeffs, T):
+    """Values next to each face, in the face layout, of the interior
+    solution with the coefficients ``coeffs`` of ``_coefficients``: on the
+    layer next to face (j, s) they are the inverse face transform of
+    sum_{k_j} T[k_j, 0 or n-1] c_k."""
+    B, d, n = len(coeffs), coeffs.ndim - 1, len(T)
+    ends = T[:, [0, n - 1]]
     layers = np.empty((B, d, 2, n ** (d - 1)))
     for j in range(d - 1):
         pair = np.matmul(ends.T, coeffs.reshape(B * n**j, n, -1))
         layers.reshape(B, d, 2, n**j, -1)[:, j] = pair.reshape(B, n**j, 2, -1).transpose(0, 2, 1, 3)
     layers[:, d - 1] = np.matmul(coeffs.reshape(B, -1, n), ends).transpose(0, 2, 1)
-    return _along_face_axes(layers.reshape(B, F, -1), T.T, d - 1)
+    return _along_face_axes(layers.reshape(B, 2 * d, -1), T.T, d - 1)
+
+
+def _interior_solution(kind, faces, d, N):
+    """Interior solution, shaped (N-1,)^d, of the ``kind`` system whose
+    right-hand side is ``faces`` in the face layout: the coefficients of
+    ``_coefficients`` and the inverse transform u_j = sum_k T[k, j] c_k,
+    one dense matrix product along every axis."""
+    T, lam = _path_matrix(kind, N - 1), _path_eigenvalues(kind, N - 1)
+    coeffs = _coefficients(faces.reshape(1, 2 * d, -1), T, lam)[0]
+    return _along_every_axis(coeffs, lambda x: x @ T, np.empty(coeffs.shape))
 
 
 def _batch(x, size, what):
@@ -453,7 +386,8 @@ def dirichlet_operator(d: int, N: int):
         lead = np.shape(f)[:-1]
         f = _batch(f, len(maps.flat), "boundary values")
         faces = f[:, face_vertices].reshape(len(f), 2 * d, -1)
-        layer = _layer_values(faces, T, lam).reshape(len(f), -1)[:, maps.edge_face]
+        coeffs = _coefficients(faces, T, lam)
+        layer = _layer_values(coeffs, T).reshape(len(f), -1)[:, maps.edge_face]
         tan = f[:, maps.tan_head] - f[:, maps.tan_tail]
         nor = layer - f[:, maps.nor_tail]
         return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
@@ -483,7 +417,8 @@ def neumann_operator(d: int, N: int):
         g = _batch(g, len(maps.nor_tail), "normal edge values")
         _check_flux(g)
         faces = np.negative(g[:, maps.face_edge]).reshape(len(g), 2 * d, -1)
-        layer = _layer_values(faces, T, lam).reshape(len(g), -1)[:, maps.edge_face]
+        coeffs = _coefficients(faces, T, lam)
+        layer = _layer_values(coeffs, T).reshape(len(g), -1)[:, maps.edge_face]
         boundary = _neumann_boundary(layer, g, maps)
         tan = boundary[:, maps.tan_head] - boundary[:, maps.tan_tail]
         nor = layer - boundary[:, maps.nor_tail]

@@ -37,34 +37,41 @@ def _transform_input(d, n):
     return np.random.default_rng(1000 * d + n).standard_normal((n,) * d)
 
 
+def _applying(matrix):
+    """Row kernel applying ``matrix`` (y = matrix @ v) to each row."""
+    return lambda x: x @ matrix.T
+
+
 @pytest.mark.parametrize("d,n", TRANSFORM_CASES)
 def test_transforms_match_dense_sine_and_cosine_matrices(d, n):
     a = _transform_input(d, n)
-    S, C = oracles.dst1_matrix(n), oracles.dct2_matrix(n)
-    for rows, matrix in (
-        (boxes._dst1_rows, S), (boxes._dct2_rows, C), (boxes._dct3_rows, C.T)
+    for kind, matrix in (
+        ("dirichlet", oracles.dst1_matrix(n)), ("neumann", oracles.dct2_matrix(n))
     ):
-        got = boxes._along_every_axis(a.copy(), rows, np.empty(a.shape))
-        want = oracles.along_every_axis(matrix, a)
-        assert got.shape == a.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
+        T = boxes._path_matrix(kind, n)
+        assert np.abs(T - matrix).max() <= 1e-13
+        for mat, want_mat in ((T, matrix), (T.T, matrix.T)):
+            got = boxes._along_every_axis(a.copy(), _applying(mat), np.empty(a.shape))
+            want = oracles.along_every_axis(want_mat, a)
+            assert got.shape == a.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
 
 
 @pytest.mark.parametrize("d,n", TRANSFORM_CASES)
 def test_transforms_round_trip(d, n):
     a = _transform_input(d, n)
-    for forward, inverse in (
-        (boxes._dst1_rows, boxes._dst1_rows), (boxes._dct2_rows, boxes._dct3_rows)
-    ):
-        coeffs = boxes._along_every_axis(a.copy(), forward, np.empty(a.shape))
-        back = boxes._along_every_axis(coeffs, inverse, np.empty(a.shape))
+    for kind in ("dirichlet", "neumann"):
+        T = boxes._path_matrix(kind, n)
+        assert np.abs(T @ T.T - np.eye(n)).max() <= 1e-13
+        coeffs = boxes._along_every_axis(a.copy(), _applying(T), np.empty(a.shape))
+        back = boxes._along_every_axis(coeffs, _applying(T.T), np.empty(a.shape))
         assert np.abs(back - a).max() <= 1e-13 * np.abs(a).max()
 
 
 def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
-    # measured peak 2.38 x the input (3.31 x with a whole eigenvalue
-    # array); whole-array row kernels measured 8.98 x, and a third live
-    # array in the transform passes adds 1 x
+    # measured peak 2.06 x the input: the coefficients and one spare array
+    # carry the inverse passes, and the output is copied after the solve
+    # (3.06 x when copied before it); a third live array adds 1 x
     f = np.random.default_rng(5).standard_normal((1025, 1025))
     boxes.dirichlet_extension(f)
     tracemalloc.start()
@@ -77,10 +84,9 @@ def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
 
 
 def test_odd_dimension_solve_holds_two_interior_arrays():
-    """At odd d the forward passes end in the spare array; the consumed
-    right-hand side carries the inverse passes, and the eigenvalue sums are
-    formed block by block.  Measured peak 2.19 x the interior at (3,128),
-    4.17 x with a whole eigenvalue array and a third array kept live."""
+    """At odd d the inverse passes end in the spare array, and the
+    eigenvalue sums are formed block by block.  Measured peak 2.10 x the
+    interior at (3,128), 3.15 x with the output copied before the solve."""
     d, N = 3, 128
     f = np.random.default_rng(5).standard_normal((N + 1,) * d)
     boxes.dirichlet_extension(f)
@@ -94,9 +100,9 @@ def test_odd_dimension_solve_holds_two_interior_arrays():
 
 
 def test_neumann_solve_memory_is_bounded_like_the_dirichlet_solve():
-    # measured peak 2.24 x the output (3.19 x with a whole eigenvalue
-    # array); a ridge and corner fill over full (N+1)^d temporaries
-    # measured 7.12 x
+    # measured peak 2.06 x the output (3.06 x with the output allocated
+    # before the solve); a ridge and corner fill over full (N+1)^d
+    # temporaries measured 7.12 x
     d, N = 2, 1024
     g = np.random.default_rng(5).standard_normal(len(lattice.normal_edges(d, N)))
     g -= g.mean()
@@ -132,7 +138,7 @@ def test_dirichlet_smallest_box_center_is_the_neighbour_mean():
     )
 
 
-@pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 4)])
 def test_dirichlet_matches_dense_reference(d, N):
     rng = np.random.default_rng(10 * d + N)
     f = rng.standard_normal((N + 1,) * d)
@@ -224,7 +230,7 @@ def test_neumann_smallest_box_closed_form():
     assert u[2, 2] == pytest.approx((u[1, 2] + u[2, 1]) / 2.0)
 
 
-@pytest.mark.parametrize("d,N", [(2, 4), (2, 7), (3, 3)])
+@pytest.mark.parametrize("d,N", [(2, 4), (2, 7), (3, 3), (4, 4)])
 def test_neumann_matches_data_and_is_harmonic(d, N):
     rng = np.random.default_rng(20 + 10 * d + N)
     edges = lattice.normal_edges(d, N)
@@ -297,18 +303,6 @@ def test_neumann_transform_solve_matches_dense_oracle(d, N):
     )
 
 
-@pytest.mark.parametrize("d,N", [(2, 5), (3, 6), (4, 4)])
-def test_neumann_rhs_is_bit_identical_to_the_subtract_at_scatter(d, N):
-    edges = lattice.normal_edges(d, N)
-    g = np.random.default_rng(31 + d).standard_normal(len(edges))
-    g -= g.mean()
-    want = np.zeros((N - 1,) * d)
-    np.subtract.at(want, tuple(edges[:, 1].T - 1), g)
-    got = boxes._neumann_rhs(edges, g, d, N)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 def test_large_boxes_solve_to_certificate_without_a_dense_system():
     # d=2, N=128 has 16129 interior unknowns: a dense interior matrix would
     # take 2 GB, so these sizes pin that the solvers assemble none
@@ -319,13 +313,15 @@ def test_large_boxes_solve_to_certificate_without_a_dense_system():
         mask = _boundary_mask(f.shape)
         assert np.array_equal(u[mask], f[mask])
         assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
-    edges = lattice.normal_edges(2, 128)
-    g = rng.standard_normal(len(edges))
-    g -= g.mean()
-    u = boxes.neumann_extension(g, 2, 128)
-    assert not np.isnan(u).any()
-    np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
-    assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
+    # N - 1 = 127 is prime
+    for d, N in ((2, 128), (3, 128)):
+        edges = lattice.normal_edges(d, N)
+        g = rng.standard_normal(len(edges))
+        g -= g.mean()
+        u = boxes.neumann_extension(g, d, N)
+        assert not np.isnan(u).any()
+        np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
+        assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +329,7 @@ def test_large_boxes_solve_to_certificate_without_a_dense_system():
 # ---------------------------------------------------------------------------
 
 # N - 1 = 127 is prime: the length at which a real FFT is slowest
-OPERATOR_CASES = [(d, N) for d in (2, 3, 4) for N in (2, 3, 4, 8, 32)] + [(2, 128)]
+OPERATOR_CASES = [(d, N) for d in (2, 3, 4) for N in (2, 3, 4, 8, 32)] + [(2, 128), (3, 128)]
 
 
 def _operator_and_extension_inputs(kind, d, N, samples):

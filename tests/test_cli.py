@@ -96,6 +96,20 @@ def test_neumann_checkerboard_degenerates_on_the_smallest_box():
     assert abs(g.mean()) < 1e-12
 
 
+def test_neumann_single_mode_rounding_residue_is_identically_zero(tmp_path, capsys):
+    # sample 1 of (2,3) draws the wave vector (2,2), whose cosine is -1/2 on
+    # every normal edge tail up to rounding: the centered data is rounding
+    # residue (1.1e-15), not a flux
+    rng = np.random.default_rng(cli._cell_seed(0, 2, 3, 1))
+    with pytest.raises(ValueError, match="identically zero"):
+        cli._neumann_data("single-mode", rng, 2, 3)
+    argv = ["neumann-sweep", "--d", "2", "--n-list", "3", "--generator",
+            "single-mode", "--samples", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sample=1 failed: generated normal data is identically zero" in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
