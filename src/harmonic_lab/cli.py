@@ -622,8 +622,21 @@ _int_list = _list_parser(int, "integer")
 _float_list = _list_parser(float, "float")
 
 
+def _seed(text):
+    """Argument type for the master seed: an integer of at least 0."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed must be a non-negative integer, got {text!r}"
+    )
+
+
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--threads", type=int, default=1, help="worker threads")

@@ -1,5 +1,5 @@
-"""Dyadic intervals, mixed difference variation of periodic symbols, and
-piecewise gluing of multiplier families.
+"""Dyadic rectangles, the mixed difference variation of periodic symbols,
+and piecewise gluing of multiplier families.
 
 A periodic symbol of dimension d with half-period L is an array of shape
 (2L,)*d in the wrap-around layout of :mod:`harmonic_lab.spectral`.  The
@@ -13,64 +13,32 @@ summed versus sup axes, nested reductions of the mixed forward differences;
 summed axes drop the largest element of their index set.  The total
 variation takes full sums and the supremum over all rectangles.
 
-Both are evaluated for every rectangle at once.  Each axis is reordered
-into ascending frequency, where every dyadic interval is a contiguous
-segment; the absolute mixed difference is formed once per flag vector and
-reduced over all segments together with ``np.add.reduceat`` (summed axes)
-or ``np.maximum.reduceat`` (sup axes), innermost axis first.  A summed
-axis drops its largest element by zeroing the last entry of each segment,
-which is exact because the terms are nonnegative.
+``variation_table`` evaluates both for every nonempty rectangle at once.
+Each axis is reordered into ascending frequency, where every dyadic
+interval is a contiguous segment; the absolute mixed difference is formed
+once per flag vector and reduced over all segments together with
+``np.add.reduceat`` (summed axes) or ``np.maximum.reduceat`` (sup axes),
+innermost axis first.  A summed axis drops its largest element by zeroing
+the last entry of each segment, which is exact because the terms are
+nonnegative.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "DyadicInterval",
-    "dyadic_interval",
     "dyadic_integers",
     "dyadic_index_of",
-    "dyadic_rectangle_is_empty",
     "dominant_axis",
     "alpha_difference",
     "VariationTable",
     "variation_table",
-    "local_variation",
-    "total_variation",
     "glue_local_symbols",
-    "derivative_variation_bound",
 ]
-
-logger = logging.getLogger(__name__)
-
-
-class DyadicInterval(NamedTuple):
-    """A one-dimensional dyadic interval with its endpoint conventions."""
-
-    lo: float
-    hi: float
-    closed_lo: bool
-    closed_hi: bool
-
-    def contains(self, x) -> bool:
-        above = x >= self.lo if self.closed_lo else x > self.lo
-        below = x <= self.hi if self.closed_hi else x < self.hi
-        return bool(above and below)
-
-
-def dyadic_interval(level: int) -> DyadicInterval:
-    """The interval D(level) of the two-sided dyadic partition of the line."""
-    if level == 0:
-        return DyadicInterval(-1.0, 1.0, False, False)
-    if level >= 1:
-        return DyadicInterval(2.0 ** (level - 1), 2.0**level, True, False)
-    m = -level
-    return DyadicInterval(-(2.0**m), -(2.0 ** (m - 1)), False, True)
 
 
 def dyadic_integers(level: int, L: int) -> np.ndarray:
@@ -103,11 +71,6 @@ def dyadic_index_of(nu, L: int | None = None):
     bits = bits - ((mag >> np.maximum(bits - 1, 0)) == 0)
     level = np.where(arr > 0, bits, np.where(arr < 0, -bits, 0))
     return int(level) if level.ndim == 0 else level
-
-
-def dyadic_rectangle_is_empty(k, L: int) -> bool:
-    """Whether the rectangle for index vector ``k`` misses the stored grid."""
-    return any(dyadic_integers(level, L).size == 0 for level in k)
 
 
 def dominant_axis(k) -> int:
@@ -188,30 +151,6 @@ def variation_table(a: np.ndarray, L: int) -> VariationTable:
     return VariationTable(tuple(levels), local, float(total.max()))
 
 
-def local_variation(a: np.ndarray, k, L: int) -> float:
-    """Mixed sum/sup variation of ``a`` over the dyadic rectangle ``k``.
-
-    Maximizes over per-axis flags: flagged axes sum absolute forward
-    differences over their index set minus its maximum, unflagged axes take
-    the supremum over the full set.  An empty rectangle yields 0.
-    """
-    a = np.asarray(a)
-    d = a.ndim
-    k = tuple(int(level) for level in k)
-    if len(k) != d:
-        raise ValueError(f"index vector {k} has wrong length for a {d}-d symbol")
-    if dyadic_rectangle_is_empty(k, L):
-        logger.debug("empty dyadic rectangle %s at L=%d treated as 0", k, L)
-        return 0.0
-    table = variation_table(a, L)
-    return float(table.local[tuple(table.levels.index(level) for level in k)])
-
-
-def total_variation(a: np.ndarray, L: int) -> float:
-    """Supremum over dyadic rectangles of the full mixed-difference sums."""
-    return variation_table(a, L).total
-
-
 def glue_local_symbols(family: dict, L: int) -> np.ndarray:
     """Assemble a symbol taking the value of family[k] on rectangle k.
 
@@ -250,57 +189,3 @@ def glue_local_symbols(family: dict, L: int) -> np.ndarray:
         inside = (labels >= start) & (labels < start + len(chunk))
         np.choose(np.where(inside, labels - start + 1, 0), [out, *chunk], out=out)
     return out
-
-
-def derivative_variation_bound(A, k, L: int, points: int = 64) -> float:
-    """Sampled estimate of max over flags of sup |xi^alpha * d^alpha A(xi)|
-    on the dyadic rectangle ``k`` clipped to [-L+1, L] per axis.
-
-    ``A`` maps arrays with the frequency components on the last axis to
-    values.  Mixed first partials are estimated by central differences with
-    step 1e-4 of the axis scale; the result is a diagnostic estimate, not a
-    certified bound.
-    """
-    k = tuple(int(level) for level in k)
-    d = len(k)
-    axes = []
-    steps = []
-    for level in k:
-        iv = dyadic_interval(level)
-        lo, hi = max(iv.lo, -L + 1), min(iv.hi, float(L))
-        if lo > hi:
-            raise ValueError(f"dyadic rectangle {k} is empty at L={L}")
-        scale = max(abs(lo), abs(hi), 1.0)
-        step = 1e-4 * scale
-        # stay strictly inside the open hull so the difference stencil is safe
-        pad = 2 * step
-        lo_s, hi_s = lo + pad, hi - pad
-        if lo_s > hi_s:
-            lo_s = hi_s = 0.5 * (lo + hi)
-        axes.append(np.linspace(lo_s, hi_s, points))
-        steps.append(step)
-    grids = np.meshgrid(*axes, indexing="ij")
-    xi = np.stack(grids, axis=-1)
-
-    def stencil(alpha):
-        # evaluate A on the 2^|alpha| shifted grids of the central stencil
-        active = [ax for ax, flag in enumerate(alpha) if flag]
-        vals = 0.0
-        for signs in itertools.product((-1, 1), repeat=len(active)):
-            shifted = xi.copy()
-            coeff = 1.0
-            for ax, s in zip(active, signs):
-                shifted[..., ax] += s * steps[ax]
-                coeff *= s / (2 * steps[ax])
-            vals = vals + coeff * np.asarray(A(shifted))
-        return vals
-
-    best = 0.0
-    for alpha in itertools.product((0, 1), repeat=d):
-        deriv = stencil(alpha)
-        weight = np.ones(xi.shape[:-1])
-        for ax, flag in enumerate(alpha):
-            if flag:
-                weight = weight * xi[..., ax]
-        best = max(best, float(np.abs(weight * deriv).max()))
-    return best

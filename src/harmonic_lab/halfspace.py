@@ -28,7 +28,6 @@ from .spectral import (
 
 __all__ = [
     "tangential_angles",
-    "mode_propagation_factors",
     "halfspace_layer",
     "halfspace_strip",
     "dirichlet_strip_solve",
@@ -64,11 +63,6 @@ def _mode_factors(d: int, L: int):
     lam.flags.writeable = False
     q.flags.writeable = False
     return lam, q
-
-
-def mode_propagation_factors(d: int, L: int) -> np.ndarray:
-    """Q(lambda(hk)) on the stored frequency grid, shape (2L,)*(d-1)."""
-    return _mode_factors(d, L)[1].copy()
 
 
 def _layer_dims(layer: np.ndarray):
@@ -339,6 +333,8 @@ def periodized_poisson_kernel(z: int, d: int, L: int) -> np.ndarray:
     at the origin, normalized to total mass exactly 1."""
     if z < 1:
         raise ValueError(f"start height must be at least 1, got {z}")
+    if L < 1:
+        raise ValueError(f"half-period must be positive, got {L}")
     delta = np.zeros((2 * L,) * (d - 1))
     delta[tuple([0] * (d - 1))] = 1.0
     kernel = halfspace_layer(delta, z)

@@ -1,4 +1,5 @@
-"""Lattice geometry, edge sets, discrete differential operators, and norms.
+"""Box geometry: the boundary vertices, the edge sets, the vectorized
+Laplacian, edge gradients, and the l^p norm.
 
 Box functions live on the integer box {0,...,N}^d and are stored as dense
 arrays of shape (N+1,)*d, indexed directly by coordinates.  A vertex is a
@@ -6,14 +7,14 @@ boundary vertex when at least one coordinate equals 0 or N; otherwise it is
 interior.  Oriented edges are (tail, head) pairs of vertices at lattice
 distance one.
 
-Vertex sets are read-only intp arrays of shape (M, d) and edge sets read-only
-intp arrays of shape (E, 2, d), with ``edges[:, 0]`` the tails and
-``edges[:, 1]`` the heads, in lexicographic (tail, head) order.  Edge sets
-are built by index arithmetic from the tails on the boundary shell, with no
-candidate edges for the rest of the box.
+The boundary vertex set is a read-only intp array of shape (M, d) and edge
+sets are read-only intp arrays of shape (E, 2, d), with ``edges[:, 0]`` the
+tails and ``edges[:, 1]`` the heads, in lexicographic (tail, head) order.
+Edge sets are built by index arithmetic from the tails on the boundary
+shell, with no candidate edges for the rest of the box.
 
-Periodic (strip) functions keep the height as the last axis, so ``u[..., y]``
-is the layer at height y.
+The Laplacian also wraps periodic axes, for strip functions, which keep the
+height as the last axis.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ import numpy as np
 
 __all__ = [
     "boundary_vertices",
-    "interior_vertices",
     "tangential_edges",
     "normal_edges",
     "full_edge_set",
-    "discrete_laplacian",
     "laplacian_interior",
-    "edge_gradient",
     "edge_gradients",
     "lp_norm",
-    "normalized_lp_norm",
-    "layer_mean",
 ]
 
 #: accepted spellings of the maximum norm
@@ -95,13 +91,6 @@ def boundary_vertices(d: int, N: int) -> np.ndarray:
     return _read_only(np.argwhere(_shell(d, N, 0)))
 
 
-def interior_vertices(d: int, N: int) -> np.ndarray:
-    """All vertices of the open box {1..N-1}^d, as a read-only (M, d) intp
-    array in lexicographic order."""
-    _check_box(d, N)
-    return _read_only(np.argwhere(~_shell(d, N, 0)))
-
-
 def tangential_edges(d: int, N: int) -> np.ndarray:
     """Oriented edges with both endpoints on the boundary shell.
 
@@ -140,32 +129,6 @@ def _resolve_periodic(periodic_axes, ndim):
     return tuple(int(a) % ndim for a in periodic_axes)
 
 
-def discrete_laplacian(u: np.ndarray, x, periodic_axes=()) -> float:
-    """Neighbour sum minus 2d times the centre value at vertex ``x``.
-
-    Axes listed in ``periodic_axes`` wrap modulo the array length; on the
-    remaining axes every neighbour must exist or a ValueError names the
-    missing vertex.
-    """
-    u = np.asarray(u)
-    d = u.ndim
-    x = tuple(int(c) for c in x)
-    if len(x) != d:
-        raise ValueError(f"vertex {x} has wrong dimension for a {d}-d grid")
-    periodic = _resolve_periodic(periodic_axes, d)
-    total = -2 * d * u[x]
-    for i in range(d):
-        for s in (-1, 1):
-            c = x[i] + s
-            if i in periodic:
-                c %= u.shape[i]
-            elif not 0 <= c < u.shape[i]:
-                nbr = x[:i] + (c,) + x[i + 1 :]
-                raise ValueError(f"neighbour {nbr} of {x} lies outside the domain")
-            total = total + u[x[:i] + (c,) + x[i + 1 :]]
-    return total
-
-
 def laplacian_interior(u: np.ndarray, periodic_axes=()) -> np.ndarray:
     """Vectorized Laplacian at every vertex that is interior on the
     non-periodic axes.
@@ -191,16 +154,6 @@ def laplacian_interior(u: np.ndarray, periodic_axes=()) -> np.ndarray:
             lo[ax] = slice(0, -2)
             acc = acc + u[tuple(hi)] + u[tuple(lo)]
     return acc
-
-
-def edge_gradient(u: np.ndarray, e) -> float:
-    """Value at the head minus value at the tail of an oriented edge."""
-    tail, head = e
-    u = np.asarray(u)
-    for v in (tail, head):
-        if any(not 0 <= c < n for c, n in zip(v, u.shape)):
-            raise ValueError(f"edge endpoint {tuple(v)} lies outside the domain")
-    return u[tuple(head)] - u[tuple(tail)]
 
 
 def edge_gradients(u: np.ndarray, edges) -> np.ndarray:
@@ -238,31 +191,3 @@ def lp_norm(values, p) -> float:
     if p < 1:
         raise ValueError(f"norm exponent must be at least 1, got {p}")
     return float((v**p).sum() ** (1.0 / p))
-
-
-def normalized_lp_norm(values, p, h: float, d: int | None = None) -> float:
-    """Mesh-weighted norm (h^d sum |f|^p)^(1/p) for finite p.
-
-    ``d`` defaults to the number of array axes; ``h`` must be pi over a
-    positive integer.
-    """
-    if _is_max_norm(p):
-        raise ValueError("normalized norm is defined for finite p only")
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"norm exponent must be at least 1, got {p}")
-    L = round(math.pi / h)
-    if L < 1 or abs(h * L - math.pi) > 1e-9:
-        raise ValueError(f"mesh size {h} is not pi over a positive integer")
-    v = np.abs(np.asarray(values, dtype=float))
-    if d is None:
-        d = v.ndim
-    return float((h**d * (v**p).sum()) ** (1.0 / p))
-
-
-def layer_mean(u: np.ndarray, y: int) -> float:
-    """Arithmetic mean over the layer at height ``y`` (last axis)."""
-    u = np.asarray(u)
-    if not 0 <= y < u.shape[-1]:
-        raise ValueError(f"layer {y} out of range 0..{u.shape[-1] - 1}")
-    return float(np.mean(u[..., y]))

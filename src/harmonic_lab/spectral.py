@@ -33,7 +33,6 @@ __all__ = [
     "index_grid",
     "forward_dft",
     "inverse_dft",
-    "apply_multiplier",
     "principal_sqrt",
     "lambda_symbol",
     "q_symbol",
@@ -42,8 +41,6 @@ __all__ = [
     "dirichlet_symbol",
     "GridSymbols",
     "grid_symbols",
-    "scaled_symbol",
-    "cosine_constant",
 ]
 
 
@@ -97,20 +94,6 @@ def inverse_dft(a, axes=None) -> np.ndarray:
     a = np.asarray(a)
     axes, _ = _resolve_axes(a, axes)
     return (2 * math.pi) ** (-len(axes)) * np.fft.fftn(a, axes=axes)
-
-
-def apply_multiplier(a, u, axes=None) -> np.ndarray:
-    """Apply the Fourier multiplier ``a`` to the grid function ``u``.
-
-    Returns inverse_dft(a * forward_dft(u)).  The result is complex; it is
-    real up to rounding whenever u is real and a(-k) = conj(a(k)) with
-    indices taken modulo the period.
-    """
-    a = np.asarray(a)
-    u = np.asarray(u)
-    if a.shape != u.shape:
-        raise ValueError(f"multiplier shape {a.shape} != data shape {u.shape}")
-    return inverse_dft(a * forward_dft(u, axes=axes), axes=axes)
 
 
 def principal_sqrt(z):
@@ -235,28 +218,10 @@ def grid_symbols(d: int, L: int) -> GridSymbols:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    angles = (math.pi / L) * index_grid(L)
+    k = index_grid(L)  # rejects L < 1 before the division
+    angles = (math.pi / L) * k
     cos = np.cos(angles)
     total = 0.0
     for i in range(d - 1):
         total = total + cos.reshape((-1,) + (1,) * (d - 2 - i))
     return GridSymbols(f_symbol(d - total), angles)
-
-
-def scaled_symbol(symbol, h: float, xi):
-    """Evaluate a tangential symbol at mesh frequencies: symbol(h * xi).
-
-    ``xi`` must stay inside the fundamental frequency box |xi_i| <= pi / h.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.abs(xi) > math.pi / h * (1 + 1e-12)):
-        raise ValueError("frequency outside the fundamental box")
-    return symbol(h * xi)
-
-
-def cosine_constant() -> float:
-    """The infimum of (1 - cos s) / s^2 over s in [-pi, pi] minus 0.
-
-    Attained at s = +-pi, value 2 / pi^2.
-    """
-    return 2.0 / math.pi**2

@@ -4,13 +4,16 @@ Everything in here is deliberately slow and literal: direct nested sums
 for the transform, full dense linear systems without elimination for the
 solvers, pure-python loops for the dyadic variation quantities and the box
 vertex and edge sets, and a random walk that takes every step.  None of it
-shares code with the package under test.
+shares code with the package under test.  The dyadic intervals as real
+intervals, the sampled derivative bound on a dyadic rectangle and the
+cosine constant 2 / pi^2 are paper quantities that only the tests use.
 """
 
 import bisect
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -273,6 +276,94 @@ def dense_neumann_strip(bottom, top, N):
     return out
 
 
+# the dyadic intervals as real intervals, and a sampled estimate of the
+# derivative bound that controls the local variation of a smooth symbol
+class DyadicInterval(NamedTuple):
+    """A one-dimensional dyadic interval with its endpoint conventions."""
+
+    lo: float
+    hi: float
+    closed_lo: bool
+    closed_hi: bool
+
+    def contains(self, x) -> bool:
+        above = x >= self.lo if self.closed_lo else x > self.lo
+        below = x <= self.hi if self.closed_hi else x < self.hi
+        return bool(above and below)
+
+
+def dyadic_interval(level: int) -> DyadicInterval:
+    """The interval D(level) of the two-sided dyadic partition of the line."""
+    if level == 0:
+        return DyadicInterval(-1.0, 1.0, False, False)
+    if level >= 1:
+        return DyadicInterval(2.0 ** (level - 1), 2.0**level, True, False)
+    m = -level
+    return DyadicInterval(-(2.0**m), -(2.0 ** (m - 1)), False, True)
+
+
+def derivative_variation_bound(A, k, L: int, points: int = 64) -> float:
+    """Sampled estimate of max over flags of sup |xi^alpha * d^alpha A(xi)|
+    on the dyadic rectangle ``k`` clipped to [-L+1, L] per axis.
+
+    ``A`` maps arrays with the frequency components on the last axis to
+    values.  Mixed first partials are estimated by central differences with
+    step 1e-4 of the axis scale; the result is a diagnostic estimate, not a
+    certified bound.
+    """
+    k = tuple(int(level) for level in k)
+    d = len(k)
+    axes = []
+    steps = []
+    for level in k:
+        iv = dyadic_interval(level)
+        lo, hi = max(iv.lo, -L + 1), min(iv.hi, float(L))
+        if lo > hi:
+            raise ValueError(f"dyadic rectangle {k} is empty at L={L}")
+        scale = max(abs(lo), abs(hi), 1.0)
+        step = 1e-4 * scale
+        # stay strictly inside the open hull so the difference stencil is safe
+        pad = 2 * step
+        lo_s, hi_s = lo + pad, hi - pad
+        if lo_s > hi_s:
+            lo_s = hi_s = 0.5 * (lo + hi)
+        axes.append(np.linspace(lo_s, hi_s, points))
+        steps.append(step)
+    grids = np.meshgrid(*axes, indexing="ij")
+    xi = np.stack(grids, axis=-1)
+
+    def stencil(alpha):
+        # evaluate A on the 2^|alpha| shifted grids of the central stencil
+        active = [ax for ax, flag in enumerate(alpha) if flag]
+        vals = 0.0
+        for signs in itertools.product((-1, 1), repeat=len(active)):
+            shifted = xi.copy()
+            coeff = 1.0
+            for ax, s in zip(active, signs):
+                shifted[..., ax] += s * steps[ax]
+                coeff *= s / (2 * steps[ax])
+            vals = vals + coeff * np.asarray(A(shifted))
+        return vals
+
+    best = 0.0
+    for alpha in itertools.product((0, 1), repeat=d):
+        deriv = stencil(alpha)
+        weight = np.ones(xi.shape[:-1])
+        for ax, flag in enumerate(alpha):
+            if flag:
+                weight = weight * xi[..., ax]
+        best = max(best, float(np.abs(weight * deriv).max()))
+    return best
+
+
+def cosine_constant() -> float:
+    """The infimum of (1 - cos s) / s^2 over s in [-pi, pi] minus 0.
+
+    Attained at s = +-pi, value 2 / pi^2.
+    """
+    return 2.0 / math.pi**2
+
+
 # dyadic interval membership without the package's helpers
 def interval_contains(level, x):
     if level == 0:
@@ -431,8 +522,8 @@ def as_tuples(a):
     return [tuple(x) for x in rows]
 
 
-def laplacian_at(u, x):
-    'Neighbour sum minus 2d times the center, no periodic wrapping.'
+def laplacian_at(u, x, periodic_axes=()):
+    'Neighbour sum minus 2d times the center; the listed axes wrap around.'
     u = np.asarray(u)
     d = u.ndim
     total = -2.0 * d * u[tuple(x)]
@@ -440,6 +531,8 @@ def laplacian_at(u, x):
         for s in (-1, 1):
             w = list(x)
             w[ax] += s
+            if ax in periodic_axes:
+                w[ax] %= u.shape[ax]
             total += u[tuple(w)]
     return total
 

@@ -7,9 +7,12 @@ variation laws, telescope convergence, reflection identities, Poisson
 kernel agreement across the three computation routes, size-independence
 of the gradient comparison ratios, and byte-level determinism of the
 self test.
+
+The decay check takes the cosine constant 2/pi^2 from ``oracles``, where
+it lives because only tests use it.  The variation laws read every
+rectangle from one ``dyadic.variation_table``.
 """
 
-import itertools
 import math
 import subprocess
 import sys
@@ -93,7 +96,7 @@ LAYER_EXPONENTS = (
 
 
 def test_mean_zero_halfspace_data_decays_at_the_symbol_rate():
-    root_c = math.sqrt(spectral.cosine_constant())
+    root_c = math.sqrt(oracles.cosine_constant())
     draws = [(2, 8, 70), (3, 4, 30)]
     rng = np.random.default_rng(303)
     for d, L, count in draws:
@@ -148,28 +151,20 @@ def test_variation_laws_on_random_symbols():
     for d in (1, 2):
         for L in (4, 8):
             shape = (2 * L,) * d
-            levels = [
-                level
-                for level in range(-12, 13)
-                if dyadic.dyadic_integers(level, L).size > 0
-            ]
-            rects = list(itertools.product(levels, repeat=d))
             window = tuple(slice(1, 4) for _ in range(d))
             inside = np.zeros(shape, dtype=bool)
             inside[window] = True
             for _ in range(100):
                 a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                origin = (0,) * d
-                assert dyadic.local_variation(a, origin, L) == float(
-                    np.abs(a)[origin]
-                )
+                table = dyadic.variation_table(a, L)
+                origin = (table.levels.index(0),) * d
+                assert table.local[origin] == float(np.abs(a)[(0,) * d])
                 tampered = a.copy()
                 tampered[~inside] += 7.0
-                assert dyadic.local_variation(
-                    tampered, (2,) * d, L
-                ) == dyadic.local_variation(a, (2,) * d, L)
-                peak = max(dyadic.local_variation(a, k, L) for k in rects)
-                assert dyadic.total_variation(a, L) <= 4**d * peak + 1e-12
+                two = (table.levels.index(2),) * d
+                tampered_table = dyadic.variation_table(tampered, L)
+                assert tampered_table.local[two] == table.local[two]
+                assert table.total <= 4**d * table.local.max() + 1e-12
 
 
 def _trace_decays(trace):

@@ -1,6 +1,7 @@
 """Sweep driver, report builders, and command line behavior."""
 
 import collections
+import importlib
 import itertools
 import json
 import math
@@ -439,6 +440,19 @@ def test_main_error_paths(tmp_path, capsys):
     rc = cli.main(["kernel-report", "--d", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    # a negative seed is refused while the arguments are parsed
+    for command, seed in [("dirichlet-sweep", "-1"), ("neumann-sweep", "-1"),
+                          ("kernel-report", "-1"), ("symbol-report", "-1"),
+                          ("selftest", "-3")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", seed, "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    # a half-period below 1 is named before any array is built
+    for argv in [["kernel-report", "--L", "0"], ["kernel-report", "--L", "-1"],
+                 ["symbol-report", "--l-list", "0"]]:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+        assert "half-period must be positive" in capsys.readouterr().err
 
 
 def _run_console(args, tmp_path):
@@ -574,6 +588,18 @@ def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
     argv = [f"{kind}-sweep", "--d", "2,3", "--n-list", "4", "--samples", "2",
             "--out", str(tmp_path)]
     assert _modules_loaded_by(argv) == ["harmonic_lab.boxes", "harmonic_lab.lattice"]
+
+
+@pytest.mark.parametrize(
+    "name", ["lattice", "spectral", "dyadic", "halfspace", "boxes", "walks", "cli"]
+)
+def test_every_public_name_resolves_once(name):
+    """The benchmark tracer looks up every ``__all__`` entry with getattr,
+    so a stale or repeated entry would break every traced run."""
+    module = importlib.import_module(f"harmonic_lab.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    for attr in module.__all__:
+        assert callable(getattr(module, attr)), attr
 
 
 def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):

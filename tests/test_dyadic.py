@@ -16,13 +16,13 @@ import oracles
 
 
 def test_interval_endpoint_conventions():
-    d1 = dyadic.dyadic_interval(1)
+    d1 = oracles.dyadic_interval(1)
     assert d1.contains(1) and not d1.contains(2)
     assert d1.lo == 1.0 and d1.hi == 2.0
-    d0 = dyadic.dyadic_interval(0)
+    d0 = oracles.dyadic_interval(0)
     assert d0.contains(0) and d0.contains(0.999)
     assert not d0.contains(1) and not d0.contains(-1)
-    dm2 = dyadic.dyadic_interval(-2)
+    dm2 = oracles.dyadic_interval(-2)
     assert dm2.contains(-2) and dm2.contains(-3) and dm2.contains(-4 + 1e-9)
     assert not dm2.contains(-4) and not dm2.contains(-1.5)
 
@@ -30,9 +30,9 @@ def test_interval_endpoint_conventions():
 def test_intervals_partition_the_integers():
     for nu in range(-1024, 1025):
         level = oracles.level_of(nu)
-        assert dyadic.dyadic_interval(level).contains(nu)
-        assert not dyadic.dyadic_interval(level + 1).contains(nu)
-        assert not dyadic.dyadic_interval(level - 1).contains(nu)
+        assert oracles.dyadic_interval(level).contains(nu)
+        assert not oracles.dyadic_interval(level + 1).contains(nu)
+        assert not oracles.dyadic_interval(level - 1).contains(nu)
         assert dyadic.dyadic_index_of(nu) == level
     # a couple of large coordinates
     assert dyadic.dyadic_index_of(2**16) == 17
@@ -91,9 +91,11 @@ def test_dyadic_integers_cover_the_grid(L):
 
 
 def test_rectangle_emptiness():
-    assert dyadic.dyadic_rectangle_is_empty((4,), 4)
-    assert not dyadic.dyadic_rectangle_is_empty((2,), 4)
-    assert dyadic.dyadic_rectangle_is_empty((1, -3), 4)
+    # the table has an entry only for the levels whose interval meets I_4
+    levels = dyadic.variation_table(np.zeros((8, 8)), 4).levels
+    assert 4 not in levels
+    assert 2 in levels
+    assert -3 not in levels
 
 
 def test_dominant_axis():
@@ -140,46 +142,52 @@ def test_local_variation_worked_case():
     # a(nu) = nu on I_4; the rectangle at level 2 holds {2, 3}, so the sup
     # flag gives 3 and the sum flag gives |a(3) - a(2)| = 1
     a = spectral.index_grid(4).astype(float)
-    assert dyadic.local_variation(a, (2,), 4) == 3.0
+    table = dyadic.variation_table(a, 4)
+    # levels -2, -1, 0, 1, 2, 3
+    assert table.local.tolist() == [3.0, 1.0, 0.0, 1.0, 3.0, 4.0]
     assert oracles.brute_lvar(a, (2,), 4) == 3.0
-    assert dyadic.local_variation(a, (3,), 4) == 4.0
-    assert dyadic.local_variation(a, (1,), 4) == 1.0
-    assert dyadic.local_variation(a, (-2,), 4) == 3.0
 
 
 def test_local_variation_at_origin_is_the_value():
     a = np.array([2.5, -1.0, 0.5, 9.0], dtype=float)
-    assert dyadic.local_variation(a, (0,), 2) == 2.5
+    table = dyadic.variation_table(a, 2)
+    assert table.local[table.levels.index(0)] == 2.5
     rng = np.random.default_rng(8)
     b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert dyadic.local_variation(b, (0, 0), 4) == pytest.approx(abs(b[0, 0]))
+    table = dyadic.variation_table(b, 4)
+    i = table.levels.index(0)
+    assert table.local[i, i] == pytest.approx(abs(b[0, 0]))
 
 
 def test_local_variation_of_constant():
     a = np.full((8, 8), -3.0 + 1.0j)
-    for k in itertools.product((-2, -1, 0, 1, 2, 3), repeat=2):
-        assert dyadic.local_variation(a, k, 4) == pytest.approx(abs(a[0, 0]))
+    local = dyadic.variation_table(a, 4).local
+    assert local.shape == (6, 6)
+    np.testing.assert_allclose(local, abs(a[0, 0]))
 
 
 def test_local_variation_empty_rectangle():
-    a = np.arange(8.0)
-    assert dyadic.local_variation(a, (4,), 4) == 0.0
-    assert dyadic.local_variation(a, (-3,), 4) == 0.0
+    # I_4 = {-3, ..., 4} meets no interval above level 3 or below level -2
+    table = dyadic.variation_table(np.arange(8.0), 4)
+    assert table.levels == (-2, -1, 0, 1, 2, 3)
+    assert table.local.shape == (6,)
 
 
 def test_local_variation_is_local():
     rng = np.random.default_rng(14)
     a = rng.standard_normal(8)
-    base = dyadic.local_variation(a, (2,), 4)
+    base = dyadic.variation_table(a, 4)
+    i = base.levels.index(2)
     tampered = a.copy()
     for pos in (0, 1, 4, 5, 6, 7):  # everything outside frequencies {2, 3}
         tampered[pos] += rng.standard_normal()
-    assert dyadic.local_variation(tampered, (2,), 4) == base
+    assert dyadic.variation_table(tampered, 4).local[i] == base.local[i]
 
 
 def test_local_variation_shape_check():
-    with pytest.raises(ValueError):
-        dyadic.local_variation(np.zeros((4, 4)), (0,), 2)
+    for shape in [(4, 6), (6,)]:
+        with pytest.raises(ValueError, match="half-period"):
+            dyadic.variation_table(np.zeros(shape), 2)
 
 
 BRUTE_FORCE_CASES = [
@@ -194,11 +202,14 @@ BRUTE_FORCE_CASES = [
 def test_local_variation_matches_brute_force(d, L):
     rng = np.random.default_rng(50 + d)
     a = rng.standard_normal((2 * L,) * d) + 1j * rng.standard_normal((2 * L,) * d)
+    table = dyadic.variation_table(a, L)
     levels = [-2, -1, 0, 1, 2, 3]  # empty rectangles included at L=2
     for k in itertools.product(levels, repeat=d):
-        assert dyadic.local_variation(a, k, L) == pytest.approx(
-            oracles.brute_lvar(a, k, L), abs=1e-12
-        )
+        if set(k) <= set(table.levels):
+            got = table.local[tuple(table.levels.index(level) for level in k)]
+        else:
+            got = 0.0  # an empty rectangle has no entry
+        assert got == pytest.approx(oracles.brute_lvar(a, k, L), abs=1e-12)
 
 
 @pytest.mark.parametrize("d,L", [(1, 6), (2, 5), (3, 2), (3, 4)])
@@ -250,10 +261,9 @@ def test_variation_table_sums_over_the_sup_of_the_inner_axis():
 
 
 def test_total_variation_simple_symbols():
-    assert dyadic.total_variation(np.zeros(8), 4) == 0.0
-    assert dyadic.total_variation(np.full((8, 8), 2.0 - 1.0j), 4) == pytest.approx(
-        abs(2.0 - 1.0j)
-    )
+    assert dyadic.variation_table(np.zeros(8), 4).total == 0.0
+    table = dyadic.variation_table(np.full((8, 8), 2.0 - 1.0j), 4)
+    assert table.total == pytest.approx(abs(2.0 - 1.0j))
 
 
 @pytest.mark.parametrize("d,L", BRUTE_FORCE_CASES)
@@ -262,7 +272,7 @@ def test_total_variation_matches_brute_force(d, L):
     real = rng.standard_normal((2 * L,) * d)
     cplx = real + 1j * rng.standard_normal((2 * L,) * d)
     for a in (real, cplx):
-        assert dyadic.total_variation(a, L) == pytest.approx(
+        assert dyadic.variation_table(a, L).total == pytest.approx(
             oracles.brute_total_variation(a, L), abs=1e-12
         )
 
@@ -272,12 +282,8 @@ def test_total_variation_bounded_by_local():
     L = 4
     for d in (1, 2):
         a = rng.standard_normal((2 * L,) * d)
-        levels = [-2, -1, 0, 1, 2, 3]
-        worst = max(
-            dyadic.local_variation(a, k, L)
-            for k in itertools.product(levels, repeat=d)
-        )
-        assert dyadic.total_variation(a, L) <= 4**d * worst + 1e-12
+        table = dyadic.variation_table(a, L)
+        assert table.total <= 4**d * table.local.max() + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +292,8 @@ def test_total_variation_bounded_by_local():
 
 
 def _nonempty_indices(d, L):
-    levels = [-2, -1, 0, 1, 2, 3] if L == 4 else None
-    assert levels is not None
-    return [
-        k
-        for k in itertools.product(levels, repeat=d)
-        if not dyadic.dyadic_rectangle_is_empty(k, L)
-    ]
+    levels = [level for level in range(-8, 9) if oracles.rectangle_integers(level, L)]
+    return list(itertools.product(levels, repeat=d))
 
 
 def test_glue_identical_family_reproduces_the_symbol():
@@ -309,13 +310,14 @@ def test_glue_restriction_and_variation():
     indices = _nonempty_indices(1, L)
     family = {k: rng.standard_normal(8) + 0j for k in indices}
     glued = dyadic.glue_local_symbols(family, L)
-    for k in indices:
+    local = dyadic.variation_table(glued, L).local
+    for i, k in enumerate(indices):
         freqs = dyadic.dyadic_integers(k[0], L)
         np.testing.assert_allclose(
             glued[freqs % 8], np.asarray(family[k])[freqs % 8], atol=0
         )
-        assert dyadic.local_variation(glued, k, L) == pytest.approx(
-            dyadic.local_variation(family[k], k, L), abs=1e-12
+        assert local[i] == pytest.approx(
+            dyadic.variation_table(family[k], L).local[i], abs=1e-12
         )
 
 
@@ -356,7 +358,7 @@ def test_glue_missing_member():
 
 
 def test_derivative_bound_of_constant():
-    val = dyadic.derivative_variation_bound(
+    val = oracles.derivative_variation_bound(
         lambda xi: np.full(xi.shape[:-1], 2.0), (1,), 8
     )
     assert val == pytest.approx(2.0, rel=1e-6)
@@ -364,13 +366,13 @@ def test_derivative_bound_of_constant():
 
 def test_derivative_bound_of_reciprocal():
     # A(xi) = 1/xi on [2, 4): both flags give essentially sup 1/|xi| = 1/2
-    val = dyadic.derivative_variation_bound(lambda xi: 1.0 / xi[..., 0], (2,), 8)
+    val = oracles.derivative_variation_bound(lambda xi: 1.0 / xi[..., 0], (2,), 8)
     assert val == pytest.approx(0.5, abs=1e-3)
 
 
 def test_derivative_bound_empty_rectangle():
     with pytest.raises(ValueError):
-        dyadic.derivative_variation_bound(lambda xi: xi[..., 0], (5,), 4)
+        oracles.derivative_variation_bound(lambda xi: xi[..., 0], (5,), 4)
 
 
 @pytest.mark.parametrize("L", [4, 8, 16])
@@ -381,11 +383,7 @@ def test_symbol_variation_controlled_by_derivative_bound(L):
     grid = spectral.index_grid(L).astype(float)
     a = spectral.neumann_symbol(0, (h * grid)[:, None], 2)
     A = lambda xi: spectral.neumann_symbol(0, (np.pi / L) * np.asarray(xi), 2)
-    levels = range(-int(L - 1).bit_length(), int(L).bit_length() + 1)
-    for level in levels:
-        k = (level,)
-        if dyadic.dyadic_rectangle_is_empty(k, L):
-            continue
-        lv = dyadic.local_variation(a, k, L)
-        bound = dyadic.derivative_variation_bound(A, k, L)
+    table = dyadic.variation_table(a, L)
+    for level, lv in zip(table.levels, table.local):
+        bound = oracles.derivative_variation_bound(A, (level,), L)
         assert lv <= bound * 1.05 + 1e-12

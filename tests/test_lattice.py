@@ -1,5 +1,6 @@
 """Tests for the box geometry, edge sets, and norm conventions."""
 
+import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -48,10 +49,12 @@ def test_boundary_order_is_lexicographic():
 
 
 def test_interior_vertices():
-    assert oracles.as_tuples(lattice.interior_vertices(2, 2)) == [(1, 1)]
-    inner = oracles.as_tuples(lattice.interior_vertices(3, 4))
+    assert oracles.interior_vertices(2, 2) == [(1, 1)]
+    inner = oracles.interior_vertices(3, 4)
     assert len(inner) == 27
     assert all(all(0 < c < 4 for c in v) for v in inner)
+    shell = oracles.as_tuples(lattice.boundary_vertices(3, 4))
+    assert sorted(inner + shell) == list(itertools.product(range(5), repeat=3))
 
 
 @pytest.mark.parametrize("d,N,count", [(2, 2, 16), (2, 3, 24)])
@@ -122,7 +125,6 @@ def test_edge_set_relations(d, N):
 
 SETS = [
     "boundary_vertices",
-    "interior_vertices",
     "tangential_edges",
     "normal_edges",
     "full_edge_set",
@@ -153,7 +155,7 @@ def test_edge_sets_at_target_sizes_stay_read_only_and_small():
         tracemalloc.stop()
     # a whole-box (V, 2d, d) candidate array alone would peak near 100 MB
     assert peak < 4 * sum(e.nbytes for e in sets)
-    for a in sets + [lattice.boundary_vertices(3, 4), lattice.interior_vertices(3, 4)]:
+    for a in sets + [lattice.boundary_vertices(3, 4)]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     d, N = 2, 512
@@ -198,28 +200,22 @@ def test_cached_edge_sets_are_shared_safely_between_threads():
 
 def test_laplacian_of_constant_and_linear():
     u = np.full((5, 5), 3.5)
-    assert lattice.discrete_laplacian(u, (2, 2)) == 0.0
+    np.testing.assert_array_equal(lattice.laplacian_interior(u), 0.0)
     x, y = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
     v = 2.0 * x - 5.0 * y
-    for p in [(1, 1), (2, 3), (3, 2)]:
-        assert lattice.discrete_laplacian(v, p) == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(lattice.laplacian_interior(v), 0.0, atol=1e-12)
 
 
 def test_laplacian_of_x_squared():
     x, _ = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     u = (x**2).astype(float)
-    assert lattice.discrete_laplacian(u, (1, 1)) == 2.0
-
-
-def test_laplacian_missing_neighbour_error():
-    u = np.zeros((4, 4))
-    with pytest.raises(ValueError, match=r"\(0, 1\)|\(-1, 1\)"):
-        lattice.discrete_laplacian(u, (0, 1))
+    assert lattice.laplacian_interior(u).tolist() == [[2.0]]
 
 
 def test_laplacian_periodic_axis():
     u = np.cos(2 * np.pi * np.arange(6) / 6)[:, None] * np.ones((6, 4))
-    val = lattice.discrete_laplacian(u, (0, 2), periodic_axes=(0,))
+    # axis 0 keeps all 6 rows; column 2 sits at position 1 of the inner columns
+    val = lattice.laplacian_interior(u, periodic_axes=(0,))[0, 1]
     direct = u[1, 2] + u[5, 2] + u[0, 1] + u[0, 3] - 4 * u[0, 2]
     assert val == pytest.approx(direct, abs=1e-14)
 
@@ -227,41 +223,46 @@ def test_laplacian_periodic_axis():
 def test_laplacian_interior_matches_pointwise():
     rng = np.random.default_rng(2)
     u = rng.standard_normal((6, 5))
-    inner = lattice.laplacian_interior(u)
-    for i in range(1, 5):
-        for j in range(1, 4):
-            assert inner[i - 1, j - 1] == pytest.approx(
-                oracles.laplacian_at(u, (i, j)), abs=1e-12
+    for periodic in [(), (0,)]:
+        inner = lattice.laplacian_interior(u, periodic_axes=periodic)
+        offset = [0 if ax in periodic else 1 for ax in range(2)]
+        for pos in np.ndindex(inner.shape):
+            x = tuple(p + o for p, o in zip(pos, offset))
+            assert inner[pos] == pytest.approx(
+                oracles.laplacian_at(u, x, periodic), abs=1e-12
             )
 
 
 def test_edge_gradient_values():
     x, _ = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
     u = 3.0 * x
-    assert lattice.edge_gradient(u, ((0, 0), (1, 0))) == 3.0
-    assert lattice.edge_gradient(np.full((3, 3), 1.5), ((0, 0), (0, 1))) == 0.0
+    assert lattice.edge_gradients(u, [((0, 0), (1, 0))]).tolist() == [3.0]
+    flat = np.full((3, 3), 1.5)
+    assert lattice.edge_gradients(flat, [((0, 0), (0, 1))]).tolist() == [0.0]
 
 
 def test_edge_gradient_out_of_domain():
     with pytest.raises(ValueError, match="outside"):
-        lattice.edge_gradient(np.zeros((3, 3)), ((0, 0), (0, 3)))
+        lattice.edge_gradients(np.zeros((3, 3)), [((0, 0), (0, 3))])
 
 
 def test_edge_gradients_reject_endpoints_outside_and_bad_shapes():
     u = np.arange(9.0).reshape(3, 3)
     # a negative coordinate would otherwise wrap to the far side of u
-    for edges in ([((0, 0), (0, -1))], [((1, 1), (1, 2)), ((3, 0), (2, 0))]):
-        with pytest.raises(ValueError, match="outside the domain") as single:
-            lattice.edge_gradient(u, edges[-1])
-        with pytest.raises(ValueError, match="outside the domain") as batch:
+    for edges, bad in (
+        ([((0, 0), (0, -1))], "(0, -1)"),
+        ([((1, 1), (1, 2)), ((3, 0), (2, 0))], "(3, 0)"),
+    ):
+        with pytest.raises(ValueError) as batch:
             lattice.edge_gradients(u, edges)
-        assert str(batch.value) == str(single.value)
+        assert str(batch.value) == f"edge endpoint {bad} lies outside the domain"
     for shape in [(2, 2), (1, 2, 3), (1, 3, 2)]:
         with pytest.raises(ValueError, match="edge array"):
             lattice.edge_gradients(u, np.zeros(shape, dtype=int))
     edges = lattice.full_edge_set(2, 2)
     np.testing.assert_array_equal(
-        lattice.edge_gradients(u, edges), [lattice.edge_gradient(u, e) for e in edges]
+        lattice.edge_gradients(u, edges),
+        [u[head] - u[tail] for tail, head in oracles.full_edge_set(2, 2)],
     )
     assert lattice.edge_gradients(u, np.zeros((0, 2, 2), dtype=int)).shape == (0,)
 
@@ -276,8 +277,9 @@ def test_laplacian_is_divergence_of_outgoing_gradients():
             head = list(x)
             head[ax] += s
             outgoing.append((x, tuple(head)))
-    total = sum(lattice.edge_gradient(u, e) for e in outgoing)
-    assert lattice.discrete_laplacian(u, x) == pytest.approx(total, abs=1e-12)
+    total = lattice.edge_gradients(u, outgoing).sum()
+    inner = lattice.laplacian_interior(u)[tuple(c - 1 for c in x)]
+    assert inner == pytest.approx(total, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -290,10 +292,10 @@ def test_edge_gradient_antisymmetry_and_norm_triangle(xs, ys):
     a = np.array(xs[:n])
     b = np.array(ys[:n])
     u = np.stack([a, b])
-    for j in range(n):
-        e = ((0, j), (1, j))
-        rev = ((1, j), (0, j))
-        assert lattice.edge_gradient(u, rev) == -lattice.edge_gradient(u, e)
+    up = np.array([((0, j), (1, j)) for j in range(n)])
+    np.testing.assert_array_equal(
+        lattice.edge_gradients(u, up[:, ::-1]), -lattice.edge_gradients(u, up)
+    )
     for p in (1.0, 2.0, 3.5):
         lhs = lattice.lp_norm(a + b, p)
         rhs = lattice.lp_norm(a, p) + lattice.lp_norm(b, p)
@@ -301,7 +303,7 @@ def test_edge_gradient_antisymmetry_and_norm_triangle(xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# norms and layer means
+# norms
 # ---------------------------------------------------------------------------
 
 
@@ -326,34 +328,3 @@ def test_lp_norm_monotone():
     w[3] *= 2.0
     for p in (1, 2, np.inf):
         assert lattice.lp_norm(w, p) >= lattice.lp_norm(v, p) - 1e-12
-
-
-def test_normalized_norm_example():
-    # two points per axis at h = pi, d = 1: (pi * (1 + 1))^(1/1) = 2 pi
-    val = lattice.normalized_lp_norm([1.0, 1.0], 1, np.pi)
-    assert val == pytest.approx(2 * np.pi, rel=1e-14)
-
-
-def test_normalized_norm_homogeneity_and_rejects():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((4, 4))
-    h = np.pi / 2
-    base = lattice.normalized_lp_norm(v, 2, h)
-    assert lattice.normalized_lp_norm(3.0 * v, 2, h) == pytest.approx(3.0 * base)
-    with pytest.raises(ValueError):
-        lattice.normalized_lp_norm(v, 2, 0.77)
-    with pytest.raises(ValueError):
-        lattice.normalized_lp_norm(v, lattice.INFINITY, h)
-
-
-def test_layer_mean():
-    u = np.full((6, 4), 2.5)
-    assert lattice.layer_mean(u, 1) == 2.5
-    # coordinate values on I_2 = {-1, 0, 1, 2} in wrap order (0, 1, 2, -1)
-    coords = np.array([0.0, 1.0, 2.0, -1.0])
-    strip = np.broadcast_to(coords[:, None], (4, 3))
-    assert lattice.layer_mean(strip, 0) == pytest.approx(0.5)
-    odd = np.array([0.0, 1.0, 0.0, -1.0])[:, None] * np.ones((4, 2))
-    assert lattice.layer_mean(odd, 1) == 0.0
-    with pytest.raises(ValueError):
-        lattice.layer_mean(u, 4)
