@@ -5,7 +5,10 @@ extension (inward normal differences prescribed), the batched operators
 from either kind of boundary data to the tangential and normal boundary
 gradients, odd and even reflections of face data, the face-by-face
 decomposition of a box harmonic function into periodic strip solutions, and
-the tangential/normal gradient comparison report those constructions feed.
+the tangential/normal gradient comparison: the one definition of the two
+norms, the full-boundary norm derived from them and the ratios the sweeps
+report.  Neumann data is tested with ``lattice.check_zero_flux``, and the
+reflections are checked relative to the scale of their data.
 
 Each box problem has one exact solver, the matrix decomposition of Buzbee,
 Golub & Nielson, "On direct methods for solving Poisson's equations", SIAM
@@ -164,21 +167,6 @@ def dirichlet_extension(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_flux(g):
-    """Raise a ValueError unless every row of the normal data ``g`` (edges
-    on the last axis) sums to zero.  The rounding error of a sum of n terms
-    stays below n * eps * sum|g|, so only a total above that bound is a flux
-    and not rounding."""
-    total = g.sum(axis=-1)
-    bound = g.shape[-1] * np.finfo(float).eps * np.abs(g).sum(axis=-1)
-    bad = np.flatnonzero(np.abs(total) > bound)
-    if bad.size:
-        raise ValueError(
-            f"normal data sums to {float(total.flat[bad[0]]):.3e}; a nonzero "
-            "total flux admits no harmonic extension"
-        )
-
-
 class _BoxMaps(NamedTuple):
     """Flat indices of one box, shared by the Neumann extension and both
     gradient operators.  Positions count boundary vertices in
@@ -280,7 +268,7 @@ def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
             f"expected {len(edges)} normal edge values for d={d}, N={N}, "
             f"got shape {g.shape}"
         )
-    _check_flux(g)
+    lattice.check_zero_flux(g)
     maps = _box_maps(d, N)
     interior = _interior_solution("neumann", -g[maps.face_edge], d, N)
     out = np.empty((N + 1,) * d)
@@ -415,7 +403,7 @@ def neumann_operator(d: int, N: int):
     def apply(g):
         lead = np.shape(g)[:-1]
         g = _batch(g, len(maps.nor_tail), "normal edge values")
-        _check_flux(g)
+        lattice.check_zero_flux(g)
         faces = np.negative(g[:, maps.face_edge]).reshape(len(g), 2 * d, -1)
         coeffs = _coefficients(faces, T, lam)
         layer = _layer_values(coeffs, T).reshape(len(g), -1)[:, maps.edge_face]
@@ -427,23 +415,18 @@ def neumann_operator(d: int, N: int):
     return apply
 
 
-def _reflect_scale(data):
-    return max(1.0, float(np.abs(data).max(initial=0.0)))
+def _scale(data):
+    return float(np.abs(data).max(initial=0.0))
 
 
-def odd_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Extend face data of length N+1 to a 2N-periodic array odd about 0.
-
-    The fixed points x = 0 and x = N must carry (numerically) zero values,
-    otherwise no odd extension exists and a ValueError is raised.
-    """
-    data = np.asarray(data, dtype=float)
+def _odd(data, axis, scale):
+    """The odd ``_reflect`` of ``data``, once its values at the fixed points
+    0 and N are checked to vanish relative to ``scale``."""
     N = data.shape[axis] - 1
     if N < 1:
         raise ValueError("need at least 2 samples along the reflection axis")
-    ends = np.take(data, [0, N], axis=axis)
-    worst = float(np.abs(ends).max())
-    if worst > _REFLECT_CONSISTENCY_TOL * _reflect_scale(data):
+    worst = float(np.abs(np.take(data, [0, N], axis=axis)).max())
+    if worst > _REFLECT_CONSISTENCY_TOL * scale:
         raise ValueError(
             f"data reaches {worst:.3e} at a fixed point of the odd "
             "reflection; an odd extension forces 0 there"
@@ -451,12 +434,24 @@ def odd_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
     return _reflect(data, axis, -1.0)
 
 
+def odd_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Extend face data of length N+1 to a 2N-periodic array odd about 0.
+
+    The fixed points x = 0 and x = N must carry zero values up to rounding
+    relative to the largest value of ``data``, otherwise no odd extension
+    exists and a ValueError is raised.
+    """
+    data = np.asarray(data, dtype=float)
+    return _odd(data, axis, _scale(data))
+
+
 def even_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
     """Extend face data of length N+1 to a 2(N-1)-periodic array, even
     about the half-integer mirror between 0 and 1.
 
     Consistency requires data[1] = data[0] and data[N-1] = data[N] (the
-    tangential differences across both mirrors vanish).
+    tangential differences across both mirrors vanish) up to rounding
+    relative to the largest value of ``data``.
     """
     data = np.asarray(data, dtype=float)
     N = data.shape[axis] - 1
@@ -468,7 +463,7 @@ def even_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
         float(np.abs(np.diff(first, axis=axis)).max()),
         float(np.abs(np.diff(last, axis=axis)).max()),
     )
-    if worst > _REFLECT_CONSISTENCY_TOL * _reflect_scale(data):
+    if worst > _REFLECT_CONSISTENCY_TOL * _scale(data):
         raise ValueError(
             f"tangential difference {worst:.3e} across an even mirror; "
             "an even extension needs equal values there"
@@ -496,29 +491,25 @@ def face_decomposition_dirichlet(u: np.ndarray, p):
     Strip i reproduces the current remainder's faces x_i in {0, N}; axes
     already handled are extended oddly (so the strip vanishes where earlier
     strips matched the data), later axes evenly about the integer mirrors.
+    The remainder can be rounding noise everywhere, so its odd reflections
+    and the reconstruction are checked against the scale of ``u``.
     Returns (strips, certificate); the certificate holds the reconstruction
     residual and each strip's gradient norm over the full boundary edge
-    set in the l^p norm.
+    set in the l^p norm, from ``gradient_comparison``.
     """
     from .halfspace import dirichlet_strip_solve
 
     u = np.asarray(u, dtype=float)
     d, N = _box_dims(u)
+    scale = _scale(u)
     r = u.copy()
     strips = []
     for i in range(d):
-        lo = np.take(r, 0, axis=i)
-        hi = np.take(r, N, axis=i)
+        lo, hi = np.take(r, 0, axis=i), np.take(r, N, axis=i)
         for j in range(d):
-            if j == i:
-                continue
-            ax = j if j < i else j - 1
-            if j < i:
-                lo = odd_reflect(lo, axis=ax)
-                hi = odd_reflect(hi, axis=ax)
-            else:
-                lo = _reflect(lo, ax, 1.0)
-                hi = _reflect(hi, ax, 1.0)
+            if j != i:
+                ax = j if j < i else j - 1
+                lo, hi = [_odd(x, ax, scale) if j < i else _reflect(x, ax, 1.0) for x in (lo, hi)]
         strip = dirichlet_strip_solve(lo, hi, N)
         window = tuple([slice(0, N + 1)] * (d - 1) + [slice(None)])
         w = np.moveaxis(strip[window], -1, i)
@@ -526,36 +517,41 @@ def face_decomposition_dirichlet(u: np.ndarray, p):
         r -= w
 
     residual = float(np.abs(r).max())
-    scale = max(1.0, float(np.abs(u).max()))
     if residual > 1e-8 * scale:
         raise RuntimeError(
             f"face decomposition residual {residual:.3e} exceeds tolerance"
         )
-    edges = lattice.full_edge_set(d, N)
+    tan, nor = lattice.tangential_edges(d, N), lattice.normal_edges(d, N)
     certificate = {
         "reconstruction_residual": residual,
         "gradient_norms": [
-            lattice.lp_norm(lattice.edge_gradients(w, edges), p) for w in strips
+            gradient_comparison(
+                lattice.edge_gradients(w, tan), lattice.edge_gradients(w, nor), p
+            )["full_norm"]
+            for w in strips
         ],
     }
     return strips, certificate
 
 
-def gradient_comparison(u: np.ndarray, p) -> dict:
-    """Gradient norms of ``u`` over the tangential, normal, and full
-    boundary edge sets, plus the two comparison ratios.
+def gradient_comparison(tan: np.ndarray, nor: np.ndarray, p) -> dict:
+    """l^p norms of one sample's gradients along the tangential edges
+    (``tan``) and the normal edges (``nor``) and over the full boundary
+    edge set, plus the two comparison ratios: nor/tan, the one the
+    Dirichlet sweep reports, and tan/nor, the Neumann one.
 
-    Ratios with a zero denominator are reported as None.
+    ``tan`` and ``nor`` are one row of an operator's output or the
+    ``lattice.edge_gradients`` of a box function.  The full set, the edges
+    with an endpoint on a face, is the tangential edges, the normal edges
+    and their reversals, so its norm is the l^p norm of
+    (tan_norm, nor_norm, nor_norm).  Ratios with a zero denominator are
+    reported as None.
     """
-    u = np.asarray(u, dtype=float)
-    d, N = _box_dims(u)
-    tan = lattice.lp_norm(lattice.edge_gradients(u, lattice.tangential_edges(d, N)), p)
-    nor = lattice.lp_norm(lattice.edge_gradients(u, lattice.normal_edges(d, N)), p)
-    full = lattice.lp_norm(lattice.edge_gradients(u, lattice.full_edge_set(d, N)), p)
+    tan_norm, nor_norm = lattice.lp_norm(tan, p), lattice.lp_norm(nor, p)
     return {
-        "tan_norm": tan,
-        "nor_norm": nor,
-        "full_norm": full,
-        "ratio_nor_tan": nor / tan if tan > 0 else None,
-        "ratio_tan_nor": tan / nor if nor > 0 else None,
+        "tan_norm": tan_norm,
+        "nor_norm": nor_norm,
+        "full_norm": lattice.lp_norm([tan_norm, nor_norm, nor_norm], p),
+        "ratio_nor_tan": nor_norm / tan_norm if tan_norm > 0 else None,
+        "ratio_tan_nor": tan_norm / nor_norm if nor_norm > 0 else None,
     }

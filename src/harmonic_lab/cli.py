@@ -186,15 +186,17 @@ def _operator(kind, d, N):
 
 def _chunk_rows(kind, spec, d, N, samples):
     """Rows of the cells (d, N, sample) for ``samples``, solved as one batch;
-    each row's runtime_ms is its share of the chunk's time."""
-    from . import lattice
+    each row's runtime_ms is its share of the chunk's time.  Norms and ratio
+    are ``boxes.gradient_comparison``'s, nor/tan or tan/nor by ``kind``."""
+    from . import boxes
 
+    ratio = "ratio_nor_tan" if kind == "dirichlet" else "ratio_tan_nor"
     try:
         started = time.perf_counter()
         seeds, batch = _chunk_inputs(kind, spec, d, N, samples)
         # each sample's gradients, reused for every exponent
-        norms = [
-            [(p, lattice.lp_norm(tan, p), lattice.lp_norm(nor, p)) for p in spec.p_list]
+        reports = [
+            [(p, boxes.gradient_comparison(tan, nor, p)) for p in spec.p_list]
             for tan, nor in zip(*_operator(kind, d, N)(batch))
         ]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -210,26 +212,12 @@ def _chunk_rows(kind, spec, d, N, samples):
             f"cells d={d} N={N} samples={samples[0]}..{samples[-1]} failed: {exc}"
         ) from exc
     per_row_ms = round(elapsed_ms / (len(samples) * len(spec.p_list)), 3)
-    rows = []
-    for sample, cell_seed, cell in zip(samples, seeds, norms):
-        for p, tan, nor in cell:
-            # the same ratios as boxes.gradient_comparison: nor/tan for
-            # Dirichlet data, tan/nor for Neumann data
-            num, den = (nor, tan) if kind == "dirichlet" else (tan, nor)
-            rows.append(
-                {
-                    "d": d,
-                    "N": N,
-                    "p": p,
-                    "sample": sample,
-                    "seed": cell_seed,
-                    "tan_norm": tan,
-                    "nor_norm": nor,
-                    "ratio": num / den if den > 0 else None,
-                    "runtime_ms": per_row_ms,
-                }
-            )
-    return rows
+    return [
+        dict(d=d, N=N, p=p, sample=sample, seed=cell_seed, tan_norm=report["tan_norm"],
+             nor_norm=report["nor_norm"], ratio=report[ratio], runtime_ms=per_row_ms)
+        for sample, cell_seed, cell in zip(samples, seeds, reports)
+        for p, report in cell
+    ]
 
 
 def _summarize(rows):

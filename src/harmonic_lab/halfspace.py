@@ -6,7 +6,9 @@ Layers are arrays of shape (2L,)*(d-1) in the wrap-around layout of
 final axis of length N+1.  Per Fourier mode k the harmonic layer recursion
 reads u(k, y+1) + u(k, y-1) = 2 lambda(hk) u(k, y), whose decaying root is
 the reciprocal of the propagation factor Q(lambda(hk)); moving up one layer
-multiplies mode k by Q(lambda(hk))^(-1).
+multiplies mode k by Q(lambda(hk))^(-1).  The Neumann strip solvers test
+their data with ``lattice.check_zero_flux``, imported when they run, so the
+kernel report loads no box geometry.
 """
 
 from __future__ import annotations
@@ -94,11 +96,8 @@ def halfspace_strip(bottom: np.ndarray, N: int) -> np.ndarray:
     """Layers 0..N of the upward harmonic extension, height on the last axis."""
     bottom = np.asarray(bottom)
     d, L = _layer_dims(bottom)
-    q = _mode_factors(d, L)[1]
-    powers = q[..., None] ** (-np.arange(N + 1, dtype=float))
-    coef = forward_dft(bottom)[..., None] * powers
-    out = inverse_dft(coef, axes=range(d - 1))
-    return out.real if np.isrealobj(bottom) else out
+    F = forward_dft(bottom)
+    return _mode_sum(F, np.zeros_like(F), _mode_factors(d, L)[1], N, np.isrealobj(bottom))
 
 
 def _mode_sum(A, B, q, N, real, slope=0.0):
@@ -142,28 +141,24 @@ def dirichlet_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.nda
     return _mode_sum(A, B, q, N, real, slope=bN[zero] - b0[zero])
 
 
-def _check_zero_mean(layer, name):
-    m = float(np.mean(layer))
-    if abs(m) > 1e-12:
-        raise ValueError(f"{name} layer mean {m:.3e} exceeds 1e-12")
-
-
 def neumann_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.ndarray:
     """Harmonic strip function with prescribed normal differences.
 
     ``bottom`` is the forward difference w(., 1) - w(., 0) and ``top`` the
-    backward difference w(., N) - w(., N-1).  Both data layers must have
-    zero mean; the result is gauged to zero mean on layer 0.  Heights below
-    2 leave the per-mode system rank deficient and are rejected.
+    backward difference w(., N) - w(., N-1).  Each data layer must sum to
+    zero; the result is gauged to zero mean on layer 0.  Heights below 2
+    leave the per-mode system rank deficient and are rejected.
     """
+    from .lattice import check_zero_flux
+
     bottom = np.asarray(bottom)
     top = np.asarray(top)
     if bottom.shape != top.shape:
         raise ValueError("bottom and top data differ in shape")
     if N < 2:
         raise ValueError(f"strip height must be at least 2, got {N}")
-    _check_zero_mean(bottom, "bottom")
-    _check_zero_mean(top, "top")
+    check_zero_flux(bottom.ravel(), "bottom layer")
+    check_zero_flux(top.ravel(), "top layer")
     d, L = _layer_dims(bottom)
     q = _mode_factors(d, L)[1]
     gb = forward_dft(bottom)
@@ -294,12 +289,14 @@ def telescope_neumann(
     half-space solves.
 
     ``bottom`` and ``top`` carry the forward difference at layer 0 and the
-    backward difference at layer N.  Their means must agree up to 1e-10
-    relative to the data scale (no strip function matches differences with
-    unequal layer means); the common mean is carried by a linear-in-height
-    profile and the mean zero parts seed two telescopes.  Gauged to zero
-    mean on layer 0.  Returns the strip and the two seed-norm traces.
+    backward difference at layer N.  Their means must agree, so the net
+    flux ``bottom`` minus ``top`` sums to zero; the common mean is carried
+    by a linear-in-height profile and the mean zero parts seed two
+    telescopes.  Gauged to zero mean on layer 0.  Returns the strip and the
+    two seed-norm traces.
     """
+    from .lattice import check_zero_flux
+
     bottom = np.asarray(bottom, dtype=float)
     top = np.asarray(top, dtype=float)
     if bottom.shape != top.shape:
@@ -309,14 +306,10 @@ def telescope_neumann(
     d, L = _layer_dims(bottom)
     _check_aspect(L, N, aspect_bounds)
 
+    flux = np.concatenate([bottom.ravel(), -top.ravel()])
+    check_zero_flux(flux, "unequal layer means: bottom minus top")
     mb = float(np.mean(bottom))
     mt = float(np.mean(top))
-    scale = max(1.0, float(np.abs(bottom).max()), float(np.abs(top).max()))
-    if abs(mb - mt) > 1e-10 * scale:
-        raise ValueError(
-            f"data means {mb:.3e} and {mt:.3e} differ; no strip function "
-            "matches normal differences with unequal layer means"
-        )
     ys = np.arange(N + 1, dtype=float)
     w = np.broadcast_to(mb * ys, bottom.shape + (N + 1,)).copy()
 

@@ -1,5 +1,6 @@
 """Box geometry: the boundary vertices, the edge sets, the vectorized
-Laplacian, edge gradients, and the l^p norm.
+Laplacian, edge gradients, the l^p norm, and the zero-flux check of
+Neumann data.
 
 Box functions live on the integer box {0,...,N}^d and are stored as dense
 arrays of shape (N+1,)*d, indexed directly by coordinates.  A vertex is a
@@ -11,7 +12,10 @@ The boundary vertex set is a read-only intp array of shape (M, d) and edge
 sets are read-only intp arrays of shape (E, 2, d), with ``edges[:, 0]`` the
 tails and ``edges[:, 1]`` the heads, in lexicographic (tail, head) order.
 Edge sets are built by index arithmetic from the tails on the boundary
-shell, with no candidate edges for the rest of the box.
+shell, with no candidate edges for the rest of the box.  The two sets are
+the tangential and the normal edges; every edge with an endpoint on the
+shell is a tangential edge, a normal edge or the reversal of one, so norms
+over that full set follow from these two (``boxes.gradient_comparison``).
 
 The Laplacian also wraps periodic axes, for strip functions, which keep the
 height as the last axis.
@@ -28,10 +32,10 @@ __all__ = [
     "boundary_vertices",
     "tangential_edges",
     "normal_edges",
-    "full_edge_set",
     "laplacian_interior",
     "edge_gradients",
     "lp_norm",
+    "check_zero_flux",
 ]
 
 #: accepted spellings of the maximum norm
@@ -45,10 +49,10 @@ def _check_box(d, N):
         raise ValueError(f"box side length must be at least 2, got {N}")
 
 
-def _shell(d, N, width):
-    # boolean (N+1,)*d mask of the vertices within `width` steps of a face
+def _shell(d, N):
+    # boolean (N+1,)*d mask of the vertices on a face
     axis = np.arange(N + 1)
-    near = np.minimum(axis, N - axis) <= width
+    near = (axis == 0) | (axis == N)
     mask = np.zeros((N + 1,) * d, dtype=bool)
     for i in range(d):
         mask |= near.reshape((-1,) + (1,) * (d - 1 - i))
@@ -60,26 +64,20 @@ def _read_only(a):
     return a
 
 
-# a sweep asks for the same two or three sets of one box in every cell; the
-# arrays are read-only, so the cells can share them
+# a sweep asks for the same two sets of one box in every cell; the arrays
+# are read-only, so the cells can share them
 @lru_cache(maxsize=4)
 def _edges(d, N, kind):
     _check_box(d, N)
     # tails in lexicographic order; for a fixed tail the sorted heads are
     # tail - e_0, ..., tail - e_{d-1}, tail + e_{d-1}, ..., tail + e_0, so the
     # row-major nonzero of the (tail, direction) keep-mask is already sorted
-    tails = np.argwhere(_shell(d, N, 1 if kind == "full" else 0))
+    tails = np.argwhere(_shell(d, N))
     eye = np.eye(d, dtype=np.intp)
     heads = tails[:, None, :] + np.concatenate([-eye, eye[::-1]])
     inside = ((heads >= 0) & (heads <= N)).all(axis=2)
     head_on_face = ((heads == 0) | (heads == N)).any(axis=2)
-    if kind == "tangential":
-        keep = inside & head_on_face
-    elif kind == "normal":
-        keep = inside & ~head_on_face
-    else:  # both endpoints in the box, at least one on a face
-        tail_on_face = ((tails == 0) | (tails == N)).any(axis=1)
-        keep = inside & (head_on_face | tail_on_face[:, None])
+    keep = inside & (head_on_face if kind == "tangential" else ~head_on_face)
     rows, steps = np.nonzero(keep)
     return _read_only(np.stack([tails[rows], heads[rows, steps]], axis=1))
 
@@ -88,7 +86,7 @@ def boundary_vertices(d: int, N: int) -> np.ndarray:
     """All vertices of {0..N}^d with some coordinate on a face, as a
     read-only (M, d) intp array in lexicographic order."""
     _check_box(d, N)
-    return _read_only(np.argwhere(_shell(d, N, 0)))
+    return _read_only(np.argwhere(_shell(d, N)))
 
 
 def tangential_edges(d: int, N: int) -> np.ndarray:
@@ -109,16 +107,6 @@ def normal_edges(d: int, N: int) -> np.ndarray:
     ``tangential_edges`` lists each boundary edge in both orientations.
     """
     return _edges(d, N, "normal")
-
-
-def full_edge_set(d: int, N: int) -> np.ndarray:
-    """Oriented edges whose midpoint lies outside the closed inner box.
-
-    These are the edges with at least one endpoint on the boundary shell:
-    the tangential edges, the normal edges, and the reversals of the normal
-    edges.
-    """
-    return _edges(d, N, "full")
 
 
 def _resolve_periodic(periodic_axes, ndim):
@@ -191,3 +179,21 @@ def lp_norm(values, p) -> float:
     if p < 1:
         raise ValueError(f"norm exponent must be at least 1, got {p}")
     return float((v**p).sum() ** (1.0 / p))
+
+
+def check_zero_flux(g, what="normal data"):
+    """Raise a ValueError unless every row of ``g`` (values on the last
+    axis) sums to zero: Neumann data with a net flux has no harmonic
+    extension.  The rounding error of a sum of n terms stays below
+    n * eps * sum|g|, so only a total above that bound is a flux and not
+    rounding, whatever the scale of ``g``."""
+    g = np.asarray(g)
+    n = g.shape[-1]
+    total = g.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(total) > n * np.finfo(float).eps * np.abs(g).sum(axis=-1))
+    if bad.size:
+        net = total.flat[bad[0]]
+        raise ValueError(
+            f"{what} sums to {net:.3e} (mean {net / n:.3e}); a nonzero total "
+            "flux admits no harmonic extension"
+        )

@@ -19,6 +19,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from harmonic_lab import boxes, cli, dyadic, halfspace, lattice, spectral, walks
@@ -197,6 +198,32 @@ def test_telescopes_contract_and_match_the_spectral_solvers():
         assert np.abs(un - ref_n).max() < 1e-7
         _trace_decays(trace_n["bottom"])
         _trace_decays(trace_n["top"])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_every_neumann_solver_tests_the_net_flux_at_any_scale(scale):
+    """The box solvers and the strip solvers share one zero-flux test: it
+    accepts mean-zero normal data at every scale, and rejects it at every
+    scale once one entry carries a net flux of 1e-3 times that scale."""
+    rng = np.random.default_rng(0)
+    d, N = 2, 16
+    g = rng.standard_normal(len(lattice.normal_edges(d, N)))
+    layers = rng.standard_normal((2, 64))  # bottom and top, L = 32
+    g = scale * (g - g.mean())
+    layers = scale * (layers - layers.mean(axis=1, keepdims=True))
+    solvers = [
+        lambda: boxes.neumann_extension(g, d, N),
+        lambda: boxes.neumann_operator(d, N)(g),
+        lambda: halfspace.neumann_strip_solve(layers[0], layers[1], N),
+        lambda: halfspace.telescope_neumann(layers[0], layers[1], N),
+    ]
+    for solve in solvers:
+        solve()
+    g[0] += 1e-3 * scale
+    layers[0, 0] += 1e-3 * scale
+    for solve in solvers:
+        with pytest.raises(ValueError, match="flux"):
+            solve()
 
 
 def test_reflection_identities_and_face_reconstruction():

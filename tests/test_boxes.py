@@ -418,9 +418,12 @@ def test_odd_reflect_identity():
 def test_odd_reflect_rejects_nonzero_fixed_points():
     with pytest.raises(ValueError, match="fixed point"):
         boxes.odd_reflect(np.array([0.5, 1.0, 0.0]))
-    # the check scales with the data
+    # the check scales with the data, small data included
     big = np.array([1e-4, 1e8, 0.0])
     boxes.odd_reflect(big)  # 1e-4 is far below 1e-8 * 1e8
+    with pytest.raises(ValueError, match="fixed point"):
+        boxes.odd_reflect(np.full(9, 1e-9))
+    boxes.odd_reflect(1e-9 * np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
 
 
 def test_even_reflect_frozen_example():
@@ -445,6 +448,10 @@ def test_even_reflect_constant_and_rejections():
         boxes.even_reflect(np.array([0.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="mirror"):
         boxes.even_reflect(np.array([1.0, 1.0, 1.0, 0.0]))
+    # a jump of the data's own size, however small that is
+    with pytest.raises(ValueError, match="mirror"):
+        boxes.even_reflect(np.array([0.0, 1e-9, 1e-9, 1e-9]))
+    boxes.even_reflect(np.full(5, 1e-9))
 
 
 def test_reflections_along_higher_axes():
@@ -514,9 +521,18 @@ def test_face_decomposition_3d_smoke():
 # ---------------------------------------------------------------------------
 
 
+def _comparison(u, p):
+    d, N = u.ndim, u.shape[0] - 1
+    return boxes.gradient_comparison(
+        lattice.edge_gradients(u, lattice.tangential_edges(d, N)),
+        lattice.edge_gradients(u, lattice.normal_edges(d, N)),
+        p,
+    )
+
+
 def test_gradient_comparison_keys_and_ratios():
     x, y = np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")
-    rep = boxes.gradient_comparison(2.0 * x + y, 2)
+    rep = _comparison(2.0 * x + y, 2)
     assert set(rep) == {
         "tan_norm",
         "nor_norm",
@@ -531,7 +547,7 @@ def test_gradient_comparison_keys_and_ratios():
 
 
 def test_gradient_comparison_of_a_constant():
-    rep = boxes.gradient_comparison(np.full((4, 4), 1.0), 2)
+    rep = _comparison(np.full((4, 4), 1.0), 2)
     assert rep["tan_norm"] == 0.0
     assert rep["nor_norm"] == 0.0
     assert rep["ratio_nor_tan"] is None
@@ -540,9 +556,21 @@ def test_gradient_comparison_of_a_constant():
 
 def test_gradient_comparison_max_norm():
     x, _ = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-    rep = boxes.gradient_comparison(x, lattice.INFINITY)
+    rep = _comparison(x, lattice.INFINITY)
     assert rep["tan_norm"] == pytest.approx(1.0)
     assert rep["full_norm"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d,N", [(d, N) for d in (2, 3, 4) for N in (2, 3, 5, 8)])
+def test_full_norm_is_the_norm_over_the_full_edge_set(d, N):
+    """The full boundary edge set is the tangential edges and the normal
+    edges both ways, so its norm follows from the two norms; compared with
+    the norm over the oracle's enumeration of the set."""
+    u = np.random.default_rng(10 * d + N).standard_normal((N + 1,) * d)
+    full = lattice.edge_gradients(u, np.array(oracles.full_edge_set(d, N)))
+    for p in (1.5, 2, 3, lattice.INFINITY):
+        want = lattice.lp_norm(full, p)
+        assert _comparison(u, p)["full_norm"] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------

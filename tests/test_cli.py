@@ -580,6 +580,16 @@ def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
     assert _modules_loaded_by(argv) == ["harmonic_lab.dyadic", "harmonic_lab.spectral"]
 
 
+def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
+    """A kernel report runs the walks and the half-space kernel: the strip
+    solvers' zero-flux check stays unloaded with the box modules."""
+    argv = ["kernel-report", "--d", "2", "--z-list", "1,3", "--L", "8",
+            "--samples", "200", "--out", str(tmp_path)]
+    assert _modules_loaded_by(argv) == [
+        "harmonic_lab.halfspace", "harmonic_lab.spectral", "harmonic_lab.walks"
+    ]
+
+
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
     """A sweep runs on the gradient operators: it loads neither the strip

@@ -106,17 +106,19 @@ def test_normal_edge_tails_are_face_interiors(d, N):
 
 @pytest.mark.parametrize("d,N,count", [(2, 2, 24), (2, 3, 40)])
 def test_full_edge_set_counts(d, N, count):
-    assert len(lattice.full_edge_set(d, N)) == count
+    assert len(oracles.full_edge_set(d, N)) == count
+    assert len(lattice.tangential_edges(d, N)) + 2 * len(lattice.normal_edges(d, N)) == count
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 4)])
 def test_edge_set_relations(d, N):
     tan = set(oracles.as_tuples(lattice.tangential_edges(d, N)))
     nor = set(oracles.as_tuples(lattice.normal_edges(d, N)))
-    full = set(oracles.as_tuples(lattice.full_edge_set(d, N)))
+    full = set(oracles.full_edge_set(d, N))
     assert tan.isdisjoint(nor)
-    assert tan <= full
-    assert nor <= full
+    # the full set, on which boxes.gradient_comparison derives its norm, is
+    # exactly the tangential edges and the normal edges in both orientations
+    assert full == tan | nor | {(head, tail) for tail, head in nor}
     # membership criterion: the edge midpoint leaves the open inner box
     for tail, head in full:
         mid = [(a + b) / 2 for a, b in zip(tail, head)]
@@ -127,7 +129,6 @@ SETS = [
     "boundary_vertices",
     "tangential_edges",
     "normal_edges",
-    "full_edge_set",
 ]
 
 
@@ -145,7 +146,7 @@ def test_edge_and_vertex_arrays_match_the_enumeration_oracle(d, N):
 
 
 def test_edge_sets_at_target_sizes_stay_read_only_and_small():
-    builders = (lattice.tangential_edges, lattice.normal_edges, lattice.full_edge_set)
+    builders = (lattice.tangential_edges, lattice.normal_edges)
     lattice._edges.cache_clear()
     tracemalloc.start()
     try:
@@ -161,16 +162,13 @@ def test_edge_sets_at_target_sizes_stay_read_only_and_small():
     d, N = 2, 512
     assert len(lattice.boundary_vertices(d, N)) == (N + 1) ** d - (N - 1) ** d
     assert len(lattice.normal_edges(d, N)) == 2 * d * (N - 1) ** (d - 1)
-    assert lattice.full_edge_set(d, N).shape == (
-        len(lattice.tangential_edges(d, N)) + 2 * len(lattice.normal_edges(d, N)), 2, d
-    )
 
 
 def test_cached_edge_sets_are_shared_safely_between_threads():
     # more workers than cores and more distinct sets than cache entries, so
     # the bounded cache is filled and evicted concurrently
     boxes = [(2, 5), (2, 9), (3, 4), (3, 6)]
-    builders = (lattice.tangential_edges, lattice.normal_edges, lattice.full_edge_set)
+    builders = (lattice.tangential_edges, lattice.normal_edges)
     jobs = [(build, d, N) for d, N in boxes for build in builders]
     expected = {(b, d, N): np.array(b(d, N)) for b, d, N in jobs}
 
@@ -259,7 +257,7 @@ def test_edge_gradients_reject_endpoints_outside_and_bad_shapes():
     for shape in [(2, 2), (1, 2, 3), (1, 3, 2)]:
         with pytest.raises(ValueError, match="edge array"):
             lattice.edge_gradients(u, np.zeros(shape, dtype=int))
-    edges = lattice.full_edge_set(2, 2)
+    edges = np.array(oracles.full_edge_set(2, 2))
     np.testing.assert_array_equal(
         lattice.edge_gradients(u, edges),
         [u[head] - u[tail] for tail, head in oracles.full_edge_set(2, 2)],
