@@ -105,7 +105,7 @@ class SweepSpec:
             raise ValueError("every dimension must be at least 2")
         if not self.n_list or min(self.n_list) < 2:
             raise ValueError("every box side must be at least 2")
-        if not self.p_list or min(self.p_list) <= 1.0:
+        if not self.p_list or not all(p > 1 for p in self.p_list):
             raise ValueError("every exponent must exceed 1")
         if self.samples < 1:
             raise ValueError("need at least one sample per cell")
@@ -118,24 +118,20 @@ def _cell_seed(seed, *parts):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _full_grids(d, N):
-    axes = [np.arange(N + 1)] * d
-    return np.meshgrid(*axes, indexing="ij")
-
-
-def _dirichlet_data(generator, rng, d, N):
-    shape = (N + 1,) * d
+def _dirichlet_data(generator, rng, vertices, N):
+    """Dirichlet values at ``vertices``, boundary vertices of {0..N}^d as an
+    (M, d) array, in their order.  iid-gaussian keeps them from a draw of the
+    whole (N+1,)*d box, which defines its stream; the others evaluate there."""
+    d = vertices.shape[1]
     if generator == "iid-gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal((N + 1,) * d)[tuple(vertices.T)]
+    x = vertices.T
     if generator == "single-mode":
         k = rng.integers(1, N, size=d)
         logger.debug("single-mode wave vector %s for d=%d N=%d", k, d, N)
         h = math.pi / N
-        grids = _full_grids(d, N)
-        phase = sum(h * int(k[i]) * grids[i] for i in range(d))
-        return np.cos(phase)
-    parity = sum(_full_grids(d, N)) % 2
-    return np.where(parity == 0, 1.0, -1.0)
+        return np.cos(sum(h * int(k[i]) * x[i] for i in range(d)))
+    return np.where(sum(x) % 2 == 0, 1.0, -1.0)
 
 
 def _neumann_data(generator, rng, d, N):
@@ -159,22 +155,18 @@ def _neumann_data(generator, rng, d, N):
 
 
 def _chunk_inputs(kind, spec, d, N, samples):
-    """Cell seeds and the operator input for ``samples`` of cell (d, N): the
-    Dirichlet values on ``lattice.boundary_vertices(d, N)`` or the Neumann
-    normal data, one row per sample."""
+    """Cell seeds and the operator input for ``samples`` of cell (d, N), one
+    generator row per sample: Dirichlet values on the chunk's one array of
+    ``lattice.boundary_vertices(d, N)``, or Neumann normal data."""
     from . import lattice
 
     if kind == "dirichlet":
-        boundary = tuple(lattice.boundary_vertices(d, N).T)
-    seeds, rows = [], []
-    for sample in samples:
-        seeds.append(_cell_seed(spec.seed, d, N, sample))
-        rng = np.random.default_rng(seeds[-1])
-        if kind == "dirichlet":
-            rows.append(_dirichlet_data(spec.generator, rng, d, N)[boundary])
-        else:
-            rows.append(_neumann_data(spec.generator, rng, d, N))
-    return seeds, np.stack(rows)
+        vertices = lattice.boundary_vertices(d, N)
+        generate = lambda rng: _dirichlet_data(spec.generator, rng, vertices, N)
+    else:
+        generate = lambda rng: _neumann_data(spec.generator, rng, d, N)
+    seeds = [_cell_seed(spec.seed, d, N, sample) for sample in samples]
+    return seeds, np.stack([generate(np.random.default_rng(s)) for s in seeds])
 
 
 def _operator(kind, d, N):
@@ -514,12 +506,12 @@ def _operator_gap(kind, spec, d, N):
 def run_selftest(out_dir=".", threads=1, fmt="csv"):
     """Small deterministic pipeline check.
 
-    Runs both sweeps twice (single-threaded and with the requested thread
-    count), requires identical rows, checks the gradient operators against
-    the full-field extensions on the sweep's own cells, checks the variation
-    bound and the cross-L stability of the symbol metrics, and writes the
-    sweep rows with the runtime column zeroed so the file is
-    byte-reproducible.
+    Runs both sweeps twice, serially and on a pool of ``max(2, threads)``
+    workers (so the default of 1 checks a pool too), requires identical
+    rows, checks the gradient operators against the full-field extensions
+    on the sweep's own cells, checks the variation bound and the cross-L
+    stability of the symbol metrics, and writes the sweep rows with the
+    runtime column zeroed so the file is byte-reproducible.
     """
     failures = []
     spec = SweepSpec(
@@ -529,17 +521,15 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
         samples=3,
         seed=SELFTEST_SEED,
     )
-    emitted = []
+    emitted, pooled = [], max(2, threads)
     for kind in ("dirichlet", "neumann"):
         rows_single, summary = _run_sweep(kind, spec, 1)
-        rows_pooled, _ = _run_sweep(kind, spec, threads)
+        rows_pooled, _ = _run_sweep(kind, spec, pooled)
         for rows in (rows_single, rows_pooled):
             for row in rows:
                 row["runtime_ms"] = 0.0
         if rows_single != rows_pooled:
-            failures.append(
-                f"{kind} sweep rows differ between 1 and {threads} threads"
-            )
+            failures.append(f"{kind} sweep rows differ between 1 and {pooled} threads")
         for key, block in summary.items():
             growth = block["growth"]
             if growth is None or not math.isfinite(growth) or growth <= 0:

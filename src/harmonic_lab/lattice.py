@@ -38,8 +38,8 @@ __all__ = [
     "check_zero_flux",
 ]
 
-#: accepted spellings of the maximum norm
-INFINITY = "inf"
+#: exponent of the maximum norm
+INFINITY = math.inf
 
 
 def _check_box(d, N):
@@ -160,24 +160,17 @@ def edge_gradients(u: np.ndarray, edges) -> np.ndarray:
     return u[tuple(edges[:, 1].T)] - u[tuple(edges[:, 0].T)]
 
 
-def _is_max_norm(p) -> bool:
-    if isinstance(p, str):
-        if p == INFINITY:
-            return True
-        raise ValueError(f"unknown norm exponent {p!r}")
-    return math.isinf(p)
-
-
 def lp_norm(values, p) -> float:
-    """Unnormalized l^p norm: (sum |f|^p)^(1/p), plain max for p = "inf"."""
+    """Unnormalized l^p norm: (sum |f|^p)^(1/p), plain max for p = inf.
+    ``p`` is anything ``float`` reads ("inf" included) and at least 1."""
+    p = float(p)
+    if not p >= 1:
+        raise ValueError(f"norm exponent must be at least 1, got {p}")
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0.0
-    if _is_max_norm(p):
+    if math.isinf(p):
         return float(v.max())
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"norm exponent must be at least 1, got {p}")
     return float((v**p).sum() ** (1.0 / p))
 
 

@@ -514,6 +514,22 @@ def full_edge_set(d, N):
     ]
 
 
+def full_box_dirichlet_data(generator, rng, d, N):
+    """The sweep's Dirichlet data as a whole (N+1,)*d field, built from full
+    coordinate grids: an iid Gaussian draw of the box, one cosine mode
+    cos(sum_i h k_i x_i) with h = pi/N and k drawn in [1, N), or the parity
+    sign (+1 where the coordinate sum is even)."""
+    shape = (N + 1,) * d
+    if generator == "iid-gaussian":
+        return rng.standard_normal(shape)
+    grids = np.meshgrid(*[np.arange(N + 1)] * d, indexing="ij")
+    if generator == "single-mode":
+        k = rng.integers(1, N, size=d)
+        h = math.pi / N
+        return np.cos(sum(h * int(k[i]) * grids[i] for i in range(d)))
+    return np.where(sum(grids) % 2 == 0, 1.0, -1.0)
+
+
 def as_tuples(a):
     'A vertex array as a list of tuples, an edge array as a list of (tail, head) pairs.'
     rows = np.asarray(a).tolist()

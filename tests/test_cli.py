@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,23 +62,40 @@ def test_cell_seed_is_stable_and_spread():
 
 
 def test_dirichlet_data_generators():
-    rng = np.random.default_rng(0)
-    g = cli._dirichlet_data("iid-gaussian", rng, 2, 4)
-    assert g.shape == (5, 5)
+    vertices = lattice.boundary_vertices(2, 4)
+    g = cli._dirichlet_data("iid-gaussian", np.random.default_rng(0), vertices, 4)
+    assert g.shape == (len(vertices),) == (16,)
 
-    rng = np.random.default_rng(1)
-    mode = cli._dirichlet_data("single-mode", rng, 2, 4)
+    mode = cli._dirichlet_data("single-mode", np.random.default_rng(1), vertices, 4)
     check = np.random.default_rng(1)
     k = check.integers(1, 4, size=2)
     h = math.pi / 4
-    x, y = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+    x, y = vertices.T
     np.testing.assert_allclose(
         mode, np.cos(h * int(k[0]) * x + h * int(k[1]) * y), atol=1e-12
     )
 
-    board = cli._dirichlet_data("checkerboard", np.random.default_rng(2), 2, 3)
+    vertices = lattice.boundary_vertices(2, 3)
+    board = cli._dirichlet_data("checkerboard", np.random.default_rng(2), vertices, 3)
     assert set(np.unique(board)) == {-1.0, 1.0}
-    assert board[0, 0] == 1.0 and board[0, 1] == -1.0 and board[1, 1] == 1.0
+    at = dict(zip(map(tuple, vertices.tolist()), board))
+    assert at[(0, 0)] == 1.0 and at[(0, 1)] == -1.0 and at[(3, 3)] == 1.0
+
+
+@pytest.mark.parametrize("generator", cli.GENERATORS)
+def test_dirichlet_data_is_the_full_box_field_on_the_boundary(generator):
+    """Each generator's boundary row equals, byte for byte, the whole-box
+    field of the reference at the boundary vertices; for iid-gaussian this
+    pins the stream of the cell seed as well."""
+    for (d, N), seed in itertools.product([(2, 4), (3, 5), (4, 3)], (11, 12)):
+        got = cli._dirichlet_data(
+            generator, np.random.default_rng(seed), lattice.boundary_vertices(d, N), N
+        )
+        field = oracles.full_box_dirichlet_data(
+            generator, np.random.default_rng(seed), d, N
+        )
+        want = field[tuple(np.array(oracles.boundary_vertices(d, N)).T)]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_neumann_data_is_mean_free():
@@ -453,6 +471,11 @@ def test_main_error_paths(tmp_path, capsys):
                  ["symbol-report", "--l-list", "0"]]:
         assert cli.main([*argv, "--out", str(tmp_path)]) == 1
         assert "half-period must be positive" in capsys.readouterr().err
+    # a NaN exponent compares False with 1, and is refused before any cell runs
+    argv = ["dirichlet-sweep", "--d", "2", "--n-list", "4,8", "--p-list", "nan",
+            "--samples", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "every exponent must exceed 1" in capsys.readouterr().err
 
 
 def _run_console(args, tmp_path):
@@ -643,6 +666,25 @@ def test_selftest_reports_an_operator_that_disagrees_with_the_extension(
     assert "selftest FAIL: neumann operator and extension gradients differ" in err
     assert "at d=2 N=8" in err
     assert "dirichlet operator" not in err
+
+
+def test_selftest_compares_a_pool_at_its_default_thread_count(
+    tmp_path, capsys, monkeypatch
+):
+    chunk_rows = cli._chunk_rows
+
+    def skewed_off_main(kind, spec, d, N, samples):
+        rows = chunk_rows(kind, spec, d, N, samples)
+        if threading.current_thread() is not threading.main_thread():
+            for row in rows:
+                row["tan_norm"] *= 1.0 + 1e-9
+        return rows
+
+    monkeypatch.setattr(cli, "_chunk_rows", skewed_off_main)
+    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    for kind in ("dirichlet", "neumann"):
+        assert f"selftest FAIL: {kind} sweep rows differ between 1 and 2 threads" in err
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):

@@ -317,6 +317,10 @@ def test_lp_norm_rejects_small_p():
         lattice.lp_norm([1.0], 0.5)
     with pytest.raises(ValueError):
         lattice.lp_norm([1.0], "sup")
+    # NaN compares False with 1, and -inf is no maximum norm
+    for p in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="at least 1"):
+            lattice.lp_norm([1.0, -2.0], p)
 
 
 def test_lp_norm_monotone():
