@@ -4,7 +4,7 @@ The package bundles the pieces needed to experiment with gradient estimates
 for discrete harmonic functions: lattice geometry and norms, a discrete
 Fourier layer with the propagation symbols, dyadic variation machinery for
 multiplier bounds, spectral and iterative solvers on periodic strips,
-extension operators on boxes, and random-walk estimators for the discrete
+box gradient operators, and random-walk estimators for the discrete
 Poisson kernel.  The ``cli`` module drives reproducible experiment sweeps.
 
 Submodules load on first access, so importing the package loads none of

@@ -1,14 +1,14 @@
-"""Harmonic extension operators on the box {0,...,N}^d.
+"""Harmonic functions on the box {0,...,N}^d, read on its boundary.
 
-Builds the Dirichlet extension (boundary values prescribed), the Neumann
-extension (inward normal differences prescribed), the batched operators
-from either kind of boundary data to the tangential and normal boundary
-gradients, odd and even reflections of face data, the face-by-face
-decomposition of a box harmonic function into periodic strip solutions, and
-the tangential/normal gradient comparison: the one definition of the two
-norms, the full-boundary norm derived from them and the ratios the sweeps
-report.  Neumann data is tested with ``lattice.check_zero_flux``, and the
-reflections are checked relative to the scale of their data.
+Builds the face map K, the batched operators from either kind of boundary
+data (values prescribed, or inward normal differences) to the tangential
+and normal boundary gradients, odd and even reflections of face data, the
+face-by-face decomposition of a box harmonic function into periodic strip
+solutions, and the tangential/normal gradient comparison: the one
+definition of the two norms, the full-boundary norm derived from them and
+the ratios the sweeps report.  Neumann data is tested with
+``lattice.check_zero_flux``, and the reflections are checked relative to
+the scale of their data.
 
 Each box problem has one exact solver, the matrix decomposition of Buzbee,
 Golub & Nielson, "On direct methods for solving Poisson's equations", SIAM
@@ -18,11 +18,18 @@ and is diagonalized by the type-I sine matrix (the odd reflection of
 ``odd_reflect``); the interior Neumann operator diag(deg) - A is a sum of
 free path Laplacians and is diagonalized by the type-II cosine matrix,
 whose zero mode carries the mean-zero gauge.  The right-hand side lives on
-the outer layer of the interior, so the coefficients of the solution come
-from the face data transformed along the faces alone (``_coefficients``).
-The gradient operators read the solution only on the layer next to each
-face, a contraction along the normal axis; the extensions read it
-everywhere, one inverse matrix product along every axis.
+the outer layer of the interior and the gradients read the solution only
+on the layer next to each face, so the one map either operator needs is
+K = P^T L^-1 P from face data to that layer (``face_map``), with P the
+injection of the faces into the outer layer and L the interior operator
+(inverted on the mean-zero modes for Neumann).  K is symmetric.  It
+transforms the face data along the faces and divides by the eigenvalue
+sums (``_coefficients``), then contracts along each face's normal axis
+(``_layer_values``).  The operators wrap it: a gather of the boundary data
+into the face layout, K, then sparse differences and, for Neumann, the
+ridge and corner fill.  ``operator_certificate`` measures both on exact
+lattice-harmonic functions, and ``cli.run_selftest`` gates it; the
+full-field solve is a test reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,10 +43,10 @@ import numpy as np
 from . import lattice
 
 __all__ = [
-    "dirichlet_extension",
-    "neumann_extension",
+    "face_map",
     "dirichlet_operator",
     "neumann_operator",
+    "operator_certificate",
     "odd_reflect",
     "even_reflect",
     "face_decomposition_dirichlet",
@@ -49,7 +56,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _REFLECT_CONSISTENCY_TOL = 1e-8
-_BLOCK = 1 << 16  # entries per row-kernel call; bounds every transform temporary
+_BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep chunk
 
 
 def __getattr__(name):
@@ -73,27 +80,6 @@ def _box_dims(u: np.ndarray):
     if N < 2:
         raise ValueError(f"box side length must be at least 2, got {N}")
     return d, N
-
-
-def _along_every_axis(a, rows, spare):
-    """Apply the row kernel ``rows`` along every axis of the cube ``a``,
-    overwriting ``a`` and ``spare``, an array of the same shape.
-
-    Each pass feeds the last axis to the kernel in blocks of about
-    ``_BLOCK`` entries and writes the result with that axis rotated to the
-    front, so after d passes the axes are back in order.  The passes
-    alternate between ``a`` and the spare array, so a transform holds two
-    arrays and one block of kernel temporaries.
-    """
-    n = a.shape[-1]
-    step = max(1, _BLOCK // n)
-    for _ in range(a.ndim):
-        src = a.reshape(-1, n)
-        dst = spare.reshape(n, -1).T  # row r of dst is spare[:, r]: the rotated layout
-        for i in range(0, len(src), step):
-            dst[i : i + step] = rows(src[i : i + step])
-        a, spare = spare, a
-    return a
 
 
 def _divide_by_eigenvalue_sums(coeffs, lam, d):
@@ -144,34 +130,11 @@ def _path_matrix(kind, n):
     return T
 
 
-def dirichlet_extension(f: np.ndarray) -> np.ndarray:
-    """Solve the interior Laplace equation with boundary values from ``f``.
-
-    ``f`` is a full (N+1,)^d array; only its boundary entries are read and
-    they are copied into the result bit for bit.  After boundary
-    elimination the interior system (2d*I - A) u = rhs on (N-1)^d vertices
-    has the face values as its right-hand side and is diagonalized by the
-    orthonormal type-I sine matrix along every axis, whose modes
-    k in {1..N-1}^d have eigenvalues sum_i (2 - 2 cos(pi k_i / N)).  The
-    coefficients are those of ``dirichlet_operator``; one inverse sine
-    matrix product along every axis gives the interior.  The solution is
-    unique, so no gauge is needed.
-    """
-    f = np.asarray(f, dtype=float)
-    d, N = _box_dims(f)
-    maps = _box_maps(d, N)
-    faces = f.reshape(-1)[maps.flat][maps.nor_tail[maps.face_edge]]
-    interior = _interior_solution("dirichlet", faces, d, N)
-    out = f.copy()
-    out[(slice(1, N),) * d] = interior
-    return out
-
-
 class _BoxMaps(NamedTuple):
-    """Flat indices of one box, shared by the Neumann extension and both
-    gradient operators.  Positions count boundary vertices in
-    ``lattice.boundary_vertices`` order; the face layout orders the face
-    vertices by (axis, side 0 or N, remaining coordinates in C order)."""
+    """Flat indices of one box, shared by both gradient operators.
+    Positions count boundary vertices in ``lattice.boundary_vertices``
+    order; the face layout orders the face vertices by (axis, side 0 or N,
+    remaining coordinates in C order)."""
 
     flat: np.ndarray  # boundary vertex -> flat index into the (N+1)^d array
     tan_tail: np.ndarray  # tangential edge -> position of its tail
@@ -243,40 +206,6 @@ def _neumann_boundary(layer, g, maps):
     return out
 
 
-def neumann_extension(g: np.ndarray, d: int, N: int) -> np.ndarray:
-    """Harmonic function whose inward normal differences match ``g``.
-
-    ``g[j]`` belongs to the edge ``lattice.normal_edges(d, N)[j]``, and the
-    values must sum to zero (no solution exists otherwise).  The
-    interior system is the grid-graph Laplacian diag(deg) - A on (N-1)^d
-    vertices with right-hand side -g at the head of each normal edge,
-    diagonalized by the orthonormal type-II cosine matrix along every axis,
-    whose modes k in {0..N-2}^d have eigenvalues
-    sum_i (2 - 2 cos(pi k_i / (N-1))).  The coefficients are those of
-    ``neumann_operator``; one inverse cosine matrix product along every
-    axis gives the interior.
-    The constant mode k = 0 is the kernel; setting it to zero is the gauge,
-    so the interior has mean zero.  Face vertices are filled through their
-    unique inward edge; ridge and corner vertices carry no constraint and
-    are set, in increasing boundary codimension, to the mean of their
-    already filled neighbours.
-    """
-    edges = lattice.normal_edges(d, N)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (len(edges),):
-        raise ValueError(
-            f"expected {len(edges)} normal edge values for d={d}, N={N}, "
-            f"got shape {g.shape}"
-        )
-    lattice.check_zero_flux(g)
-    maps = _box_maps(d, N)
-    interior = _interior_solution("neumann", -g[maps.face_edge], d, N)
-    out = np.empty((N + 1,) * d)
-    out[(slice(1, N),) * d] = interior
-    out.reshape(-1)[maps.flat] = _neumann_boundary(out[tuple(edges[:, 1].T)], g, maps)
-    return out
-
-
 def _along_face_axes(x, mat, m):
     """Apply ``mat`` (y = mat @ v) along each of the m face axes of ``x``,
     shaped (B, F, n**m): B samples of F faces, each an m-dimensional cube
@@ -337,21 +266,41 @@ def _layer_values(coeffs, T):
     return _along_face_axes(layers.reshape(B, 2 * d, -1), T.T, d - 1)
 
 
-def _interior_solution(kind, faces, d, N):
-    """Interior solution, shaped (N-1,)^d, of the ``kind`` system whose
-    right-hand side is ``faces`` in the face layout: the coefficients of
-    ``_coefficients`` and the inverse transform u_j = sum_k T[k, j] c_k,
-    one dense matrix product along every axis."""
-    T, lam = _path_matrix(kind, N - 1), _path_eigenvalues(kind, N - 1)
-    coeffs = _coefficients(faces.reshape(1, 2 * d, -1), T, lam)[0]
-    return _along_every_axis(coeffs, lambda x: x @ T, np.empty(coeffs.shape))
-
-
 def _batch(x, size, what):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != size:
         raise ValueError(f"expected {size} {what} on the last axis, got shape {x.shape}")
     return x.reshape(-1, size)
+
+
+def face_map(kind: str, d: int, N: int):
+    """Batched face map K of the ``kind`` box problem, "dirichlet" or
+    "neumann".
+
+    Returns a function of ``x``, shaped (..., 2d (N-1)^(d-1)): data on the
+    face vertices, one sample per leading index, in the face layout, which
+    orders them by (axis, side 0 or N, remaining coordinates in C order).
+    It returns, in the same layout and shape, the values on the layer next
+    to each face of the interior solution whose right-hand side is ``x`` on
+    the outer layer of the interior: K = P^T L^-1 P, with P the injection
+    of the faces into that layer and L the interior operator 2d*I - A or,
+    inverted on the mean-zero modes, diag(deg) - A.  K is symmetric.  It
+    is ``_coefficients`` and then ``_layer_values``, O(d n^d) work per
+    sample with n = N-1 and no FFT, so a prime n costs no more than its
+    neighbours.
+    """
+    if kind not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown box problem {kind!r}")
+    lattice._check_box(d, N)
+    T, lam = _path_matrix(kind, N - 1), _path_eigenvalues(kind, N - 1)
+
+    def apply(x):
+        lead = np.shape(x)[:-1]
+        x = _batch(x, 2 * d * (N - 1) ** (d - 1), "face values")
+        coeffs = _coefficients(x.reshape(len(x), 2 * d, -1), T, lam)
+        return _layer_values(coeffs, T).reshape(lead + (-1,))
+
+    return apply
 
 
 def dirichlet_operator(d: int, N: int):
@@ -361,21 +310,18 @@ def dirichlet_operator(d: int, N: int):
     vertices of ``lattice.boundary_vertices(d, N)``, in that order, one
     sample per leading index.  It returns ``(tan, nor)``, the gradients of
     each sample's harmonic extension along ``lattice.tangential_edges(d, N)``
-    and ``lattice.normal_edges(d, N)``, shaped (..., E_T) and (..., E_N).
-    These are the gradients of ``dirichlet_extension`` without its interior:
-    the layer next to each face comes from dense orthonormal sine matrices
-    (``_layer_values``), O(d n^d) work per sample with n = N-1 and no FFT.
+    and ``lattice.normal_edges(d, N)``, shaped (..., E_T) and (..., E_N):
+    ``tan`` differences the data, and ``nor`` is K applied to the face
+    values (``face_map``) minus the face values.
     """
     maps = _box_maps(d, N)
-    T, lam = _path_matrix("dirichlet", N - 1), _path_eigenvalues("dirichlet", N - 1)
+    K = face_map("dirichlet", d, N)
     face_vertices = maps.nor_tail[maps.face_edge]
 
     def apply(f):
         lead = np.shape(f)[:-1]
         f = _batch(f, len(maps.flat), "boundary values")
-        faces = f[:, face_vertices].reshape(len(f), 2 * d, -1)
-        coeffs = _coefficients(faces, T, lam)
-        layer = _layer_values(coeffs, T).reshape(len(f), -1)[:, maps.edge_face]
+        layer = K(f[:, face_vertices])[:, maps.edge_face]
         tan = f[:, maps.tan_head] - f[:, maps.tan_tail]
         nor = layer - f[:, maps.nor_tail]
         return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
@@ -390,29 +336,56 @@ def neumann_operator(d: int, N: int):
     ``lattice.normal_edges(d, N)``, each sample summing to zero, one sample
     per leading index.  It returns ``(tan, nor)``, the gradients of each
     sample's mean-zero harmonic extension along
-    ``lattice.tangential_edges(d, N)`` and ``lattice.normal_edges(d, N)``,
-    with the ridge and corner values of ``neumann_extension``.  The layer
-    next to each face comes from dense orthonormal cosine matrices
-    (``_layer_values``), O(d n^d) work per sample with n = N-1 and no FFT,
-    so prime n costs no more than its neighbours.  A sample with a net flux
+    ``lattice.tangential_edges(d, N)`` and ``lattice.normal_edges(d, N)``.
+    The layer next to the faces is K applied to -g (``face_map``); the face
+    values follow through each inward edge, and the ridge and corner
+    values, which no equation constrains, are the neighbour means of
+    ``_neumann_boundary``.  A sample with a net flux or a non-finite entry
     raises a ValueError.
     """
     maps = _box_maps(d, N)
-    T, lam = _path_matrix("neumann", N - 1), _path_eigenvalues("neumann", N - 1)
+    K = face_map("neumann", d, N)
 
     def apply(g):
         lead = np.shape(g)[:-1]
         g = _batch(g, len(maps.nor_tail), "normal edge values")
         lattice.check_zero_flux(g)
-        faces = np.negative(g[:, maps.face_edge]).reshape(len(g), 2 * d, -1)
-        coeffs = _coefficients(faces, T, lam)
-        layer = _layer_values(coeffs, T).reshape(len(g), -1)[:, maps.edge_face]
+        layer = K(np.negative(g[:, maps.face_edge]))[:, maps.edge_face]
         boundary = _neumann_boundary(layer, g, maps)
         tan = boundary[:, maps.tan_head] - boundary[:, maps.tan_tail]
         nor = layer - boundary[:, maps.nor_tail]
         return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
 
     return apply
+
+
+def operator_certificate(kind: str, d: int, N: int) -> float:
+    """Largest difference between the ``kind`` operator's gradients of an
+    exact lattice-harmonic u and u's own, relative to u's largest gradient,
+    over u(x) = cosh(mu (x_a - N/2)) prod_{i != a} cos(theta x_i) for every
+    axis a, with theta = pi/N and cosh mu = d - (d-1) cos theta.  The
+    Dirichlet operator reads u's boundary values and the Neumann one its
+    normal differences.  Neumann ridge and corner values are a convention,
+    so there only tangential edges with no endpoint on a ridge count."""
+    theta = np.pi / N
+    mu = np.arccosh(d - (d - 1) * np.cos(theta))
+    tan, nor = lattice.tangential_edges(d, N), lattice.normal_edges(d, N)
+    a = np.arange(d)[:, None, None]  # one sample per axis
+
+    def u(x):
+        modes = np.where(np.arange(d) == a, np.cosh(mu * (x - N / 2)), np.cos(theta * x))
+        return modes.prod(axis=-1)
+
+    want_tan, want_nor = u(tan[:, 1]) - u(tan[:, 0]), u(nor[:, 1]) - u(nor[:, 0])
+    if kind == "dirichlet":
+        got_tan, got_nor = dirichlet_operator(d, N)(u(lattice.boundary_vertices(d, N)))
+        keep = slice(None)
+    else:
+        got_tan, got_nor = neumann_operator(d, N)(want_nor)
+        keep = (((tan == 0) | (tan == N)).sum(axis=-1) == 1).all(axis=1)
+    want = np.concatenate([want_tan[:, keep], want_nor], axis=1)
+    got = np.concatenate([got_tan[:, keep], got_nor], axis=1)
+    return float(np.abs(got - want).max() / np.abs(want).max())
 
 
 def _scale(data):

@@ -68,7 +68,7 @@ GENERATORS = ("iid-gaussian", "single-mode", "checkerboard")
 SELFTEST_SEED = 20240801
 
 #: largest gap, relative to the largest gradient, the selftest allows between
-#: the gradient operators and the full-field extensions
+#: a gradient operator's output and the gradients of an exact harmonic function
 OPERATOR_RTOL = 1e-12
 
 #: library functions this module once imported by name, resolved on first
@@ -482,37 +482,19 @@ def _cmd_symbol(args):
     return 0
 
 
-def _operator_gap(kind, spec, d, N):
-    """Largest difference between the gradients of the ``kind`` operator and
-    those of the full-field extension on the sweep data of every sample of
-    (d, N), relative to the largest extension gradient.  The two share the
-    coefficient step, so this checks the layer contraction, the gathers and
-    the Neumann fill against the full inverse transform."""
-    from . import boxes, lattice
-
-    _, batch = _chunk_inputs(kind, spec, d, N, range(spec.samples))
-    if kind == "dirichlet":
-        fields = np.zeros((len(batch),) + (N + 1,) * d)
-        fields[(slice(None),) + tuple(lattice.boundary_vertices(d, N).T)] = batch
-        fields = [boxes.dirichlet_extension(f) for f in fields]
-    else:
-        fields = [boxes.neumann_extension(g, d, N) for g in batch]
-    edges = np.concatenate([lattice.tangential_edges(d, N), lattice.normal_edges(d, N)])
-    want = np.stack([lattice.edge_gradients(u, edges) for u in fields])
-    got = np.concatenate(_operator(kind, d, N)(batch), axis=1)
-    return float(np.abs(got - want).max() / np.abs(want).max())
-
-
 def run_selftest(out_dir=".", threads=1, fmt="csv"):
     """Small deterministic pipeline check.
 
     Runs both sweeps twice, serially and on a pool of ``max(2, threads)``
     workers (so the default of 1 checks a pool too), requires identical
-    rows, checks the gradient operators against the full-field extensions
-    on the sweep's own cells, checks the variation bound and the cross-L
-    stability of the symbol metrics, and writes the sweep rows with the
-    runtime column zeroed so the file is byte-reproducible.
+    rows, certifies the gradient operators on exact lattice-harmonic
+    functions (``boxes.operator_certificate``) at the sweep's own sizes,
+    checks the variation bound and the cross-L stability of the symbol
+    metrics, and writes the sweep rows with the runtime column zeroed so
+    the file is byte-reproducible.
     """
+    from . import boxes
+
     failures = []
     spec = SweepSpec(
         d_list=(2,),
@@ -536,10 +518,10 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
                 failures.append(f"{kind} growth diagnostic degenerate for {key}")
         for d in spec.d_list:
             for N in spec.n_list:
-                gap = _operator_gap(kind, spec, d, N)
+                gap = boxes.operator_certificate(kind, d, N)
                 if not gap <= OPERATOR_RTOL:
                     failures.append(
-                        f"{kind} operator and extension gradients differ by "
+                        f"{kind} operator misses exact harmonic gradients by "
                         f"{gap:.3e} (relative) at d={d} N={N}"
                     )
         emitted.extend(rows_pooled)

@@ -176,11 +176,14 @@ def lp_norm(values, p) -> float:
 
 def check_zero_flux(g, what="normal data"):
     """Raise a ValueError unless every row of ``g`` (values on the last
-    axis) sums to zero: Neumann data with a net flux has no harmonic
-    extension.  The rounding error of a sum of n terms stays below
+    axis) is finite and sums to zero: Neumann data with a net flux has no
+    harmonic extension.  The rounding error of a sum of n terms stays below
     n * eps * sum|g|, so only a total above that bound is a flux and not
-    rounding, whatever the scale of ``g``."""
+    rounding, whatever the scale of ``g``.  A NaN or infinite entry fails
+    every comparison with that bound, so it is rejected first."""
     g = np.asarray(g)
+    if not np.isfinite(g).all():
+        raise ValueError(f"{what} has a non-finite entry (NaN or inf)")
     n = g.shape[-1]
     total = g.sum(axis=-1)
     bad = np.flatnonzero(np.abs(total) > n * np.finfo(float).eps * np.abs(g).sum(axis=-1))

