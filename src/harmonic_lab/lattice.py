@@ -162,16 +162,24 @@ def edge_gradients(u: np.ndarray, edges) -> np.ndarray:
 
 def lp_norm(values, p) -> float:
     """Unnormalized l^p norm: (sum |f|^p)^(1/p), plain max for p = inf.
-    ``p`` is anything ``float`` reads ("inf" included) and at least 1."""
+    ``p`` is anything ``float`` reads ("inf" included) and at least 1.
+    Where sum |f|^p overflows or falls below the normal doubles while
+    max |f| is finite and nonzero, the norm is max |f| times the l^p norm
+    of f / max |f|, whose sum lies in [1, len(f)]."""
     p = float(p)
     if not p >= 1:
         raise ValueError(f"norm exponent must be at least 1, got {p}")
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0.0
+    top = v.max()
     if math.isinf(p):
-        return float(v.max())
-    return float((v**p).sum() ** (1.0 / p))
+        return float(top)
+    with np.errstate(over="ignore"):
+        total = (v**p).sum()
+    if not np.finfo(float).tiny <= total < math.inf and 0 < top < math.inf:
+        return float(top * ((v / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def check_zero_flux(g, what="normal data"):

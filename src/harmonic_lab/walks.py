@@ -112,21 +112,18 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Windowed empirical exit distribution.
+    """Windowed exit tallies of n walks, exact in integers.
 
-    probabilities maps each in-window offset that occurred to
-    (relative frequency, binomial standard error); counts keeps the raw
-    tallies so mass accounting stays exact in integers: the counts, the
-    out-of-window count and the unresolved count total n_samples.
+    counts is a dense (2 window + 1,)*(d-1) integer array: the entry at
+    index i counts the resolved walks that exit at offset i - window, so
+    ``counts.ravel()`` runs through the window in lexicographic offset
+    order.  out_count walks exit outside the window and unresolved_count
+    walks pass the step cap; the three tallies total n.
     """
 
-    probabilities: dict
-    counts: dict
-    out_of_window: float
+    counts: np.ndarray
     out_count: int
-    unresolved: float
     unresolved_count: int
-    n_samples: int
 
 
 def _cdf_chunks(z: int, cap: int, chunk: int = CDF_CHUNK):
@@ -271,40 +268,20 @@ def _simulate_exits(cfg: WalkConfig, n_samples: int):
 
 
 def poisson_kernel_mc(cfg: WalkConfig, n_samples: int, window: int) -> KernelEstimate:
-    """Empirical exit distribution restricted to |offset|_inf <= window.
-
-    Mass landing outside the window and walks left unresolved by the step
-    cap are accounted separately, so recorded counts plus the
-    out-of-window and unresolved counts always total n_samples.
-    """
+    """Exit tallies of walks 0..n_samples-1 on the window |offset|_inf <=
+    window: one bincount of the in-window offsets' raveled indices fills
+    the dense count array, and the walks that exit outside the window and
+    those the step cap left unresolved are counted apart."""
     if window < 0:
         raise ValueError("window radius must be nonnegative")
     offsets, unresolved = _simulate_exits(cfg, n_samples)
     inside = (np.abs(offsets).max(axis=1) <= window) & ~unresolved
-    # one integer key per offset, in the lexicographic order of the offsets;
-    # a bincount over all (2 window + 1)^(d-1) keys would not stay bounded
     shape = (2 * window + 1,) * offsets.shape[1]
     keys = np.ravel_multi_index(tuple((offsets[inside] + window).T), shape)
-    kept, tallies = np.unique(keys, return_counts=True)
-    rows = np.stack(np.unravel_index(kept, shape), axis=1) - window
-    counts = {}
-    probabilities = {}
-    for row, c in zip(rows, tallies):
-        key = tuple(int(v) for v in row)
-        counts[key] = int(c)
-        p = c / n_samples
-        probabilities[key] = (p, math.sqrt(p * (1.0 - p) / n_samples))
+    counts = np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
     unresolved_count = int(unresolved.sum())
-    out_count = int(n_samples - inside.sum()) - unresolved_count
-    return KernelEstimate(
-        probabilities=probabilities,
-        counts=counts,
-        out_of_window=out_count / n_samples,
-        out_count=out_count,
-        unresolved=unresolved_count / n_samples,
-        unresolved_count=unresolved_count,
-        n_samples=n_samples,
-    )
+    return KernelEstimate(counts, n_samples - int(inside.sum()) - unresolved_count,
+                          unresolved_count)
 
 
 def mc_exit_array(cfg: WalkConfig, n_samples: int, L: int) -> np.ndarray:

@@ -160,6 +160,21 @@ def test_dirichlet_sweep_rows_and_summary():
     assert block["growth"] == pytest.approx(expected_growth)
 
 
+def test_a_large_exponent_gives_finite_norms_between_its_neighbours(tmp_path, capsys):
+    argv = ["dirichlet-sweep", "--d", "2", "--n-list", "8", "--samples", "2",
+            "--p-list", "2,700,1000,inf", "--format", "json", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    path, *printed = capsys.readouterr().out.splitlines()
+    assert "d=2,p=1000.0: growth=1.0" in printed
+    rows = {(r["p"], r["sample"]): r for r in json.load(open(path))["rows"]}
+    for sample in (0, 1):
+        row = rows[1000.0, sample]
+        for norm in ("tan_norm", "nor_norm"):
+            assert math.isfinite(row[norm])
+            assert rows[math.inf, sample][norm] <= row[norm] <= rows[700.0, sample][norm]
+        assert row["ratio"] == pytest.approx(row["nor_norm"] / row["tan_norm"])
+
+
 def test_neumann_sweep_ratio_direction():
     rows, summary = cli.run_neumann_sweep(
         _small_spec(n_list=(4,), p_list=(2.0,), samples=2)
@@ -289,6 +304,32 @@ def test_kernel_report_schema():
     total_mc = sum(e["mc_p"] for e in block["offsets"])
     mass = total_mc + block["out_of_window"] + block["unresolved"]
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_report_d3_block_matches_independent_tallies():
+    d, L, n = 3, 8, 3000
+    payload = cli.run_kernel_report(d, (1, 4), L, n)
+    offsets = list(itertools.product(range(-7, 8), repeat=2))
+    for z, block in zip((1, 4), payload["blocks"]):
+        assert block["z"] == z and block["window"] == 7
+        cfg = walks.WalkConfig(d=d, z=z, seed=cli._cell_seed(0, d, z))
+        exits, unresolved = walks._simulate_exits(cfg, n)
+        tally = collections.Counter(
+            tuple(row) for row in exits[~unresolved].tolist() if max(map(abs, row)) <= 7
+        )
+        kernel = halfspace.periodized_poisson_kernel(z, d, L)
+        assert [e["offset"] for e in block["offsets"]] == [list(o) for o in offsets]
+        for off, entry in zip(offsets, block["offsets"]):
+            p = tally[off] / n
+            assert entry["mc_p"] == p
+            assert entry["mc_se"] == math.sqrt(p * (1.0 - p) / n)
+            assert entry["spectral_p"] == kernel[off[0] % (2 * L), off[1] % (2 * L)]
+            want = float(walks.continuum_kernel(np.array(off, dtype=float), z, d))
+            assert entry["continuum"] == pytest.approx(want, rel=1e-15, abs=0)
+        assert block["unresolved"] == int(unresolved.sum()) / n
+        out = n - sum(tally.values()) - int(unresolved.sum())
+        assert block["out_of_window"] == out / n
+    assert out > 0  # z=4 spreads past the window
 
 
 def test_kernel_report_window_shrinks_with_small_L():
@@ -667,6 +708,25 @@ def test_selftest_reports_an_operator_that_fails_the_certificate(
     assert f"selftest FAIL: {kind} operator misses exact harmonic gradients" in err
     assert "at d=2 N=8" in err
     assert f"{other} operator" not in err
+
+
+def test_selftest_certifies_the_operators_at_d_3_and_4(tmp_path, capsys, monkeypatch):
+    for kind in ("dirichlet", "neumann"):
+        build = getattr(boxes, f"{kind}_operator")
+
+        def skewed(d, N, build=build):
+            apply = build(d, N)
+            if d < 3:
+                return apply
+            return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
+
+        monkeypatch.setattr(boxes, f"{kind}_operator", skewed)
+    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    fails = capsys.readouterr().err.splitlines()
+    for kind in ("dirichlet", "neumann"):
+        named = [line for line in fails if line.startswith(f"selftest FAIL: {kind} operator")]
+        assert [line.rsplit(" at ", 1)[1] for line in named] == ["d=3 N=4", "d=4 N=4"]
+    assert len(fails) == 4
 
 
 def test_selftest_compares_a_pool_at_its_default_thread_count(

@@ -1,6 +1,7 @@
 """Tests for the box geometry, edge sets, and norm conventions."""
 
 import itertools
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -310,6 +311,17 @@ def test_lp_norm_basics():
     assert lattice.lp_norm([3.0, 4.0], 2) == pytest.approx(5.0)
     assert lattice.lp_norm([1.0, 1.0, 1.0, 1.0], lattice.INFINITY) == 1.0
     assert lattice.lp_norm([1.0, -2.0], np.inf) == 2.0
+
+
+def test_lp_norm_outside_the_double_range_of_its_power_sum():
+    # sum |f|^p overflows to inf, underflows to 0, or lands among the subnormals
+    assert lattice.lp_norm([1e200, 1e200], 2) == pytest.approx(math.sqrt(2) * 1e200)
+    assert lattice.lp_norm([1e-200, 1e-200], 2) == pytest.approx(math.sqrt(2) * 1e-200)
+    assert lattice.lp_norm([1e-160, -1e-160], 2) == pytest.approx(math.sqrt(2) * 1e-160)
+    assert lattice.lp_norm([2.0, -3.0], 1000) == pytest.approx(3.0)
+    assert lattice.lp_norm([2.0, -3.0], 1000) >= 3.0
+    assert math.isinf(lattice.lp_norm([np.inf, 1.0], 2))
+    assert math.isnan(lattice.lp_norm([np.nan, 1.0], 2))
 
 
 def test_lp_norm_rejects_small_p():

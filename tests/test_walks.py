@@ -7,6 +7,7 @@ standard errors or better).
 
 import collections
 import dataclasses
+import itertools
 import logging
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from harmonic_lab import halfspace, walks
+from harmonic_lab import cli, halfspace, walks
 
 import oracles
 
@@ -262,10 +263,9 @@ def test_capped_walks_are_reported_as_unresolved(caplog):
 
     est = walks.poisson_kernel_mc(cfg, n, 6)
     assert est.unresolved_count == count
-    assert est.unresolved == count / n
-    assert sum(est.counts.values()) + est.out_count + est.unresolved_count == n
+    assert est.counts.sum() + est.out_count + est.unresolved_count == n
     arr = walks.mc_exit_array(cfg, n, 8)
-    assert arr.sum() + est.unresolved == pytest.approx(1.0, abs=1e-12)
+    assert arr.sum() + est.unresolved_count / n == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exit_offsets_are_symmetric():
@@ -326,15 +326,15 @@ def test_kernel_estimate_mass_accounting_is_exact():
     n = 1500
     window = 6
     est = walks.poisson_kernel_mc(cfg, n, window)
-    assert est.n_samples == n
-    assert sum(est.counts.values()) + est.out_count + est.unresolved_count == n
-    assert est.out_of_window == est.out_count / n
-    assert est.unresolved == est.unresolved_count / n
-    for key, c in est.counts.items():
-        assert len(key) == 1 and abs(key[0]) <= window
-        p, se = est.probabilities[key]
-        assert p == c / n
-        assert se == pytest.approx(math.sqrt(p * (1 - p) / n), rel=1e-12)
+    assert sorted(f.name for f in dataclasses.fields(est)) == [
+        "counts", "out_count", "unresolved_count"]
+    assert est.counts.shape == (2 * window + 1,)
+    assert est.counts.dtype.kind == "i" and (est.counts >= 0).all()
+    assert isinstance(est.out_count, int) and isinstance(est.unresolved_count, int)
+    assert est.counts.sum() + est.out_count + est.unresolved_count == n
+    offsets, unresolved = walks._simulate_exits(cfg, n)
+    x = offsets[~unresolved, 0]
+    assert est.out_count == int((np.abs(x) > window).sum())
     assert est.out_count > 0  # z=4 spreads well past |x| <= 6
 
 
@@ -348,13 +348,18 @@ def test_kernel_estimate_tallies_each_offset_in_lexicographic_order():
         if not capped and np.abs(row).max() <= window
     )
     est = walks.poisson_kernel_mc(cfg, n, window)
-    assert est.counts == expected
-    assert list(est.counts) == sorted(expected)
+    assert est.counts.shape == (2 * window + 1,) * 2
+    # the raveled counts run through the window's offsets in lexicographic order
+    rows = itertools.product(range(-window, window + 1), repeat=2)
+    assert est.counts.ravel().tolist() == [expected[row] for row in rows]
 
 
 def test_kernel_estimate_zero_window():
-    est = walks.poisson_kernel_mc(walks.WalkConfig(d=2, z=1, seed=8), 400, 0)
-    assert set(est.counts) <= {(0,)}
+    cfg = walks.WalkConfig(d=2, z=1, seed=8)
+    est = walks.poisson_kernel_mc(cfg, 400, 0)
+    offsets, unresolved = walks._simulate_exits(cfg, 400)
+    assert est.counts.tolist() == [int(((offsets[:, 0] == 0) & ~unresolved).sum())]
+    assert est.counts[0] + est.out_count + est.unresolved_count == 400
     with pytest.raises(ValueError):
         walks.poisson_kernel_mc(walks.WalkConfig(d=2, z=1, seed=8), 400, -1)
     with pytest.raises(ValueError):
@@ -362,11 +367,11 @@ def test_kernel_estimate_zero_window():
 
 
 def test_standard_errors_shrink_like_root_n():
-    e1 = walks.poisson_kernel_mc(walks.WalkConfig(d=2, z=2, seed=99), 2000, 8)
-    e2 = walks.poisson_kernel_mc(walks.WalkConfig(d=2, z=2, seed=100), 4000, 8)
-    agg1 = sum(se for _, se in e1.probabilities.values())
-    agg2 = sum(se for _, se in e2.probabilities.values())
-    ratio = agg1 / agg2
+    def aggregate(n, seed):
+        (block,) = cli.run_kernel_report(2, (2,), 16, n, seed)["blocks"]
+        return sum(e["mc_se"] for e in block["offsets"])
+
+    ratio = aggregate(2000, 99) / aggregate(4000, 100)
     assert math.sqrt(2) / 1.5 <= ratio <= math.sqrt(2) * 1.5
 
 
