@@ -331,11 +331,7 @@ def run_symbol_report(d, l_list):
         # every rectangle shares the Dirichlet symbol of its dominant axis
         grid = grid_symbols(d, L)
         dirichlet = [grid.dirichlet(i) for i in range(naxes)]
-        family = {
-            k: dirichlet[dyadic.dominant_axis(k)]
-            for k in itertools.product(dyadic._nonempty_levels(L), repeat=naxes)
-        }
-        glued = dyadic.glue_local_symbols(family, L)
+        glued = np.choose(dyadic.dominant_axes(naxes, L), dirichlet)
 
         def metrics(symbol_values):
             table = dyadic.variation_table(symbol_values, L)

@@ -1,5 +1,5 @@
 """Dyadic rectangles, the mixed difference variation of periodic symbols,
-and piecewise gluing of multiplier families.
+and the dominant axis of every rectangle.
 
 A periodic symbol of dimension d with half-period L is an array of shape
 (2L,)*d in the wrap-around layout of :mod:`harmonic_lab.spectral`.  The
@@ -7,6 +7,8 @@ dyadic rectangle with index vector k is the product of the intervals D(k_j),
 where D(0) = (-1, 1), D(l) = [2^(l-1), 2^l) for l >= 1, and
 D(l) = (-2^|l|, -2^(|l|-1)] for l <= -1.  These intervals partition the real
 line, so every integer frequency has exactly one index per axis.
+``dyadic_index_of`` is the one encoding of this partition: every other
+rectangle quantity here is derived from the level of each frequency.
 
 The local variation of a symbol over a rectangle takes, for each choice of
 summed versus sup axes, nested reductions of the mixed forward differences;
@@ -14,13 +16,18 @@ summed axes drop the largest element of their index set.  The total
 variation takes full sums and the supremum over all rectangles.
 
 ``variation_table`` evaluates both for every nonempty rectangle at once.
-Each axis is reordered into ascending frequency, where every dyadic
-interval is a contiguous segment; the absolute mixed difference is formed
-once per flag vector and reduced over all segments together with
+Each axis is reordered into ascending frequency, where the level never
+decreases, so every dyadic interval is a contiguous segment that starts
+where the level changes; the absolute mixed difference is formed once per
+flag vector and reduced over all segments together with
 ``np.add.reduceat`` (summed axes) or ``np.maximum.reduceat`` (sup axes),
 innermost axis first.  A summed axis drops its largest element by zeroing
 the last entry of each segment, which is exact because the terms are
 nonnegative.
+
+``dominant_axes`` labels each stored frequency with the first axis of
+largest |level|, the axis whose quotient symbol a glued multiplier takes on
+that frequency's rectangle (``np.choose`` over the per-axis symbols).
 """
 
 from __future__ import annotations
@@ -31,28 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "dyadic_integers",
     "dyadic_index_of",
-    "dominant_axis",
+    "dominant_axes",
     "alpha_difference",
     "VariationTable",
     "variation_table",
-    "glue_local_symbols",
 ]
-
-
-def dyadic_integers(level: int, L: int) -> np.ndarray:
-    """Integers in D(level) intersected with {-L+1, ..., L}, ascending."""
-    if level == 0:
-        return np.array([0]) if L >= 1 else np.array([], dtype=int)
-    if level >= 1:
-        lo, hi = 2 ** (level - 1), min(2**level - 1, L)
-    else:
-        m = -level
-        lo, hi = max(-(2**m) + 1, -L + 1), -(2 ** (m - 1))
-    if lo > hi:
-        return np.array([], dtype=int)
-    return np.arange(lo, hi + 1)
 
 
 def dyadic_index_of(nu, L: int | None = None):
@@ -73,10 +64,12 @@ def dyadic_index_of(nu, L: int | None = None):
     return int(level) if level.ndim == 0 else level
 
 
-def dominant_axis(k) -> int:
-    """First axis attaining the largest absolute dyadic level."""
-    k = [abs(int(level)) for level in k]
-    return k.index(max(k))
+def dominant_axes(naxes: int, L: int) -> np.ndarray:
+    """The first axis attaining the largest |level| at every stored
+    frequency of the (2L,)*naxes grid, as an intp array of that shape."""
+    mag = np.abs(dyadic_index_of(np.arange(2 * L), L))
+    per_axis = [mag.reshape((-1,) + (1,) * (naxes - 1 - ax)) for ax in range(naxes)]
+    return np.argmax(np.broadcast_arrays(*per_axis), axis=0)
 
 
 def alpha_difference(a: np.ndarray, i: int, alpha: int) -> np.ndarray:
@@ -90,13 +83,6 @@ def alpha_difference(a: np.ndarray, i: int, alpha: int) -> np.ndarray:
     if alpha != 1:
         raise ValueError(f"difference flag must be 0 or 1, got {alpha}")
     return np.roll(a, -1, axis=i) - a
-
-
-def _nonempty_levels(L: int) -> list:
-    levels = [0]
-    levels.extend(range(1, int(L).bit_length() + 1))
-    levels.extend(-m for m in range(1, int(L - 1).bit_length() + 1))
-    return sorted(levels)
 
 
 class VariationTable(NamedTuple):
@@ -119,14 +105,15 @@ def variation_table(a: np.ndarray, L: int) -> VariationTable:
     d = a.ndim
     if a.shape != (2 * L,) * d:
         raise ValueError(f"symbol shape {a.shape} does not match half-period {L}")
-    levels = _nonempty_levels(L)
     # ascending frequency -L+1..L (the argsort of spectral.index_grid(L)):
     # every dyadic interval becomes one contiguous segment, and the periodic
     # forward neighbour is still the next position
     order = (np.arange(2 * L) + L + 1) % (2 * L)
     for ax in range(d):
         a = np.take(a, order, axis=ax)
-    starts = np.array([dyadic_integers(level, L)[0] + L - 1 for level in levels])
+    level = dyadic_index_of(np.arange(-L + 1, L + 1))
+    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
+    levels = level[starts]
     lasts = np.append(starts[1:], 2 * L) - 1
     local = total = np.zeros((len(levels),) * d)
     for alpha in itertools.product((0, 1), repeat=d):
@@ -148,44 +135,5 @@ def variation_table(a: np.ndarray, L: int) -> VariationTable:
             dropped = reduce(dropped, starts, axis=ax)
         total = np.maximum(total, full)
         local = np.maximum(local, dropped)
-    return VariationTable(tuple(levels), local, float(total.max()))
+    return VariationTable(tuple(levels.tolist()), local, float(total.max()))
 
-
-def glue_local_symbols(family: dict, L: int) -> np.ndarray:
-    """Assemble a symbol taking the value of family[k] on rectangle k.
-
-    ``family`` maps dyadic index vectors (tuples) to full symbol arrays of
-    shape (2L,)*d.  Every index with a nonempty rectangle must be present.
-    A table maps each rectangle to its member, counting a member shared by
-    several rectangles once; one ``np.ix_`` gather spreads the table over the
-    grid, and ``np.choose`` picks each point's value from its member.
-    """
-    shapes = {np.shape(v) for v in family.values()}
-    if len(shapes) != 1:
-        raise ValueError(f"family members disagree on shape: {shapes}")
-    (shape,) = shapes
-    d = len(shape)
-    if shape != (2 * L,) * d:
-        raise ValueError(f"symbol shape {shape} does not match half-period {L}")
-    levels = _nonempty_levels(L)
-    members, slot = [], {}
-    table = np.empty((len(levels),) * d, dtype=np.intp)
-    for pos in itertools.product(range(len(levels)), repeat=d):
-        k = tuple(levels[j] for j in pos)
-        if k not in family:
-            raise KeyError(f"family member for dyadic index {k} is missing")
-        member = family[k]
-        if id(member) not in slot:
-            slot[id(member)] = len(members)
-            members.append(np.asarray(member))
-        table[pos] = slot[id(member)]
-    position = np.searchsorted(levels, dyadic_index_of(np.arange(2 * L), L))
-    labels = table[np.ix_(*[position] * d)]
-    out = np.zeros(shape, dtype=complex)
-    # np.choose takes at most 31 arrays before numpy 2 (63 since): the
-    # output so far and 30 members
-    for start in range(0, len(members), 30):
-        chunk = members[start : start + 30]
-        inside = (labels >= start) & (labels < start + len(chunk))
-        np.choose(np.where(inside, labels - start + 1, 0), [out, *chunk], out=out)
-    return out

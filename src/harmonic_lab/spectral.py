@@ -161,10 +161,14 @@ def _quotient(num, den, zero):
     return complex(out) if out.ndim == 0 else out
 
 
-def _axis_angles(i: int, t, d: int):
-    t = _as_angles(t, d)
+def _check_axis(i: int, d: int) -> None:
     if not 0 <= i < d - 1:
         raise ValueError(f"tangential axis {i} out of range for d={d}")
+
+
+def _axis_angles(i: int, t, d: int):
+    t = _as_angles(t, d)
+    _check_axis(i, d)
     return t, t[..., i]
 
 
@@ -194,6 +198,7 @@ class GridSymbols(NamedTuple):
     angles: np.ndarray
 
     def _on_axis(self, i: int) -> np.ndarray:
+        _check_axis(i, self.f.ndim + 1)
         return self.angles.reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
 
     def dirichlet(self, i: int) -> np.ndarray:

@@ -257,7 +257,8 @@ def _oracle_metrics(a, L):
 def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
     monkeypatch,
 ):
-    d = 3
+    """One, two and three tangential axes; L = 1 and L that are not powers
+    of two give singleton and uneven dyadic segments."""
     calls = collections.Counter()
     f_symbol = spectral.f_symbol
 
@@ -267,23 +268,28 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
         return f_symbol(z)
 
     monkeypatch.setattr(spectral, "f_symbol", counting)
-    payload = cli.run_symbol_report(d, (4, 8))
-    assert calls == {(8, 8): 1, (16, 16): 1}
+    for d, l_list in [(2, (1, 3, 8)), (3, (4, 8)), (4, (1, 3, 4))]:
+        calls.clear()
+        payload = cli.run_symbol_report(d, l_list)
+        assert calls == {(2 * L,) * (d - 1): 1 for L in l_list}
+        assert [block["L"] for block in payload["blocks"]] == list(l_list)
 
-    for block in payload["blocks"]:
-        L = block["L"]
-        angles = halfspace.tangential_angles(d, L)
-        symbols = {
-            "neumann_axis0": spectral.neumann_symbol(0, angles, d),
-            "dirichlet_glued": _oracle_glued_dirichlet(d, L),
-        }
-        for name, a in symbols.items():
-            max_lvar, total_var = _oracle_metrics(a, L)
-            got = block[name]
-            assert got["max_lvar"] == pytest.approx(max_lvar, rel=1e-12, abs=1e-12)
-            assert got["total_var"] == pytest.approx(total_var, rel=1e-12, abs=1e-12)
-            assert got["bound_factor"] == 4 ** (d - 1)
-            assert got["bound_ok"] is True
+        for block in payload["blocks"]:
+            L = block["L"]
+            angles = halfspace.tangential_angles(d, L)
+            symbols = {
+                "neumann_axis0": spectral.neumann_symbol(0, angles, d),
+                "dirichlet_glued": _oracle_glued_dirichlet(d, L),
+            }
+            for name, a in symbols.items():
+                max_lvar, total_var = _oracle_metrics(a, L)
+                got = block[name]
+                assert got["max_lvar"] == pytest.approx(max_lvar, rel=1e-12, abs=1e-12)
+                assert got["total_var"] == pytest.approx(
+                    total_var, rel=1e-12, abs=1e-12
+                )
+                assert got["bound_factor"] == 4 ** (d - 1)
+                assert got["bound_ok"] is True
 
 
 def test_kernel_report_schema():

@@ -77,17 +77,31 @@ def test_index_of_array_and_periodic_reduction():
     ],
 )
 def test_dyadic_integers(level, L, expected):
-    got = dyadic.dyadic_integers(level, L)
+    """The frequencies of I_L that ``dyadic_index_of`` puts at ``level``,
+    in ascending and in the stored wrap-around order."""
+    ascending = np.arange(-L + 1, L + 1)
+    got = ascending[dyadic.dyadic_index_of(ascending) == level]
     np.testing.assert_array_equal(got, expected)
     assert got.tolist() == oracles.rectangle_integers(level, L)
+    stored = spectral.index_grid(L)
+    at_level = dyadic.dyadic_index_of(np.arange(2 * L), L) == level
+    np.testing.assert_array_equal(np.sort(stored[at_level]), expected)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 16, 17])
 def test_dyadic_integers_cover_the_grid(L):
-    seen = []
-    for level in range(-12, 13):
-        seen.extend(dyadic.dyadic_integers(level, L).tolist())
-    assert sorted(seen) == list(range(-L + 1, L + 1))
+    """The table's levels are exactly the nonempty ones, their intervals
+    tile I_L in ascending order, and the local variation of a random 1-D
+    symbol checks each segment against the oracle's integers."""
+    a = np.random.default_rng(L).standard_normal(2 * L)
+    table = dyadic.variation_table(a, L)
+    segments = [oracles.rectangle_integers(level, L) for level in table.levels]
+    assert all(segments)
+    assert sum(segments, []) == list(range(-L + 1, L + 1))
+    for i, level in enumerate(table.levels):
+        assert table.local[i] == pytest.approx(
+            oracles.brute_lvar(a, (level,), L), abs=1e-12
+        )
 
 
 def test_rectangle_emptiness():
@@ -99,10 +113,18 @@ def test_rectangle_emptiness():
 
 
 def test_dominant_axis():
-    assert dyadic.dominant_axis((0, 2)) == 1
-    assert dyadic.dominant_axis((2, -2)) == 0
-    assert dyadic.dominant_axis((-3, 2)) == 0
-    assert dyadic.dominant_axis((0,)) == 0
+    """The label grid at one frequency of each rectangle k."""
+    L = 8
+
+    def label(*k):
+        labels = dyadic.dominant_axes(len(k), L)
+        assert labels.shape == (2 * L,) * len(k) and labels.dtype == np.intp
+        return labels[tuple(oracles.rectangle_integers(lv, L)[0] % (2 * L) for lv in k)]
+
+    assert label(0, 2) == 1
+    assert label(2, -2) == 0
+    assert label(-3, 2) == 0
+    assert label(0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +318,17 @@ def _nonempty_indices(d, L):
     return list(itertools.product(levels, repeat=d))
 
 
-def test_glue_identical_family_reproduces_the_symbol():
-    rng = np.random.default_rng(33)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    family = {k: a for k in _nonempty_indices(2, 4)}
-    glued = dyadic.glue_local_symbols(family, 4)
-    np.testing.assert_allclose(glued, a, atol=0)
-
-
 def test_glue_restriction_and_variation():
+    """The local variation of a piecewise symbol on each rectangle is that
+    of the member it takes there."""
     rng = np.random.default_rng(34)
     L = 4
     indices = _nonempty_indices(1, L)
     family = {k: rng.standard_normal(8) + 0j for k in indices}
-    glued = dyadic.glue_local_symbols(family, L)
+    glued = oracles.glue_by_rectangle(family, L)
     local = dyadic.variation_table(glued, L).local
     for i, k in enumerate(indices):
-        freqs = dyadic.dyadic_integers(k[0], L)
+        freqs = np.array(oracles.rectangle_integers(k[0], L))
         np.testing.assert_allclose(
             glued[freqs % 8], np.asarray(family[k])[freqs % 8], atol=0
         )
@@ -324,32 +340,19 @@ def test_glue_restriction_and_variation():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L", [1, 2, 4, 8])
 def test_glue_matches_the_per_rectangle_oracle(d, L):
+    """Choosing by the label grid copies, on every rectangle k, the member
+    of the first axis with the largest |k_j|."""
     rng = np.random.default_rng(40 + 10 * d + L)
     shape = (2 * L,) * d
-    levels = [lv for lv in range(-8, 9) if oracles.rectangle_integers(lv, L)]
-    indices = list(itertools.product(levels, repeat=d))
-
-    def member():
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    # distinct members (more than one np.choose call takes from L = 2, d = 3)
-    # and a few members shared by many rectangles, as the symbol report has
-    distinct = {k: member() for k in indices}
-    pool = [member() for _ in range(3)]
-    shared = {k: pool[sum(k) % 3] for k in indices}
-    for family in (distinct, shared):
-        np.testing.assert_array_equal(
-            dyadic.glue_local_symbols(family, L), oracles.glue_by_rectangle(family, L)
-        )
-
-
-def test_glue_missing_member():
-    family = {k: np.zeros(8) for k in _nonempty_indices(1, 4)}
-    del family[(2,)]
-    with pytest.raises(KeyError, match=r"\(2,\)"):
-        dyadic.glue_local_symbols(family, 4)
-    with pytest.raises(ValueError):
-        dyadic.glue_local_symbols({(0,): np.zeros(8), (1,): np.zeros(6)}, 4)
+    members = [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(d)
+    ]
+    family = {}
+    for k in _nonempty_indices(d, L):
+        mag = [abs(level) for level in k]
+        family[k] = members[mag.index(max(mag))]
+    glued = np.choose(dyadic.dominant_axes(d, L), members)
+    np.testing.assert_array_equal(glued, oracles.glue_by_rectangle(family, L))
 
 
 # ---------------------------------------------------------------------------

@@ -429,13 +429,14 @@ def test_normal_from_tangential_on_dyadic_rectangles():
     u1 = halfspace.halfspace_layer(b, 1)
     dn = spectral.forward_dft(halfspace.normal_difference(b, u1, h))
     angles = halfspace.tangential_angles(d, L)
+    labels = dyadic.dominant_axes(d - 1, L)
     for k in [(0, 2), (2, 0), (1, -2), (-1, -1), (3, 3)]:
-        i = dyadic.dominant_axis(k)
+        sets = [np.array(oracles.rectangle_integers(level, L)) % (2 * L) for level in k]
+        block = np.ix_(*sets)
+        (i,) = np.unique(labels[block])
         assert k[i] != 0
         ratio = spectral.dirichlet_symbol(i, angles, d)
         dt = spectral.forward_dft(halfspace.tangential_difference(b, i, h))
-        sets = [dyadic.dyadic_integers(level, L) % (2 * L) for level in k]
-        block = np.ix_(*sets)
         np.testing.assert_allclose(dn[block], (ratio * dt)[block], atol=1e-10)
 
 

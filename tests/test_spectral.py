@@ -307,6 +307,23 @@ def test_grid_symbols_match_the_pointwise_symbols_bit_for_bit(d, L):
         spectral.grid_symbols(1, L)
 
 
+@pytest.mark.parametrize("i", [-1, 2, 3])
+def test_grid_symbols_reject_an_axis_out_of_range(i):
+    """The grid quotients raise the pointwise functions' error instead of
+    returning another axis's symbol (numpy indexing wraps -1)."""
+    grid = spectral.grid_symbols(3, 4)
+    t = np.zeros(2)
+    message = f"tangential axis {i} out of range for d=3"
+    for grid_symbol, pointwise in [
+        (grid.dirichlet, spectral.dirichlet_symbol),
+        (grid.neumann, spectral.neumann_symbol),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pointwise(i, t, 3)
+        with pytest.raises(ValueError, match=message):
+            grid_symbol(i)
+
+
 def test_ratio_symbols_are_reciprocal():
     rng = np.random.default_rng(43)
     for d in (2, 3):
