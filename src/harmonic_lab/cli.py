@@ -328,10 +328,8 @@ def run_symbol_report(d, l_list):
     for L in l_list:
         L = int(L)
         # f(lambda) once per grid, then one division per quotient symbol;
-        # every rectangle shares the Dirichlet symbol of its dominant axis
+        # every rectangle takes the Dirichlet symbol of its dominant axis
         grid = grid_symbols(d, L)
-        dirichlet = [grid.dirichlet(i) for i in range(naxes)]
-        glued = np.choose(dyadic.dominant_axes(naxes, L), dirichlet)
 
         def metrics(symbol_values):
             table = dyadic.variation_table(symbol_values, L)
@@ -349,7 +347,9 @@ def run_symbol_report(d, l_list):
             {
                 "L": L,
                 "neumann_axis0": neumann_block,
-                "dirichlet_glued": metrics(glued),
+                "dirichlet_glued": metrics(
+                    grid.dirichlet(dyadic.dominant_axes(naxes, L))
+                ),
             }
         )
     spread = max(tracked) / min(tracked) if min(tracked) > 0 else None

@@ -27,7 +27,8 @@ nonnegative.
 
 ``dominant_axes`` labels each stored frequency with the first axis of
 largest |level|, the axis whose quotient symbol a glued multiplier takes on
-that frequency's rectangle (``np.choose`` over the per-axis symbols).
+that frequency's rectangle (``spectral.GridSymbols.dirichlet`` takes the
+label grid).
 """
 
 from __future__ import annotations
@@ -67,9 +68,16 @@ def dyadic_index_of(nu, L: int | None = None):
 def dominant_axes(naxes: int, L: int) -> np.ndarray:
     """The first axis attaining the largest |level| at every stored
     frequency of the (2L,)*naxes grid, as an intp array of that shape."""
-    mag = np.abs(dyadic_index_of(np.arange(2 * L), L))
-    per_axis = [mag.reshape((-1,) + (1,) * (naxes - 1 - ax)) for ax in range(naxes)]
-    return np.argmax(np.broadcast_arrays(*per_axis), axis=0)
+    # |level| <= 64 fits int8; a running maximum replaced only where an
+    # axis is strictly larger keeps the first axis on ties
+    mag = np.abs(dyadic_index_of(np.arange(2 * L), L)).astype(np.int8)
+    labels = np.zeros((2 * L,) * naxes, dtype=np.intp)
+    best = np.zeros(labels.shape, dtype=np.int8)
+    for ax in range(naxes):
+        on_axis = mag.reshape((-1,) + (1,) * (naxes - 1 - ax))
+        labels[on_axis > best] = ax
+        np.maximum(best, on_axis, out=best)
+    return labels
 
 
 def alpha_difference(a: np.ndarray, i: int, alpha: int) -> np.ndarray:

@@ -61,7 +61,7 @@ def tangential_angles(d: int, L: int) -> np.ndarray:
 def _mode_factors(d: int, L: int):
     """lambda(hk) and Q(lambda(hk)), read-only: every caller shares them."""
     lam = lambda_symbol(tangential_angles(d, L), d)
-    q = q_symbol(lam).real
+    q = q_symbol(lam)
     lam.flags.writeable = False
     q.flags.writeable = False
     return lam, q

@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 
+#: peak bytes the symbol report (``cli.run_symbol_report``) holds per entry
+#: of a (2L,)*(d-1) symbol grid, measured with tracemalloc at d = 3 and 4
+SYMBOL_BYTES_PER_ENTRY = 73
+
+#: ``grid_symbols`` refuses a grid whose report would pass this many bytes
+SYMBOL_GRID_BUDGET = 2**31
+
+
 def index_grid(L: int) -> np.ndarray:
     """Integer coordinates of I_L = {-L+1..L} in storage order.
 
@@ -96,18 +104,28 @@ def inverse_dft(a, axes=None) -> np.ndarray:
     return (2 * math.pi) ** (-len(axes)) * np.fft.fftn(a, axes=axes)
 
 
+def _real_or_complex(z) -> np.ndarray:
+    """``z`` as a float64 array, or as a complex128 one when it is complex."""
+    arr = np.asarray(z)
+    return np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+
+
 def principal_sqrt(z):
     """Principal branch square root, continuous off (-inf, 0), with 0 at 0.
 
     Accepts scalars or arrays; inputs on the open negative real axis are
-    rejected.  The real part of the result is never negative.  This is
-    numpy's complex square root, which takes the principal branch.
+    rejected.  The real part of the result is never negative.  Complex input
+    takes numpy's complex square root, which takes the principal branch.
+    Real input gives a real float64 result, the real part of the complex
+    root bit for bit, so -0.0 gives +0.0.
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = _real_or_complex(z)
     if np.any((arr.real < 0) & (arr.imag == 0)):
         raise ValueError("square root is not defined on the negative real axis")
     out = np.sqrt(arr)
-    return complex(out) if out.ndim == 0 else out
+    if not np.iscomplexobj(out):
+        out += 0.0  # -0.0 + 0.0 is +0.0
+    return out.item() if out.ndim == 0 else out
 
 
 def _as_angles(t, d: int) -> np.ndarray:
@@ -137,11 +155,13 @@ def q_symbol(z):
     """Layer propagation factor z + sqrt(z+1) sqrt(z-1), off (-inf, 1).
 
     The reciprocal root of the same quadratic is 1/Q, and Q + 1/Q = 2z.
+    Real z (at least 1) gives a real Q, the real part of the complex
+    evaluation bit for bit.
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = _real_or_complex(z)
     if np.any((arr.real < 1) & (arr.imag == 0)):
         raise ValueError("propagation factor is not defined on (-inf, 1)")
-    return z + principal_sqrt(arr + 1) * principal_sqrt(arr - 1)
+    return arr + principal_sqrt(arr + 1) * principal_sqrt(arr - 1)
 
 
 def f_symbol(z):
@@ -192,6 +212,7 @@ class GridSymbols(NamedTuple):
     """f(lambda(t)) on the stored angle grid t = h k, k in I_L^(d-1), with
     h = pi / L (the grid of ``halfspace.tangential_angles(d, L)`` without
     its component axis), and the 1-D angles h * index_grid(L) of each axis.
+    lambda is at least 1 on the grid, so ``f`` is real (float64).
     """
 
     f: np.ndarray
@@ -201,9 +222,18 @@ class GridSymbols(NamedTuple):
         _check_axis(i, self.f.ndim + 1)
         return self.angles.reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
 
-    def dirichlet(self, i: int) -> np.ndarray:
-        """``dirichlet_symbol(i, t, d)`` on the grid."""
-        t = self._on_axis(i)
+    def dirichlet(self, i) -> np.ndarray:
+        """``dirichlet_symbol(i, t, d)`` on the grid.
+
+        ``i`` may also be an integer array of axes on the grid, such as
+        ``dyadic.dominant_axes``: each entry then takes the symbol of its
+        labelled axis, from that axis's angle at the entry.  This equals
+        ``np.choose(i, [dirichlet(j) for j in ...])`` bit for bit without
+        building the per-axis symbols.
+        """
+        for axis in (np.min(i), np.max(i)):
+            _check_axis(int(axis), self.f.ndim + 1)
+        t = np.choose(i, [self._on_axis(j) for j in range(self.f.ndim)])
         return _quotient(self.f, _phase(t), t == 0.0)
 
     def neumann(self, i: int) -> np.ndarray:
@@ -224,6 +254,12 @@ def grid_symbols(d: int, L: int) -> GridSymbols:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     k = index_grid(L)  # rejects L < 1 before the division
+    estimate = (2 * L) ** (d - 1) * SYMBOL_BYTES_PER_ENTRY
+    if estimate > SYMBOL_GRID_BUDGET:
+        raise ValueError(
+            f"symbol grid d={d}, L={L} needs about {estimate >> 20} MiB for the "
+            f"symbol report, above the {SYMBOL_GRID_BUDGET >> 20} MiB budget"
+        )
     angles = (math.pi / L) * k
     cos = np.cos(angles)
     total = 0.0

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,39 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
                 )
                 assert got["bound_factor"] == 4 ** (d - 1)
                 assert got["bound_ok"] is True
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,L", [(3, 128), (4, 32)])
+def test_symbol_report_peak_memory_per_grid_entry(d, L):
+    """With real f(lambda) and the glued symbol built from the dominant
+    axes' angles the report peaks at about 73 bytes per grid entry; a
+    complex f or per-axis glued symbols take it to 129-146."""
+    cli.run_symbol_report(d, (2,))  # imports and first-call set-up
+    peak = _traced_peak(lambda: cli.run_symbol_report(d, (L,)))
+    assert peak <= 90 * (2 * L) ** (d - 1)
+
+
+def test_symbol_report_refuses_an_over_budget_grid_before_allocating(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["symbol-report", "--d", "6", "--l-list", "64", "--out", str(out)]
+    codes = []
+    peak = _traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: symbol grid d=6, L=64 needs about")
+    assert "MiB budget" in err[0]
+    assert not out.exists()
+    assert peak < 2**20
 
 
 def test_kernel_report_schema():

@@ -127,6 +127,19 @@ def test_dominant_axis():
     assert label(0) == 0
 
 
+@pytest.mark.parametrize("naxes", [1, 2, 3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3, 8, 17])
+def test_dominant_axes_equals_the_argmax_of_the_stacked_levels(naxes, L):
+    """The running maximum gives np.argmax over the stacked |level| arrays,
+    which takes the first axis on ties."""
+    mag = np.abs(dyadic.dyadic_index_of(np.arange(2 * L), L))
+    per_axis = [mag.reshape((-1,) + (1,) * (naxes - 1 - ax)) for ax in range(naxes)]
+    expected = np.argmax(np.broadcast_arrays(*per_axis), axis=0)
+    labels = dyadic.dominant_axes(naxes, L)
+    assert labels.dtype == np.intp
+    np.testing.assert_array_equal(labels, expected)
+
+
 # ---------------------------------------------------------------------------
 # forward differences
 # ---------------------------------------------------------------------------

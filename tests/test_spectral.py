@@ -17,6 +17,12 @@ import oracles
 SQRT2 = math.sqrt(2.0)
 
 
+def _bits(a):
+    """The 64-bit words of a float64 or complex128 array, so that equality
+    also tells -0.0 from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_index_grid():
     np.testing.assert_array_equal(spectral.index_grid(2), [0, 1, 2, -1])
     np.testing.assert_array_equal(spectral.index_grid(1), [0, 1])
@@ -322,6 +328,98 @@ def test_grid_symbols_reject_an_axis_out_of_range(i):
             pointwise(i, t, 3)
         with pytest.raises(ValueError, match=message):
             grid_symbol(i)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_lambda_gives_the_real_part_of_the_complex_evaluation(d):
+    """f and Q of a real grid are float64 and equal, bit for bit, the real
+    part of the same evaluation in complex arithmetic, whose imaginary part
+    is 0."""
+    for L in (1, 3, 8):
+        lam = spectral.lambda_symbol(halfspace.tangential_angles(d, L), d)
+        assert lam.dtype == np.float64
+        for symbol in (spectral.q_symbol, spectral.f_symbol):
+            real, full = symbol(lam), symbol(lam.astype(complex))
+            assert real.dtype == np.float64 and full.dtype == np.complex128
+            np.testing.assert_array_equal(_bits(real), _bits(full.real))
+            assert not full.imag.any()
+        f = spectral.f_symbol(lam.astype(complex))
+        np.testing.assert_array_equal(_bits(spectral.grid_symbols(d, L).f), _bits(f.real))
+
+
+def test_real_q_and_f_above_one_equal_the_complex_real_part():
+    rng = np.random.default_rng(47)
+    z = np.concatenate([[1.0, np.nextafter(1.0, 2.0), 2.0], rng.uniform(1.0, 50.0, 10_000)])
+    for symbol in (spectral.q_symbol, spectral.f_symbol):
+        full = symbol(z.astype(complex))
+        np.testing.assert_array_equal(_bits(symbol(z)), _bits(full.real))
+        assert not full.imag.any()
+
+
+def test_real_and_complex_input_keep_their_kind():
+    for z in (3.0, 3, np.float32(3.0)):
+        assert type(spectral.principal_sqrt(z)) is float
+        assert isinstance(spectral.q_symbol(z), float)
+        assert isinstance(spectral.f_symbol(z), float)
+    assert type(spectral.principal_sqrt(3 + 0j)) is complex
+    assert isinstance(spectral.f_symbol(3 + 0j), complex)
+    for real in (np.array([1.0, 2.5]), np.array([1, 4]), np.array([1.0, 2.5], np.float32)):
+        assert spectral.principal_sqrt(real).dtype == np.float64
+        assert spectral.q_symbol(real).dtype == np.float64
+        assert spectral.f_symbol(real).dtype == np.float64
+    z = np.array([1.0, 2.5 + 1e-3j])
+    for symbol in (spectral.principal_sqrt, spectral.q_symbol, spectral.f_symbol):
+        assert symbol(z).dtype == np.complex128
+
+
+def test_principal_sqrt_of_negative_zero_is_positive_zero():
+    """The real part of the root is never negative, so -0.0 gives +0.0, as
+    the real part of the complex root does."""
+    out = spectral.principal_sqrt(-0.0)
+    assert out == 0.0 and math.copysign(1.0, out) == 1.0
+    arr = spectral.principal_sqrt(np.array([-0.0, 0.0, 4.0]))
+    assert not np.signbit(arr).any()
+    np.testing.assert_array_equal(arr, [0.0, 0.0, 2.0])
+    assert not np.signbit(spectral.principal_sqrt(-0.0 + 0j).real)
+
+
+@pytest.mark.parametrize("d,L", [(2, 1), (2, 8), (3, 3), (3, 8), (4, 4), (5, 2)])
+def test_grid_dirichlet_by_labels_equals_the_chosen_axis_symbols(d, L):
+    """A label grid picks each entry's axis from the angles alone, bit for
+    bit what np.choose over the per-axis symbols gives."""
+    from harmonic_lab import dyadic
+
+    grid = spectral.grid_symbols(d, L)
+    per_axis = [grid.dirichlet(i) for i in range(d - 1)]
+    rng = np.random.default_rng(d * 100 + L)
+    for labels in (
+        dyadic.dominant_axes(d - 1, L),
+        rng.integers(0, d - 1, size=grid.f.shape),
+    ):
+        np.testing.assert_array_equal(
+            _bits(grid.dirichlet(labels)), _bits(np.choose(labels, per_axis))
+        )
+
+
+def test_grid_dirichlet_rejects_a_label_out_of_range():
+    grid = spectral.grid_symbols(3, 4)
+    labels = np.zeros(grid.f.shape, dtype=np.intp)
+    for bad in (-1, 2):
+        labels[1, 2] = bad
+        with pytest.raises(ValueError, match=f"tangential axis {bad} out of range for d=3"):
+            grid.dirichlet(labels)
+
+
+def test_grid_symbols_refuse_a_grid_over_the_budget(monkeypatch):
+    """The estimate is checked before any grid array is built, so a grid of
+    trillions of entries is refused at once."""
+    with pytest.raises(ValueError, match=r"d=6, L=64 needs about \d+ MiB"):
+        spectral.grid_symbols(6, 64)
+    # a budget of exactly the d = 3, L = 32 grid admits it and refuses L = 33
+    monkeypatch.setattr(spectral, "SYMBOL_GRID_BUDGET", 64**2 * spectral.SYMBOL_BYTES_PER_ENTRY)
+    assert spectral.grid_symbols(3, 32).f.shape == (64, 64)
+    with pytest.raises(ValueError, match="d=3, L=33 needs about 0 MiB"):
+        spectral.grid_symbols(3, 33)
 
 
 def test_ratio_symbols_are_reciprocal():
