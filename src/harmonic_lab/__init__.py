@@ -3,7 +3,7 @@
 The package bundles the pieces needed to experiment with gradient estimates
 for discrete harmonic functions: lattice geometry and norms, a discrete
 Fourier layer with the propagation symbols, dyadic variation machinery for
-multiplier bounds, spectral and iterative solvers on periodic strips,
+multiplier bounds, spectral layer propagation on periodic half-spaces,
 box gradient operators, and random-walk estimators for the discrete
 Poisson kernel.  The ``cli`` module drives reproducible experiment sweeps.
 

@@ -2,34 +2,33 @@
 
 Builds the face map K, the batched operators from either kind of boundary
 data (values prescribed, or inward normal differences) to the tangential
-and normal boundary gradients, odd and even reflections of face data, the
-face-by-face decomposition of a box harmonic function into periodic strip
-solutions, and the tangential/normal gradient comparison: the one
-definition of the two norms, the full-boundary norm derived from them and
-the ratios the sweeps report.  Neumann data is tested with
-``lattice.check_zero_flux``, and the reflections are checked relative to
-the scale of their data.
+and normal boundary gradients, and the tangential/normal gradient
+comparison: the one definition of the two norms, the full-boundary norm
+derived from them and the ratios the sweeps report.  Neumann data is tested
+with ``lattice.check_zero_flux``.
 
 Each box problem has one exact solver, the matrix decomposition of Buzbee,
 Golub & Nielson, "On direct methods for solving Poisson's equations", SIAM
 J. Numer. Anal. 7 (1970), on dense orthonormal matrices with no FFT.  The
 interior Dirichlet operator 2d*I - A is a sum of Dirichlet path Laplacians
-and is diagonalized by the type-I sine matrix (the odd reflection of
-``odd_reflect``); the interior Neumann operator diag(deg) - A is a sum of
-free path Laplacians and is diagonalized by the type-II cosine matrix,
-whose zero mode carries the mean-zero gauge.  The right-hand side lives on
-the outer layer of the interior and the gradients read the solution only
-on the layer next to each face, so the one map either operator needs is
-K = P^T L^-1 P from face data to that layer (``face_map``), with P the
-injection of the faces into the outer layer and L the interior operator
-(inverted on the mean-zero modes for Neumann).  K is symmetric.  It
-transforms the face data along the faces and divides by the eigenvalue
-sums (``_coefficients``), then contracts along each face's normal axis
-(``_layer_values``).  The operators wrap it: a gather of the boundary data
-into the face layout, K, then sparse differences and, for Neumann, the
-ridge and corner fill.  ``operator_certificate`` measures both on exact
-lattice-harmonic functions, and ``cli.run_selftest`` gates it; the
-full-field solve is a test reference in ``tests/oracles.py``.
+and is diagonalized by the type-I sine matrix (the odd reflection of the
+data about both ends); the interior Neumann operator diag(deg) - A is a
+sum of free path Laplacians and is diagonalized by the type-II cosine
+matrix, whose zero mode carries the mean-zero gauge.  The right-hand side
+lives on the outer layer of the interior and the gradients read the
+solution only on the layer next to each face, so the one map either
+operator needs is K = P^T L^-1 P from face data to that layer
+(``face_map``), with P the injection of the faces into the outer layer and
+L the interior operator (inverted on the mean-zero modes for Neumann).  K
+is symmetric.  It transforms the face data along the faces and divides by
+the eigenvalue sums (``_coefficients``), then contracts along each face's
+normal axis (``_layer_values``).  The operators wrap it: a gather of the
+boundary data into the face layout, K, then sparse differences and, for
+Neumann, the ridge and corner fill.  ``operator_certificate`` measures
+both on exact lattice-harmonic functions, and ``cli.run_selftest`` gates
+it; the full-field solve is a test reference in ``tests/oracles.py``, and
+the reflections and the face-by-face strip split of the paper's proof
+chain are test oracles in ``tests/proof_chain.py``.
 """
 
 from __future__ import annotations
@@ -47,15 +46,11 @@ __all__ = [
     "dirichlet_operator",
     "neumann_operator",
     "operator_certificate",
-    "odd_reflect",
-    "even_reflect",
-    "face_decomposition_dirichlet",
     "gradient_comparison",
 ]
 
 logger = logging.getLogger(__name__)
 
-_REFLECT_CONSISTENCY_TOL = 1e-8
 _BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep chunk
 
 
@@ -67,19 +62,6 @@ def __getattr__(name):
 
         return dirichlet_strip_solve
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _box_dims(u: np.ndarray):
-    d = u.ndim
-    if d < 2:
-        raise ValueError(f"box arrays need at least 2 axes, got {d}")
-    sizes = set(u.shape)
-    if len(sizes) != 1:
-        raise ValueError(f"box array shape {u.shape} is not cubic")
-    N = u.shape[0] - 1
-    if N < 2:
-        raise ValueError(f"box side length must be at least 2, got {N}")
-    return d, N
 
 
 def _divide_by_eigenvalue_sums(coeffs, lam, d):
@@ -386,125 +368,6 @@ def operator_certificate(kind: str, d: int, N: int) -> float:
     want = np.concatenate([want_tan[:, keep], want_nor], axis=1)
     got = np.concatenate([got_tan[:, keep], got_nor], axis=1)
     return float(np.abs(got - want).max() / np.abs(want).max())
-
-
-def _scale(data):
-    return float(np.abs(data).max(initial=0.0))
-
-
-def _odd(data, axis, scale):
-    """The odd ``_reflect`` of ``data``, once its values at the fixed points
-    0 and N are checked to vanish relative to ``scale``."""
-    N = data.shape[axis] - 1
-    if N < 1:
-        raise ValueError("need at least 2 samples along the reflection axis")
-    worst = float(np.abs(np.take(data, [0, N], axis=axis)).max())
-    if worst > _REFLECT_CONSISTENCY_TOL * scale:
-        raise ValueError(
-            f"data reaches {worst:.3e} at a fixed point of the odd "
-            "reflection; an odd extension forces 0 there"
-        )
-    return _reflect(data, axis, -1.0)
-
-
-def odd_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Extend face data of length N+1 to a 2N-periodic array odd about 0.
-
-    The fixed points x = 0 and x = N must carry zero values up to rounding
-    relative to the largest value of ``data``, otherwise no odd extension
-    exists and a ValueError is raised.
-    """
-    data = np.asarray(data, dtype=float)
-    return _odd(data, axis, _scale(data))
-
-
-def even_reflect(data: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Extend face data of length N+1 to a 2(N-1)-periodic array, even
-    about the half-integer mirror between 0 and 1.
-
-    Consistency requires data[1] = data[0] and data[N-1] = data[N] (the
-    tangential differences across both mirrors vanish) up to rounding
-    relative to the largest value of ``data``.
-    """
-    data = np.asarray(data, dtype=float)
-    N = data.shape[axis] - 1
-    if N < 2:
-        raise ValueError("need at least 3 samples along the reflection axis")
-    first = np.take(data, [0, 1], axis=axis)
-    last = np.take(data, [N - 1, N], axis=axis)
-    worst = max(
-        float(np.abs(np.diff(first, axis=axis)).max()),
-        float(np.abs(np.diff(last, axis=axis)).max()),
-    )
-    if worst > _REFLECT_CONSISTENCY_TOL * _scale(data):
-        raise ValueError(
-            f"tangential difference {worst:.3e} across an even mirror; "
-            "an even extension needs equal values there"
-        )
-    keep = [slice(None)] * data.ndim
-    keep[axis] = slice(0, min(N + 1, 2 * N - 2))
-    tail = [slice(None)] * data.ndim
-    tail[axis] = slice(N - 2, 1, -1)
-    return np.concatenate([data[tuple(keep)], data[tuple(tail)]], axis=axis)
-
-
-def _reflect(data, axis, sign):
-    """2N-periodic extension of face data of length N+1 about the integer
-    mirrors 0 and N, odd for ``sign`` -1 and even for +1.  The even
-    extension needs no consistency constraint; the odd one needs zeros at
-    the mirrors, which ``odd_reflect`` checks."""
-    data = np.asarray(data, dtype=float)
-    mirrored = np.take(data, np.arange(data.shape[axis] - 2, 0, -1), axis=axis)
-    return np.concatenate([data, sign * mirrored], axis=axis)
-
-
-def face_decomposition_dirichlet(u: np.ndarray, p):
-    """Split a box harmonic function into d periodic strip solutions.
-
-    Strip i reproduces the current remainder's faces x_i in {0, N}; axes
-    already handled are extended oddly (so the strip vanishes where earlier
-    strips matched the data), later axes evenly about the integer mirrors.
-    The remainder can be rounding noise everywhere, so its odd reflections
-    and the reconstruction are checked against the scale of ``u``.
-    Returns (strips, certificate); the certificate holds the reconstruction
-    residual and each strip's gradient norm over the full boundary edge
-    set in the l^p norm, from ``gradient_comparison``.
-    """
-    from .halfspace import dirichlet_strip_solve
-
-    u = np.asarray(u, dtype=float)
-    d, N = _box_dims(u)
-    scale = _scale(u)
-    r = u.copy()
-    strips = []
-    for i in range(d):
-        lo, hi = np.take(r, 0, axis=i), np.take(r, N, axis=i)
-        for j in range(d):
-            if j != i:
-                ax = j if j < i else j - 1
-                lo, hi = [_odd(x, ax, scale) if j < i else _reflect(x, ax, 1.0) for x in (lo, hi)]
-        strip = dirichlet_strip_solve(lo, hi, N)
-        window = tuple([slice(0, N + 1)] * (d - 1) + [slice(None)])
-        w = np.moveaxis(strip[window], -1, i)
-        strips.append(w)
-        r -= w
-
-    residual = float(np.abs(r).max())
-    if residual > 1e-8 * scale:
-        raise RuntimeError(
-            f"face decomposition residual {residual:.3e} exceeds tolerance"
-        )
-    tan, nor = lattice.tangential_edges(d, N), lattice.normal_edges(d, N)
-    certificate = {
-        "reconstruction_residual": residual,
-        "gradient_norms": [
-            gradient_comparison(
-                lattice.edge_gradients(w, tan), lattice.edge_gradients(w, nor), p
-            )["full_norm"]
-            for w in strips
-        ],
-    }
-    return strips, certificate
 
 
 def gradient_comparison(tan: np.ndarray, nor: np.ndarray, p) -> dict:

@@ -1,6 +1,5 @@
-"""Box geometry: the boundary vertices, the edge sets, the vectorized
-Laplacian, edge gradients, the l^p norm, and the zero-flux check of
-Neumann data.
+"""Box geometry: the boundary vertices, the edge sets, edge gradients, the
+l^p norm, and the zero-flux check of Neumann data.
 
 Box functions live on the integer box {0,...,N}^d and are stored as dense
 arrays of shape (N+1,)*d, indexed directly by coordinates.  A vertex is a
@@ -16,9 +15,6 @@ shell, with no candidate edges for the rest of the box.  The two sets are
 the tangential and the normal edges; every edge with an endpoint on the
 shell is a tangential edge, a normal edge or the reversal of one, so norms
 over that full set follow from these two (``boxes.gradient_comparison``).
-
-The Laplacian also wraps periodic axes, for strip functions, which keep the
-height as the last axis.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ __all__ = [
     "boundary_vertices",
     "tangential_edges",
     "normal_edges",
-    "laplacian_interior",
     "edge_gradients",
     "lp_norm",
     "check_zero_flux",
@@ -109,41 +104,8 @@ def normal_edges(d: int, N: int) -> np.ndarray:
     return _edges(d, N, "normal")
 
 
-def _resolve_periodic(periodic_axes, ndim):
-    if periodic_axes is True:
-        return tuple(range(ndim))
-    if periodic_axes is False or periodic_axes is None:
-        return ()
-    return tuple(int(a) % ndim for a in periodic_axes)
-
-
-def laplacian_interior(u: np.ndarray, periodic_axes=()) -> np.ndarray:
-    """Vectorized Laplacian at every vertex that is interior on the
-    non-periodic axes.
-
-    For a box array of shape (N+1,)*d the result has shape (N-1,)*d; periodic
-    axes keep their full extent.
-    """
-    u = np.asarray(u)
-    d = u.ndim
-    periodic = _resolve_periodic(periodic_axes, d)
-    core = tuple(
-        slice(None) if ax in periodic else slice(1, -1) for ax in range(d)
-    )
-    acc = -2.0 * d * u[core]
-    for ax in range(d):
-        if ax in periodic:
-            acc = acc + np.roll(u, -1, axis=ax)[core]
-            acc = acc + np.roll(u, 1, axis=ax)[core]
-        else:
-            hi = list(core)
-            hi[ax] = slice(2, None)
-            lo = list(core)
-            lo[ax] = slice(0, -2)
-            acc = acc + u[tuple(hi)] + u[tuple(lo)]
-    return acc
-
-
+# no command calls this; the benchmark's tracer test reads it, so it stays
+# until ROADMAP item 6 rewrites that test
 def edge_gradients(u: np.ndarray, edges) -> np.ndarray:
     """Gradients of ``u`` along an (E, 2, d) array of oriented edges, as one
     array; an endpoint outside ``u`` raises a ValueError."""

@@ -5,23 +5,33 @@ elimination, transform and symbol identities, half-space decay rates,
 multiplier relations between the two gradient families, the dyadic
 variation laws, telescope convergence, reflection identities, Poisson
 kernel agreement across the three computation routes, size-independence
-of the gradient comparison ratios, and byte-level determinism of the
-self test.
+of the gradient comparison ratios, byte-level determinism of the self
+test, and a library that holds only what a command runs.
 
 The decay check takes the cosine constant 2/pi^2 from ``oracles``, where
 it lives because only tests use it.  The variation laws read every
-rectangle from one ``dyadic.variation_table``.
+rectangle from one ``dyadic.variation_table``.  The proof chain that no
+command runs is in ``proof_chain``, moved there from the library:
+``halfspace.halfspace_strip``, ``neumann_strip_solve``, both telescopes
+(their aspect window now fixed at ``DEFAULT_ASPECT_BOUNDS``),
+``tangential_difference`` and ``normal_difference``;
+``lattice.laplacian_interior`` (periodic axes as a tuple only); and
+``boxes.odd_reflect``, ``even_reflect``, ``_reflect`` and
+``face_decomposition_dirichlet``.
 """
 
+import inspect
 import math
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import oracles
+import proof_chain
 from harmonic_lab import boxes, cli, dyadic, halfspace, lattice, spectral, walks
 
 
@@ -43,7 +53,7 @@ def test_box_solver_matches_dense_elimination_quickly():
         u = oracles.dirichlet_extension(f)
         np.testing.assert_allclose(u, oracles.dense_dirichlet_box(f), atol=1e-8)
         if n > 1:
-            assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
+            assert np.abs(proof_chain.laplacian_interior(u)).max() < 1e-9
         mask = _boundary_mask(u.shape)
         assert np.array_equal(u[mask], f[mask])
     assert time.monotonic() - start < 5.0
@@ -130,10 +140,10 @@ def test_tangential_and_normal_differences_are_multiplier_related():
         for _ in range(50):
             b = rng.standard_normal((2 * L,) * (d - 1))
             upper = halfspace.halfspace_layer(b, 1)
-            nor_hat = spectral.forward_dft(halfspace.normal_difference(b, upper, h))
+            nor_hat = spectral.forward_dft(proof_chain.normal_difference(b, upper, h))
             tan_hats = np.stack(
                 [
-                    spectral.forward_dft(halfspace.tangential_difference(b, i, h))
+                    spectral.forward_dft(proof_chain.tangential_difference(b, i, h))
                     for i in range(d - 1)
                 ]
             )
@@ -183,7 +193,7 @@ def test_telescopes_contract_and_match_the_spectral_solvers():
     for _ in range(20):
         bottom = rng.standard_normal(2 * L)
         top = rng.standard_normal(2 * L)
-        u, trace = halfspace.telescope_dirichlet(bottom, top, N)
+        u, trace = proof_chain.telescope_dirichlet(bottom, top, N)
         ref = halfspace.dirichlet_strip_solve(bottom, top, N)
         assert np.abs(u - ref).max() < 1e-7
         _trace_decays(trace["bottom"])
@@ -193,8 +203,8 @@ def test_telescopes_contract_and_match_the_spectral_solvers():
         gb -= gb.mean()
         gt = rng.standard_normal(2 * L)
         gt -= gt.mean()
-        un, trace_n = halfspace.telescope_neumann(gb, gt, N)
-        ref_n = halfspace.neumann_strip_solve(gb, gt, N)
+        un, trace_n = proof_chain.telescope_neumann(gb, gt, N)
+        ref_n = proof_chain.neumann_strip_solve(gb, gt, N)
         assert np.abs(un - ref_n).max() < 1e-7
         _trace_decays(trace_n["bottom"])
         _trace_decays(trace_n["top"])
@@ -214,8 +224,8 @@ def test_every_neumann_solver_tests_the_net_flux_at_any_scale(scale):
     solvers = [
         lambda: oracles.neumann_extension(g, d, N),
         lambda: boxes.neumann_operator(d, N)(g),
-        lambda: halfspace.neumann_strip_solve(layers[0], layers[1], N),
-        lambda: halfspace.telescope_neumann(layers[0], layers[1], N),
+        lambda: proof_chain.neumann_strip_solve(layers[0], layers[1], N),
+        lambda: proof_chain.telescope_neumann(layers[0], layers[1], N),
     ]
     for solve in solvers:
         solve()
@@ -231,7 +241,7 @@ def test_reflection_identities_and_face_reconstruction():
     v = rng.standard_normal(9)
     v[0] = 0.0
     v[-1] = 0.0
-    odd = boxes.odd_reflect(v)
+    odd = proof_chain.odd_reflect(v)
     n = odd.size
     assert n == 16
     for j in range(n):
@@ -240,7 +250,7 @@ def test_reflection_identities_and_face_reconstruction():
     w = rng.standard_normal(6)
     w[0] = w[1]
     w[-1] = w[-2]
-    even = boxes.even_reflect(w)
+    even = proof_chain.even_reflect(w)
     m = even.size
     assert m == 8
     for j in range(m):
@@ -249,14 +259,14 @@ def test_reflection_identities_and_face_reconstruction():
     sheet = rng.standard_normal((3, 5))
     sheet[:, 0] = 0.0
     sheet[:, -1] = 0.0
-    odd2 = boxes.odd_reflect(sheet, axis=1)
+    odd2 = proof_chain.odd_reflect(sheet, axis=1)
     for j in range(odd2.shape[1]):
         np.testing.assert_array_equal(odd2[:, -j % odd2.shape[1]], -odd2[:, j])
 
     for N in (4, 8):
         f = rng.standard_normal((N + 1, N + 1))
         u = oracles.dirichlet_extension(f)
-        strips, cert = boxes.face_decomposition_dirichlet(u, 2.0)
+        strips, cert = proof_chain.face_decomposition_dirichlet(u, 2.0)
         total = strips[0] + strips[1]
         scale = max(1.0, np.abs(u).max())
         assert np.abs(total - u).max() < 1e-8 * scale
@@ -334,3 +344,50 @@ def test_selftest_output_is_thread_invariant(tmp_path):
         text=True,
     )
     assert run.returncode == 0, run.stderr
+
+
+#: public library functions that no command calls, and why each stays
+UNCALLED = {
+    "halfspace.dirichlet_strip_solve": "the benchmark's tracer test reads it, also through boxes",
+    "lattice.edge_gradients": "the benchmark's tracer test reads it",
+    "spectral.dirichlet_symbol": "the benchmark's tracer test reads it through cli",
+    "spectral.neumann_symbol": "the pointwise reference of GridSymbols.neumann",
+}
+
+
+def test_every_public_library_function_is_reached_by_a_command(tmp_path):
+    modules = (boxes, dyadic, halfspace, lattice, spectral, walks)
+    public = {
+        fn.__code__: f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        for module in modules
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name))
+    }
+    # start cold: a result cached by an earlier test hides the calls behind it
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sweep = ["--d", "2,3", "--n-list", "4", "--samples", "1"]
+    commands = [
+        ["selftest"],
+        ["dirichlet-sweep", *sweep],
+        ["neumann-sweep", *sweep],
+        ["kernel-report", "--d", "2", "--z-list", "1", "--L", "4", "--samples", "100"],
+        ["symbol-report", "--d", "3", "--l-list", "4"],
+    ]
+    sys.setprofile(hook)
+    threading.setprofile(hook)  # selftest pools its cells on worker threads
+    try:
+        for argv in commands:
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert {name for code, name in public.items() if code not in called} == set(UNCALLED)

@@ -1,6 +1,7 @@
 """The face map and the box gradient operators, their exact-harmonic
-certificate, the full-field reference solves of ``oracles``, reflections,
-face decomposition, and the gradient comparison report."""
+certificate, the full-field reference solves of ``oracles``, the
+reflections and face decomposition of ``proof_chain``, and the gradient
+comparison report."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 from harmonic_lab import boxes, cli, lattice
 
 import oracles
+import proof_chain
 
 
 def _boundary_mask(shape):
@@ -114,7 +116,7 @@ def test_dirichlet_maximum_principle_and_residual():
         mask = _boundary_mask(f.shape)
         assert u.max() <= f[mask].max() + 1e-12
         assert u.min() >= f[mask].min() - 1e-12
-        assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
+        assert np.abs(proof_chain.laplacian_interior(u)).max() < 1e-9
 
 
 @pytest.mark.parametrize("d,N", [(2, 5), (3, 4)])
@@ -171,7 +173,7 @@ def test_neumann_matches_data_and_is_harmonic(d, N):
     g -= g.mean()
     u = oracles.neumann_extension(g, d, N)
     np.testing.assert_allclose(lattice.edge_gradients(u, edges), g, atol=1e-9)
-    assert np.abs(lattice.laplacian_interior(u)).max() < 1e-9
+    assert np.abs(proof_chain.laplacian_interior(u)).max() < 1e-9
     inner = u[(slice(1, N),) * d]
     assert abs(inner.mean()) < 1e-12
 
@@ -317,6 +319,15 @@ def test_large_boxes_pass_the_certificate_without_a_dense_system(kind, d, N):
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("N", [512, 1024])
+def test_certificate_at_the_sweep_sizes_stays_below_n_squared_eps(kind, N):
+    """The certificate grows about like N^2 on d=2, past cli.OPERATOR_RTOL
+    at the sizes the sweeps run (measured 8.2e-13/3.0e-12 at N=512 and
+    3.2e-12/1.4e-12 at N=1024, Dirichlet/Neumann), so its bound scales."""
+    assert boxes.operator_certificate(kind, 2, N) <= N**2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("d,N", [(3, 128), (2, 1024)])
 def test_operator_memory_is_bounded_by_the_interior(kind, d, N):
     """One sample holds its interior coefficients and one face-transform
@@ -373,7 +384,7 @@ def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
 
 
 def test_odd_reflect_frozen_example():
-    out = boxes.odd_reflect(np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
+    out = proof_chain.odd_reflect(np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
     np.testing.assert_array_equal(out, [0, 1, -2, 3, 0, -3, 2, -1])
 
 
@@ -381,7 +392,7 @@ def test_odd_reflect_identity():
     rng = np.random.default_rng(31)
     data = rng.standard_normal(7)
     data[0] = data[6] = 0.0
-    out = boxes.odd_reflect(data)
+    out = proof_chain.odd_reflect(data)
     n = len(out)
     assert n == 12
     for j in range(n):
@@ -391,23 +402,23 @@ def test_odd_reflect_identity():
 
 def test_odd_reflect_rejects_nonzero_fixed_points():
     with pytest.raises(ValueError, match="fixed point"):
-        boxes.odd_reflect(np.array([0.5, 1.0, 0.0]))
+        proof_chain.odd_reflect(np.array([0.5, 1.0, 0.0]))
     # the check scales with the data, small data included
     big = np.array([1e-4, 1e8, 0.0])
-    boxes.odd_reflect(big)  # 1e-4 is far below 1e-8 * 1e8
+    proof_chain.odd_reflect(big)  # 1e-4 is far below 1e-8 * 1e8
     with pytest.raises(ValueError, match="fixed point"):
-        boxes.odd_reflect(np.full(9, 1e-9))
-    boxes.odd_reflect(1e-9 * np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
+        proof_chain.odd_reflect(np.full(9, 1e-9))
+    proof_chain.odd_reflect(1e-9 * np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
 
 
 def test_even_reflect_frozen_example():
-    out = boxes.even_reflect(np.array([1.0, 1.0, 2.0, 5.0, 5.0]))
+    out = proof_chain.even_reflect(np.array([1.0, 1.0, 2.0, 5.0, 5.0]))
     np.testing.assert_array_equal(out, [1, 1, 2, 5, 5, 2])
 
 
 def test_even_reflect_identity():
     data = np.array([4.0, 4.0, 7.0, -1.0, 0.5, 0.5])
-    out = boxes.even_reflect(data)
+    out = proof_chain.even_reflect(data)
     n = len(out)
     assert n == 2 * (len(data) - 2)
     for j in range(n):
@@ -416,33 +427,33 @@ def test_even_reflect_identity():
 
 def test_even_reflect_constant_and_rejections():
     np.testing.assert_array_equal(
-        boxes.even_reflect(np.full(5, 3.0)), np.full(6, 3.0)
+        proof_chain.even_reflect(np.full(5, 3.0)), np.full(6, 3.0)
     )
     with pytest.raises(ValueError, match="mirror"):
-        boxes.even_reflect(np.array([0.0, 1.0, 1.0, 1.0]))
+        proof_chain.even_reflect(np.array([0.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="mirror"):
-        boxes.even_reflect(np.array([1.0, 1.0, 1.0, 0.0]))
+        proof_chain.even_reflect(np.array([1.0, 1.0, 1.0, 0.0]))
     # a jump of the data's own size, however small that is
     with pytest.raises(ValueError, match="mirror"):
-        boxes.even_reflect(np.array([0.0, 1e-9, 1e-9, 1e-9]))
-    boxes.even_reflect(np.full(5, 1e-9))
+        proof_chain.even_reflect(np.array([0.0, 1e-9, 1e-9, 1e-9]))
+    proof_chain.even_reflect(np.full(5, 1e-9))
 
 
 def test_reflections_along_higher_axes():
     rng = np.random.default_rng(35)
     data = rng.standard_normal((3, 5))
     data[:, 0] = data[:, 4] = 0.0
-    out = boxes.odd_reflect(data, axis=1)
+    out = proof_chain.odd_reflect(data, axis=1)
     assert out.shape == (3, 8)
     np.testing.assert_allclose(out[:, 5:], -data[:, 3:0:-1], atol=0)
-    ev = boxes._reflect(rng.standard_normal((4, 3)), 1, 1.0)
+    ev = proof_chain._reflect(rng.standard_normal((4, 3)), 1, 1.0)
     assert ev.shape == (4, 4)
     np.testing.assert_array_equal(ev[:, 3], ev[:, 1])
 
 
 def test_integer_even_reflection_needs_no_consistency():
     data = np.array([2.0, -1.0, 5.0])
-    out = boxes._reflect(data, 0, 1.0)
+    out = proof_chain._reflect(data, 0, 1.0)
     np.testing.assert_array_equal(out, [2.0, -1.0, 5.0, -1.0])
     n = len(out)
     for j in range(n):
@@ -456,7 +467,7 @@ def test_integer_even_reflection_needs_no_consistency():
 
 def test_face_decomposition_of_a_constant():
     u = np.full((6, 6), 4.0)
-    strips, cert = boxes.face_decomposition_dirichlet(u, 2)
+    strips, cert = proof_chain.face_decomposition_dirichlet(u, 2)
     assert len(strips) == 2
     np.testing.assert_allclose(strips[0], 4.0, atol=1e-10)
     np.testing.assert_allclose(strips[1], 0.0, atol=1e-10)
@@ -467,7 +478,7 @@ def test_face_decomposition_of_a_constant():
 def test_face_decomposition_reconstructs_harmonic_functions(N):
     rng = np.random.default_rng(40 + N)
     u = oracles.dirichlet_extension(rng.standard_normal((N + 1, N + 1)))
-    strips, cert = boxes.face_decomposition_dirichlet(u, 2)
+    strips, cert = proof_chain.face_decomposition_dirichlet(u, 2)
     total = strips[0] + strips[1]
     assert np.abs(total - u).max() < 1e-8
     assert cert["reconstruction_residual"] < 1e-8
@@ -478,13 +489,13 @@ def test_face_decomposition_reconstructs_harmonic_functions(N):
     assert np.abs(strips[1][0, :]).max() < 1e-8
     assert np.abs(strips[1][N, :]).max() < 1e-8
     for w in strips:
-        assert np.abs(lattice.laplacian_interior(w)).max() < 1e-8
+        assert np.abs(proof_chain.laplacian_interior(w)).max() < 1e-8
 
 
 def test_face_decomposition_3d_smoke():
     rng = np.random.default_rng(43)
     u = oracles.dirichlet_extension(rng.standard_normal((5, 5, 5)))
-    strips, cert = boxes.face_decomposition_dirichlet(u, 2)
+    strips, cert = proof_chain.face_decomposition_dirichlet(u, 2)
     assert len(strips) == 3
     np.testing.assert_allclose(strips[0] + strips[1] + strips[2], u, atol=1e-8)
     assert cert["reconstruction_residual"] < 1e-8

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from harmonic_lab import lattice
 
 import oracles
+import proof_chain
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +200,22 @@ def test_cached_edge_sets_are_shared_safely_between_threads():
 
 def test_laplacian_of_constant_and_linear():
     u = np.full((5, 5), 3.5)
-    np.testing.assert_array_equal(lattice.laplacian_interior(u), 0.0)
+    np.testing.assert_array_equal(proof_chain.laplacian_interior(u), 0.0)
     x, y = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
     v = 2.0 * x - 5.0 * y
-    np.testing.assert_allclose(lattice.laplacian_interior(v), 0.0, atol=1e-12)
+    np.testing.assert_allclose(proof_chain.laplacian_interior(v), 0.0, atol=1e-12)
 
 
 def test_laplacian_of_x_squared():
     x, _ = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     u = (x**2).astype(float)
-    assert lattice.laplacian_interior(u).tolist() == [[2.0]]
+    assert proof_chain.laplacian_interior(u).tolist() == [[2.0]]
 
 
 def test_laplacian_periodic_axis():
     u = np.cos(2 * np.pi * np.arange(6) / 6)[:, None] * np.ones((6, 4))
     # axis 0 keeps all 6 rows; column 2 sits at position 1 of the inner columns
-    val = lattice.laplacian_interior(u, periodic_axes=(0,))[0, 1]
+    val = proof_chain.laplacian_interior(u, periodic_axes=(0,))[0, 1]
     direct = u[1, 2] + u[5, 2] + u[0, 1] + u[0, 3] - 4 * u[0, 2]
     assert val == pytest.approx(direct, abs=1e-14)
 
@@ -223,7 +224,7 @@ def test_laplacian_interior_matches_pointwise():
     rng = np.random.default_rng(2)
     u = rng.standard_normal((6, 5))
     for periodic in [(), (0,)]:
-        inner = lattice.laplacian_interior(u, periodic_axes=periodic)
+        inner = proof_chain.laplacian_interior(u, periodic_axes=periodic)
         offset = [0 if ax in periodic else 1 for ax in range(2)]
         for pos in np.ndindex(inner.shape):
             x = tuple(p + o for p, o in zip(pos, offset))
@@ -277,7 +278,7 @@ def test_laplacian_is_divergence_of_outgoing_gradients():
             head[ax] += s
             outgoing.append((x, tuple(head)))
     total = lattice.edge_gradients(u, outgoing).sum()
-    inner = lattice.laplacian_interior(u)[tuple(c - 1 for c in x)]
+    inner = proof_chain.laplacian_interior(u)[tuple(c - 1 for c in x)]
     assert inner == pytest.approx(total, abs=1e-12)
 
 
@@ -356,7 +357,7 @@ def test_non_finite_neumann_data_is_rejected(bad):
     """abs(nan) and inf - inf fail every comparison with the rounding bound,
     so the zero-flux test checks finiteness first, for every Neumann solver
     that shares it."""
-    from harmonic_lab import boxes, halfspace
+    from harmonic_lab import boxes
 
     d, N = 2, 4
     g = np.zeros(len(lattice.normal_edges(d, N)))
@@ -367,9 +368,9 @@ def test_non_finite_neumann_data_is_rejected(bad):
         lambda: lattice.check_zero_flux(g),
         lambda: boxes.neumann_operator(d, N)(g),
         lambda: boxes.neumann_operator(d, N)(np.stack([np.zeros_like(g), g])),
-        lambda: halfspace.neumann_strip_solve(layer, zeros, 16),
-        lambda: halfspace.neumann_strip_solve(zeros, layer, 16),
-        lambda: halfspace.telescope_neumann(layer, zeros, 16),
+        lambda: proof_chain.neumann_strip_solve(layer, zeros, 16),
+        lambda: proof_chain.neumann_strip_solve(zeros, layer, 16),
+        lambda: proof_chain.telescope_neumann(layer, zeros, 16),
     ]
     for solve in solvers:
         with pytest.raises(ValueError, match="non-finite"):
