@@ -275,10 +275,12 @@ def face_map(kind: str, d: int, N: int):
         raise ValueError(f"unknown box problem {kind!r}")
     lattice._check_box(d, N)
     T, lam = _path_matrix(kind, N - 1), _path_eigenvalues(kind, N - 1)
+    size = 2 * d * (N - 1) ** (d - 1)
+    logger.debug("%s face map d=%d N=%d: %d faces, %d face values", kind, d, N, 2 * d, size)
 
     def apply(x):
         lead = np.shape(x)[:-1]
-        x = _batch(x, 2 * d * (N - 1) ** (d - 1), "face values")
+        x = _batch(x, size, "face values")
         coeffs = _coefficients(x.reshape(len(x), 2 * d, -1), T, lam)
         return _layer_values(coeffs, T).reshape(lead + (-1,))
 

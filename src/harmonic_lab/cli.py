@@ -122,12 +122,17 @@ def _cell_seed(seed, *parts):
 
 
 def _dirichlet_data(generator, rng, vertices, N):
-    """Dirichlet values at ``vertices``, boundary vertices of {0..N}^d as an
-    (M, d) array, in their order.  iid-gaussian keeps them from a draw of the
-    whole (N+1,)*d box, which defines its stream; the others evaluate there."""
+    """Dirichlet values at ``vertices``, boundary vertices of {0..N}^d as a
+    lexicographic (M, d) array, in their order.  iid-gaussian keeps them from
+    a draw of the whole (N+1,)*d box, one axis-0 slab at a time, which
+    defines its stream; the others evaluate there."""
     d = vertices.shape[1]
     if generator == "iid-gaussian":
-        return rng.standard_normal((N + 1,) * d)[tuple(vertices.T)]
+        out = np.empty(len(vertices))
+        cut = np.searchsorted(vertices[:, 0], np.arange(N + 2))
+        for i, j in zip(cut, cut[1:]):
+            out[i:j] = rng.standard_normal((N + 1,) * (d - 1))[tuple(vertices[i:j, 1:].T)]
+        return out
     x = vertices.T
     if generator == "single-mode":
         k = rng.integers(1, N, size=d)
@@ -324,34 +329,27 @@ def run_symbol_report(d, l_list):
 
     naxes = d - 1
     blocks = []
-    tracked = []
-    for L in l_list:
-        L = int(L)
-        # f(lambda) once per grid, then one division per quotient symbol;
-        # every rectangle takes the Dirichlet symbol of its dominant axis
-        grid = grid_symbols(d, L)
+    for L in map(int, l_list):
+        symbols = grid_symbols(d, L)  # refuses an over-budget grid up front
 
-        def metrics(symbol_values):
-            table = dyadic.variation_table(symbol_values, L)
-            max_lvar = float(table.local.max())
-            return {
+        def both(rows):
+            # f(lambda) once per entry for both symbols; each rectangle takes
+            # the Dirichlet symbol of its dominant axis
+            grid, labels = symbols(rows), dyadic.dominant_axes(naxes, L, rows)
+            return np.stack([grid.neumann(0), grid.dirichlet(labels)], axis=-1)
+
+        table = dyadic.variation_table(both, L, naxes)
+        block = {"L": L}
+        for j, name in enumerate(("neumann_axis0", "dirichlet_glued")):
+            max_lvar, total = float(table.local[..., j].max()), float(table.total[j])
+            block[name] = {
                 "max_lvar": max_lvar,
-                "total_var": table.total,
+                "total_var": total,
                 "bound_factor": 4**naxes,
-                "bound_ok": bool(table.total <= 4**naxes * max_lvar + 1e-12),
+                "bound_ok": bool(total <= 4**naxes * max_lvar + 1e-12),
             }
-
-        neumann_block = metrics(grid.neumann(0))
-        tracked.append(neumann_block["max_lvar"])
-        blocks.append(
-            {
-                "L": L,
-                "neumann_axis0": neumann_block,
-                "dirichlet_glued": metrics(
-                    grid.dirichlet(dyadic.dominant_axes(naxes, L))
-                ),
-            }
-        )
+        blocks.append(block)
+    tracked = [block["neumann_axis0"]["max_lvar"] for block in blocks]
     spread = max(tracked) / min(tracked) if min(tracked) > 0 else None
     return {
         "command": "symbol-report",

@@ -14,7 +14,6 @@ half-space extensions, or telescopes) is test oracles in
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import lru_cache
 
@@ -34,8 +33,6 @@ __all__ = [
     "dirichlet_strip_solve",
     "periodized_poisson_kernel",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def tangential_angles(d: int, L: int) -> np.ndarray:

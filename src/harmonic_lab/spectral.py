@@ -19,6 +19,13 @@ and the inverse transform of a coefficient field a is
 
 With h = pi / L the pair is an exact round trip.  Under this convention a
 shift by one site along axis i multiplies the transform by exp(-i h k_i).
+
+``grid_symbols`` evaluates f(lambda) on the stored angle grid a block of
+axis-0 rows at a time, once per entry, and both quotient symbols of a
+block from it by one division each (``GridSymbols``).  The symbol report
+never holds a whole (2L)^(d-1) grid: its peak is one block plus per-row
+partial reductions, and a grid whose report would pass
+``SYMBOL_GRID_BUDGET`` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ __all__ = [
 
 
 #: peak bytes the symbol report (``cli.run_symbol_report``) holds per entry
-#: of a (2L,)*(d-1) symbol grid, measured with tracemalloc at d = 3 and 4
-SYMBOL_BYTES_PER_ENTRY = 73
+#: of the block of axis-0 rows it reads at a time, besides its per-row
+#: partial reductions; 97-116 measured with tracemalloc at d = 2 to 6
+SYMBOL_BYTES_PER_ENTRY = 120
 
 #: ``grid_symbols`` refuses a grid whose report would pass this many bytes
 SYMBOL_GRID_BUDGET = 2**31
@@ -209,18 +217,20 @@ def dirichlet_symbol(i: int, t, d: int):
 
 
 class GridSymbols(NamedTuple):
-    """f(lambda(t)) on the stored angle grid t = h k, k in I_L^(d-1), with
-    h = pi / L (the grid of ``halfspace.tangential_angles(d, L)`` without
-    its component axis), and the 1-D angles h * index_grid(L) of each axis.
-    lambda is at least 1 on the grid, so ``f`` is real (float64).
+    """f(lambda(t)) on axis-0 rows of the stored angle grid t = h k,
+    k in I_L^(d-1), with h = pi / L (the grid of
+    ``halfspace.tangential_angles(d, L)`` without its component axis), and
+    the 1-D angles of each axis: h * index_grid(L) on the rows of axis 0
+    that ``f`` holds, and on every other axis all of them.  lambda is at
+    least 1 on the grid, so ``f`` is real (float64).
     """
 
     f: np.ndarray
-    angles: np.ndarray
+    angles: tuple
 
     def _on_axis(self, i: int) -> np.ndarray:
         _check_axis(i, self.f.ndim + 1)
-        return self.angles.reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
+        return self.angles[i].reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
 
     def dirichlet(self, i) -> np.ndarray:
         """``dirichlet_symbol(i, t, d)`` on the grid.
@@ -233,8 +243,10 @@ class GridSymbols(NamedTuple):
         """
         for axis in (np.min(i), np.max(i)):
             _check_axis(int(axis), self.f.ndim + 1)
-        t = np.choose(i, [self._on_axis(j) for j in range(self.f.ndim)])
-        return _quotient(self.f, _phase(t), t == 0.0)
+        # each entry picks its axis's phase and zero test from the 1-D axes
+        t = [self._on_axis(j) for j in range(self.f.ndim)]
+        zero = np.choose(i, [tj == 0.0 for tj in t])
+        return _quotient(self.f, np.choose(i, [_phase(tj) for tj in t]), zero)
 
     def neumann(self, i: int) -> np.ndarray:
         """``neumann_symbol(i, t, d)`` on the grid."""
@@ -243,18 +255,27 @@ class GridSymbols(NamedTuple):
         return _quotient(_phase(self._on_axis(i)), self.f, origin)
 
 
-def grid_symbols(d: int, L: int) -> GridSymbols:
-    """Evaluate f(lambda(t)) once on the stored angle grid of half-period L.
+def grid_symbols(d: int, L: int):
+    """The quotient symbols on the stored angle grid of half-period L, a
+    block of axis-0 rows at a time.
 
-    lambda is summed from the 1-D cosines in axis order, which reproduces
-    ``lambda_symbol`` bit for bit up to d = 8 (numpy sums 8 or more terms
-    pairwise); every quotient symbol of the grid is then one division
-    (``GridSymbols.dirichlet`` and ``GridSymbols.neumann``).
+    Returns a function of ``rows``, axis-0 storage positions (an integer
+    array or a slice, all of them by default), that evaluates f(lambda(t))
+    once on those rows and returns it as ``GridSymbols``; every quotient
+    symbol is then one division (``GridSymbols.dirichlet`` and
+    ``GridSymbols.neumann``).  lambda is summed from the 1-D cosines in axis
+    order, which reproduces ``lambda_symbol`` bit for bit up to d = 8 (numpy
+    sums 8 or more terms pairwise).  The estimate of the symbol report, one
+    block of both symbols plus their partials
+    (``dyadic.variation_footprint``), is checked first.
     """
+    from . import dyadic
+
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     k = index_grid(L)  # rejects L < 1 before the division
-    estimate = (2 * L) ** (d - 1) * SYMBOL_BYTES_PER_ENTRY
+    block, partials = dyadic.variation_footprint(d - 1, L, 2)
+    estimate = block * SYMBOL_BYTES_PER_ENTRY + partials
     if estimate > SYMBOL_GRID_BUDGET:
         raise ValueError(
             f"symbol grid d={d}, L={L} needs about {estimate >> 20} MiB for the "
@@ -262,7 +283,11 @@ def grid_symbols(d: int, L: int) -> GridSymbols:
         )
     angles = (math.pi / L) * k
     cos = np.cos(angles)
-    total = 0.0
-    for i in range(d - 1):
-        total = total + cos.reshape((-1,) + (1,) * (d - 2 - i))
-    return GridSymbols(f_symbol(d - total), angles)
+
+    def evaluate(rows=slice(None)):
+        total = 0.0
+        for i, c in enumerate([cos[rows]] + [cos] * (d - 2)):
+            total = total + c.reshape((-1,) + (1,) * (d - 2 - i))
+        return GridSymbols(f_symbol(d - total), (angles[rows],) + (angles,) * (d - 2))
+
+    return evaluate

@@ -555,6 +555,40 @@ def brute_total_variation(a, L):
     return best
 
 
+def whole_grid_variation_table(a, L):
+    """``dyadic.variation_table`` of an array as it was before the library
+    read symbols in blocks of rows: the whole symbol reordered at once,
+    every flag vector's mixed difference formed on the whole grid and
+    reduced over all axes, innermost first.  It returns (levels, local,
+    total), the reference that the blocked table equals bit for bit."""
+    a = np.asarray(a)
+    d = a.ndim
+    order = (np.arange(2 * L) + L + 1) % (2 * L)
+    for ax in range(d):
+        a = np.take(a, order, axis=ax)
+    level = np.array([level_of(nu) for nu in range(-L + 1, L + 1)])
+    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
+    lasts = np.append(starts[1:], 2 * L) - 1
+    local = total = np.zeros((len(starts),) * d)
+    for alpha in itertools.product((0, 1), repeat=d):
+        full = a
+        for ax, flag in enumerate(alpha):
+            if flag:
+                full = np.roll(full, -1, axis=ax) - full
+        full = np.abs(full)
+        dropped = full.copy()
+        for ax, flag in enumerate(alpha):
+            if flag:
+                dropped[(slice(None),) * ax + (lasts,)] = 0.0
+        for ax in reversed(range(d)):
+            reduce = np.add.reduceat if alpha[ax] else np.maximum.reduceat
+            full = reduce(full, starts, axis=ax)
+            dropped = reduce(dropped, starts, axis=ax)
+        total = np.maximum(total, full)
+        local = np.maximum(local, dropped)
+    return tuple(level[starts].tolist()), local, float(total.max())
+
+
 # tuple enumeration of the box vertex and edge sets, in sorted order
 
 

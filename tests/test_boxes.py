@@ -3,6 +3,7 @@ certificate, the full-field reference solves of ``oracles``, the
 reflections and face decomposition of ``proof_chain``, and the gradient
 comparison report."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,19 @@ def test_face_map_is_symmetric(kind, d, N):
     assert Kx.shape == x.shape
     gap = np.abs((Kx * y).sum(axis=1) - (x * Ky).sum(axis=1))
     assert np.all(gap <= 1e-13 * np.linalg.norm(Kx, axis=1) * np.linalg.norm(y, axis=1))
+
+
+def test_each_operator_build_logs_one_debug_line(caplog):
+    """``--log-level DEBUG`` shows the box stage: one line per operator
+    build, naming the kind, d, N and the face count."""
+    with caplog.at_level(logging.DEBUG, logger="harmonic_lab.boxes"):
+        boxes.dirichlet_operator(3, 5)
+        boxes.neumann_operator(2, 4)
+    assert [r.getMessage() for r in caplog.records if r.name == "harmonic_lab.boxes"] == [
+        "dirichlet face map d=3 N=5: 6 faces, 96 face values",
+        "neumann face map d=2 N=4: 4 faces, 12 face values",
+    ]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
 
 def test_face_map_rejects_unknown_kinds_and_shapes():

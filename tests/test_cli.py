@@ -88,7 +88,8 @@ def test_dirichlet_data_is_the_full_box_field_on_the_boundary(generator):
     """Each generator's boundary row equals, byte for byte, the whole-box
     field of the reference at the boundary vertices; for iid-gaussian this
     pins the stream of the cell seed as well."""
-    for (d, N), seed in itertools.product([(2, 4), (3, 5), (4, 3)], (11, 12)):
+    cases = [(2, 4), (3, 5), (4, 3), (2, 2), (3, 2), (5, 3)]
+    for (d, N), seed in itertools.product(cases, (11, 12)):
         got = cli._dirichlet_data(
             generator, np.random.default_rng(seed), lattice.boundary_vertices(d, N), N
         )
@@ -97,6 +98,16 @@ def test_dirichlet_data_is_the_full_box_field_on_the_boundary(generator):
         )
         want = field[tuple(np.array(oracles.boundary_vertices(d, N)).T)]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_iid_gaussian_data_holds_one_slab_of_the_box_at_a_time():
+    """The stream is a draw of the whole box (checked against it above),
+    made one axis-0 slab at a time: at (3, 128) the boundary row is 0.8 MB
+    and one slab 0.13 MB, while the whole box is 17 MB."""
+    vertices = lattice.boundary_vertices(3, 128)
+    rng = np.random.default_rng(0)
+    peak = _traced_peak(lambda: cli._dirichlet_data("iid-gaussian", rng, vertices, 128))
+    assert peak < 4 * 2**20
 
 
 def test_neumann_data_is_mean_free():
@@ -259,20 +270,34 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
     monkeypatch,
 ):
     """One, two and three tangential axes; L = 1 and L that are not powers
-    of two give singleton and uneven dyadic segments."""
-    calls = collections.Counter()
+    of two give singleton and uneven dyadic segments.  f(lambda) is
+    evaluated on whole axis-0 rows, block by block, and on every entry of
+    each grid exactly once, at the default block size and at one of a few
+    rows."""
+    from harmonic_lab import dyadic
+
+    shapes = []
     f_symbol = spectral.f_symbol
 
     def counting(z):
-        # f(lambda) over the whole (2L,)*(d-1) grid of one L
-        calls[np.shape(z)] += 1
+        shapes.append(np.shape(z))
         return f_symbol(z)
 
     monkeypatch.setattr(spectral, "f_symbol", counting)
-    for d, l_list in [(2, (1, 3, 8)), (3, (4, 8)), (4, (1, 3, 4))]:
-        calls.clear()
+    cases = [(2, (1, 3, 8)), (3, (4, 8)), (4, (1, 3, 4))]
+    for block_entries, (d, l_list) in itertools.product((dyadic.BLOCK_ENTRIES, 5), cases):
+        monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", block_entries)
+        shapes.clear()
         payload = cli.run_symbol_report(d, l_list)
-        assert calls == {(2 * L,) * (d - 1): 1 for L in l_list}
+        for L in l_list:
+            # the calls of one grid, in order, until they cover its entries
+            covered = 0
+            while covered < (2 * L) ** (d - 1):
+                shape = shapes.pop(0)
+                assert len(shape) == d - 1 and shape[1:] == (2 * L,) * (d - 2)
+                covered += math.prod(shape)
+            assert covered == (2 * L) ** (d - 1)
+        assert shapes == []
         assert [block["L"] for block in payload["blocks"]] == list(l_list)
 
         for block in payload["blocks"]:
@@ -303,14 +328,15 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("d,L", [(3, 128), (4, 32)])
+@pytest.mark.parametrize("d,L", [(3, 128), (3, 512), (4, 32)])
 def test_symbol_report_peak_memory_per_grid_entry(d, L):
-    """With real f(lambda) and the glued symbol built from the dominant
-    axes' angles the report peaks at about 73 bytes per grid entry; a
-    complex f or per-axis glued symbols take it to 129-146."""
+    """The report reads its grid a block of axis-0 rows at a time, so its
+    peak does not grow with the grid: measured 1.4, 3.4 and 3.4 MiB here,
+    where the whole-grid report held about 73 bytes per entry (4.6, 73 and
+    18 MiB)."""
     cli.run_symbol_report(d, (2,))  # imports and first-call set-up
     peak = _traced_peak(lambda: cli.run_symbol_report(d, (L,)))
-    assert peak <= 90 * (2 * L) ** (d - 1)
+    assert peak <= 6 * 2**20
 
 
 def test_symbol_report_refuses_an_over_budget_grid_before_allocating(tmp_path, capsys):

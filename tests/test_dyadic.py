@@ -1,11 +1,12 @@
 """Dyadic partition bookkeeping and the mixed-difference variation."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from harmonic_lab import dyadic, spectral
+from harmonic_lab import cli, dyadic, spectral
 
 import oracles
 
@@ -217,6 +218,68 @@ def test_local_variation_is_local():
     for pos in (0, 1, 4, 5, 6, 7):  # everything outside frequencies {2, 3}
         tampered[pos] += rng.standard_normal()
     assert dyadic.variation_table(tampered, 4).local[i] == base.local[i]
+
+
+@pytest.mark.parametrize("naxes,L", [(1, 3), (2, 1), (2, 5), (3, 4)])
+def test_dominant_axes_on_rows_are_those_rows_of_the_grid(naxes, L):
+    labels = dyadic.dominant_axes(naxes, L)
+    for rows in (np.arange(1), np.array([2 * L - 1, 0]), np.arange(L, 2 * L)):
+        np.testing.assert_array_equal(dyadic.dominant_axes(naxes, L, rows), labels[rows])
+
+
+def _table_bits(table):
+    return table.levels, table.local.tobytes(), np.asarray(table.total).tobytes()
+
+
+@pytest.mark.parametrize("L", [1, 3, 6])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_block_boundaries_leave_tables_and_reports_bit_identical(monkeypatch, d, L):
+    """Blocks of one and of three axis-0 rows put block edges inside the
+    dyadic segments and next to the periodic wrap; the table and the symbol
+    report equal, bit for bit, those from one block of the whole grid and
+    those at the default block size, and the table equals the whole-grid
+    reduction of the oracle."""
+    rng = np.random.default_rng(10 * d + L)
+    a = rng.standard_normal((2 * L,) * d) + 1j * rng.standard_normal((2 * L,) * d)
+    found = {}
+    for rows in (1, 3, 2 * L, None):
+        if rows is not None:
+            monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", rows * (2 * L) ** (d - 1))
+        table = _table_bits(dyadic.variation_table(a, L))
+        if rows is not None:  # the report's grid has d - 1 axes
+            monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", rows * (2 * L) ** (d - 2))
+        found[rows] = table, json.dumps(cli.run_symbol_report(d, (L,)))
+        monkeypatch.undo()
+    assert found[1] == found[3] == found[2 * L] == found[None]
+    levels, local, total = oracles.whole_grid_variation_table(a, L)
+    assert found[1][0] == (levels, local.tobytes(), np.asarray(total).tobytes())
+
+
+@pytest.mark.parametrize("d,L", [(1, 5), (2, 3), (3, 2)])
+def test_variation_table_reads_each_row_once_and_tables_stacked_symbols(monkeypatch, d, L):
+    """A function of the rows is read on every axis-0 row exactly once, in
+    blocks of whole rows, and symbols stacked on a trailing axis get each
+    their own table, bit for bit."""
+    monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", 2 * (2 * L) ** (d - 1))
+    rng = np.random.default_rng(80 + d)
+    shape = (2 * L,) * d
+    members = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+    stacked = np.stack(members, axis=-1)
+    read = []
+
+    def rows(index):
+        read.extend(index.tolist())
+        return stacked[index]
+
+    table = dyadic.variation_table(rows, L, d)
+    assert sorted(read) == list(range(2 * L))
+    assert table.local.shape == (len(table.levels),) * d + (2,)
+    assert table.total.shape == (2,)
+    for j, a in enumerate(members):
+        alone = dyadic.variation_table(a, L)
+        assert alone.levels == table.levels
+        assert alone.local.tobytes() == np.ascontiguousarray(table.local[..., j]).tobytes()
+        assert alone.total == table.total[j]
 
 
 def test_local_variation_shape_check():

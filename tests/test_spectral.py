@@ -300,15 +300,24 @@ def test_dirichlet_symbol_zero_convention():
 
 @pytest.mark.parametrize("d,L", [(2, 1), (2, 16), (3, 8), (4, 4)])
 def test_grid_symbols_match_the_pointwise_symbols_bit_for_bit(d, L):
+    """On the whole grid and on blocks of axis-0 rows: one row, rows across
+    the periodic wrap, and the upper half."""
     angles = halfspace.tangential_angles(d, L)
-    grid = spectral.grid_symbols(d, L)
+    symbols = spectral.grid_symbols(d, L)
     lam = spectral.lambda_symbol(angles, d)
-    np.testing.assert_array_equal(grid.f, spectral.f_symbol(lam))
-    for i in range(d - 1):
-        dirichlet, neumann = grid.dirichlet(i), grid.neumann(i)
-        assert dirichlet.shape == neumann.shape == lam.shape
-        np.testing.assert_array_equal(dirichlet, spectral.dirichlet_symbol(i, angles, d))
-        np.testing.assert_array_equal(neumann, spectral.neumann_symbol(i, angles, d))
+    wrap = np.array([2 * L - 1, 0, 1]) % (2 * L)
+    for rows in (slice(None), np.arange(1), wrap, np.arange(L, 2 * L)):
+        grid = symbols(rows)
+        np.testing.assert_array_equal(grid.f, spectral.f_symbol(lam[rows]))
+        for i in range(d - 1):
+            dirichlet, neumann = grid.dirichlet(i), grid.neumann(i)
+            assert dirichlet.shape == neumann.shape == lam[rows].shape
+            np.testing.assert_array_equal(
+                dirichlet, spectral.dirichlet_symbol(i, angles[rows], d)
+            )
+            np.testing.assert_array_equal(
+                neumann, spectral.neumann_symbol(i, angles[rows], d)
+            )
     with pytest.raises(ValueError):
         spectral.grid_symbols(1, L)
 
@@ -317,7 +326,7 @@ def test_grid_symbols_match_the_pointwise_symbols_bit_for_bit(d, L):
 def test_grid_symbols_reject_an_axis_out_of_range(i):
     """The grid quotients raise the pointwise functions' error instead of
     returning another axis's symbol (numpy indexing wraps -1)."""
-    grid = spectral.grid_symbols(3, 4)
+    grid = spectral.grid_symbols(3, 4)()
     t = np.zeros(2)
     message = f"tangential axis {i} out of range for d=3"
     for grid_symbol, pointwise in [
@@ -344,7 +353,7 @@ def test_real_lambda_gives_the_real_part_of_the_complex_evaluation(d):
             np.testing.assert_array_equal(_bits(real), _bits(full.real))
             assert not full.imag.any()
         f = spectral.f_symbol(lam.astype(complex))
-        np.testing.assert_array_equal(_bits(spectral.grid_symbols(d, L).f), _bits(f.real))
+        np.testing.assert_array_equal(_bits(spectral.grid_symbols(d, L)().f), _bits(f.real))
 
 
 def test_real_q_and_f_above_one_equal_the_complex_real_part():
@@ -389,7 +398,7 @@ def test_grid_dirichlet_by_labels_equals_the_chosen_axis_symbols(d, L):
     bit what np.choose over the per-axis symbols gives."""
     from harmonic_lab import dyadic
 
-    grid = spectral.grid_symbols(d, L)
+    grid = spectral.grid_symbols(d, L)()
     per_axis = [grid.dirichlet(i) for i in range(d - 1)]
     rng = np.random.default_rng(d * 100 + L)
     for labels in (
@@ -402,7 +411,7 @@ def test_grid_dirichlet_by_labels_equals_the_chosen_axis_symbols(d, L):
 
 
 def test_grid_dirichlet_rejects_a_label_out_of_range():
-    grid = spectral.grid_symbols(3, 4)
+    grid = spectral.grid_symbols(3, 4)()
     labels = np.zeros(grid.f.shape, dtype=np.intp)
     for bad in (-1, 2):
         labels[1, 2] = bad
@@ -411,15 +420,27 @@ def test_grid_dirichlet_rejects_a_label_out_of_range():
 
 
 def test_grid_symbols_refuse_a_grid_over_the_budget(monkeypatch):
-    """The estimate is checked before any grid array is built, so a grid of
+    """The estimate, one block of axis-0 rows and the report's per-row
+    partial reductions, is checked before anything is built, so a grid of
     trillions of entries is refused at once."""
+    from harmonic_lab import dyadic
+
     with pytest.raises(ValueError, match=r"d=6, L=64 needs about \d+ MiB"):
         spectral.grid_symbols(6, 64)
-    # a budget of exactly the d = 3, L = 32 grid admits it and refuses L = 33
-    monkeypatch.setattr(spectral, "SYMBOL_GRID_BUDGET", 64**2 * spectral.SYMBOL_BYTES_PER_ENTRY)
-    assert spectral.grid_symbols(3, 32).f.shape == (64, 64)
+    # one row of 64 entries per block, read with the row after it, and for
+    # each of the 64 rows 4 flag vectors x (full, dropped) x 2 symbols x 12
+    # levels of float64: a budget of exactly the d = 3, L = 32 estimate
+    # admits it and refuses L = 33, whose rows are longer and have 13 levels
+    monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", 1)
+    estimate = 2 * 64 * spectral.SYMBOL_BYTES_PER_ENTRY + 64 * 4 * 2 * 2 * 12 * 8
+    monkeypatch.setattr(spectral, "SYMBOL_GRID_BUDGET", estimate)
+    assert spectral.grid_symbols(3, 32)().f.shape == (64, 64)
     with pytest.raises(ValueError, match="d=3, L=33 needs about 0 MiB"):
         spectral.grid_symbols(3, 33)
+    # three rows per block read four at a time: the L = 32 block no longer fits
+    monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", 3 * 64)
+    with pytest.raises(ValueError, match="d=3, L=32 needs about 0 MiB"):
+        spectral.grid_symbols(3, 32)
 
 
 def test_ratio_symbols_are_reciprocal():
