@@ -19,14 +19,14 @@ its own generator seed from (seed, d, N, sample), so thread scheduling
 cannot change any emitted value.  CSV sweep rows carry exactly the
 columns d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms.
 
-Each command imports the library modules it runs when it starts, so parsing
-the arguments loads none of them.
+Each command imports the library modules it runs when it starts, and output
+files are named by a CRC-32 of the run descriptor, so parsing the arguments
+loads no library module and no OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import itertools
 import json
@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,7 +387,7 @@ def _write_json(path, payload):
 
 def _spec_hash(descriptor):
     canonical = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:8]
+    return f"{zlib.crc32(canonical.encode()):08x}"
 
 
 def _output_path(out_dir, command, descriptor, fmt):

@@ -29,7 +29,10 @@ function of its rows is never held whole.  Each block also holds the row
 after its last, the forward neighbour along axis 0, carried over from the
 block before and wrapping around from the first row; it is reduced over
 axes d-1..1, and the per-row partials of all blocks over axis 0 last,
-which are the reductions of the whole symbol, bit for bit.
+which are the reductions of the whole symbol, bit for bit.  The flag
+vectors that take the sup along axis 0 share one running elementwise
+maximum of their partials, since their results are only combined by
+maximum, which is exact in any order.
 
 ``dominant_axes`` labels each stored frequency with the first axis of
 largest |level|, the axis whose quotient symbol a glued multiplier takes on
@@ -114,10 +117,11 @@ def variation_footprint(d: int, L: int, count: int) -> tuple:
     """What ``variation_table`` holds for ``count`` symbols of ``d`` axes
     stacked on one grid of half-period L: the entries of one block with the
     row after it, and the bytes of the per-row partial reductions (full and
-    dropped of every symbol for every flag vector, in float64)."""
+    dropped of every symbol, in float64, for each of the 2^(d-1) flag
+    vectors that sum along axis 0 and once for all that take the sup)."""
     levels = dyadic_index_of(L) - dyadic_index_of(1 - L) + 1
     row = (2 * L) ** (d - 1)
-    partials = 2**d * 2 * count * 2 * L * levels ** (d - 1) * 8
+    partials = (2 ** (d - 1) + 1) * 2 * count * 2 * L * levels ** (d - 1) * 8
     return (_rows_per_block(d, L) + 1) * row, partials
 
 
@@ -161,7 +165,10 @@ def variation_table(a, L: int, d: int | None = None) -> VariationTable:
     levels = level[starts]
     lasts = np.append(starts[1:], 2 * L) - 1
     flags = list(itertools.product((0, 1), repeat=d))
-    partials = {}  # flags -> (full, dropped), reduced over every axis but 0
+    # per-row (full, dropped), reduced over every axis but 0, of each flag
+    # vector that sums along axis 0, and under None the running maximum of
+    # all the others; the terms are nonnegative, so every entry starts at 0
+    partials = {}
 
     def mixed_difference(block, alpha):
         diff = block[1:] - block[:-1] if alpha[0] else block[:-1]
@@ -188,9 +195,11 @@ def variation_table(a, L: int, d: int | None = None) -> VariationTable:
                 reduce = np.add.reduceat if alpha[ax] else np.maximum.reduceat
                 full = reduce(full, starts, axis=ax)
                 dropped = reduce(dropped, starts, axis=ax)
-            if alpha not in partials:
-                partials[alpha] = np.empty((2, 2 * L) + full.shape[1:])
-            partials[alpha][:, first : first + n] = full, dropped
+            key = alpha if alpha[0] else None
+            if key not in partials:
+                partials[key] = np.zeros((2, 2 * L) + full.shape[1:])
+            for part, new in zip(partials[key][:, first : first + n], (full, dropped)):
+                np.maximum(part, new, out=part)
 
     # each row is read once: a block starts with the last row of the one
     # before it, and the last row wraps around to the first
@@ -210,8 +219,8 @@ def variation_table(a, L: int, d: int | None = None) -> VariationTable:
     reduce_rows(np.concatenate([carry, head]), 2 * L - 1)
     # axis 0 last: the same reductions of every row as on the whole symbol
     local = total = 0.0
-    for alpha, (full, dropped) in partials.items():
-        reduce = np.add.reduceat if alpha[0] else np.maximum.reduceat
+    for key, (full, dropped) in partials.items():
+        reduce = np.maximum.reduceat if key is None else np.add.reduceat
         total = np.maximum(total, reduce(full, starts, axis=0))
         local = np.maximum(local, reduce(dropped, starts, axis=0))
     total = total.max(axis=tuple(range(d)))

@@ -463,6 +463,28 @@ def test_spec_hash_is_key_order_independent():
     assert cli._spec_hash({"a": 1, "b": 2}) == cli._spec_hash({"b": 2, "a": 1})
 
 
+def test_spec_hash_is_the_crc32_of_the_canonical_descriptor():
+    # CRC-32 of the bytes {"a":1,"b":2}, as the gzip trailer of them gives it
+    assert cli._spec_hash({"b": 2, "a": 1}) == "cf41ce83"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dirichlet-sweep", "--d", "2", "--n-list", "4", "--samples", "1"],
+        ["neumann-sweep", "--d", "2", "--n-list", "4", "--samples", "1"],
+        ["kernel-report", "--d", "2", "--z-list", "1", "--L", "8", "--samples", "100"],
+        ["symbol-report", "--d", "2", "--l-list", "8", "--format", "json"],
+        ["selftest"],
+    ],
+)
+def test_every_command_names_its_output_by_stem_and_spec_hash(tmp_path, argv):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    stem = argv[0].replace("-", "_")
+    (name,) = os.listdir(tmp_path)
+    assert re.fullmatch(rf"{stem}_[0-9a-f]{{8}}\.(csv|json)", name)
+
+
 # ---------------------------------------------------------------------------
 # command line entry
 # ---------------------------------------------------------------------------
@@ -660,25 +682,33 @@ print(json.dumps(seen))
 
 def _modules_loaded_by(argv):
     """In a fresh interpreter, import the CLI, parse ``argv`` and run it;
-    returns the library and thread-pool modules loaded after the parse
-    (none) and after the run, having checked that every submodule still
-    resolves from the package on first access."""
+    returns the library and thread-pool modules loaded after the run, and
+    which of OpenSSL's binding ``_hashlib``, ``numpy.random`` and
+    ``numpy.fft`` it loaded beyond what ``import numpy`` loads by itself.
+    Parsing loads none of either kind, and every submodule still resolves
+    from the package on first access."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = f"""
 import json, sys
+import numpy
+own = set(sys.modules)
 def loaded():
     names = ["harmonic_lab." + m for m in
              ("boxes", "dyadic", "halfspace", "lattice", "spectral", "walks")]
     return sorted(m for m in names + ["concurrent.futures"] if m in sys.modules)
+def footprint():
+    names = ["_hashlib", "numpy.fft", "numpy.random"]
+    return [m for m in names if m in sys.modules and m not in own]
 seen = {{}}
 from harmonic_lab import cli
 args = {argv!r}
 cli.build_parser().parse_args(args)
-seen["parse"] = loaded()
+seen["parse"] = loaded() + footprint()
 assert cli.main(args) == 0
 seen["run"] = loaded()
+seen["footprint"] = footprint()
 import harmonic_lab
 seen["boxes"] = harmonic_lab.boxes.dirichlet_operator.__name__
 try:
@@ -699,15 +729,19 @@ print(json.dumps(seen))
     assert seen["parse"] == []
     assert seen["boxes"] == "dirichlet_operator"
     assert "nope" in seen["nope"]
-    return seen["run"]
+    return seen["run"], seen["footprint"]
 
 
 def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
     """Parsing a symbol-report command line loads no box, walk or
-    thread-pool module; running it loads the symbol modules alone, and every
-    submodule still resolves from the package on first access."""
+    thread-pool module; running it loads the symbol modules alone, and
+    neither OpenSSL (it draws no random numbers and names its output by
+    CRC-32) nor the FFT, and every submodule still resolves from the package
+    on first access."""
     argv = ["symbol-report", "--d", "3", "--l-list", "4,8", "--out", str(tmp_path)]
-    assert _modules_loaded_by(argv) == ["harmonic_lab.dyadic", "harmonic_lab.spectral"]
+    assert _modules_loaded_by(argv) == (
+        ["harmonic_lab.dyadic", "harmonic_lab.spectral"], []
+    )
 
 
 def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
@@ -715,7 +749,7 @@ def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
     solvers' zero-flux check stays unloaded with the box modules."""
     argv = ["kernel-report", "--d", "2", "--z-list", "1,3", "--L", "8",
             "--samples", "200", "--out", str(tmp_path)]
-    assert _modules_loaded_by(argv) == [
+    assert _modules_loaded_by(argv)[0] == [
         "harmonic_lab.halfspace", "harmonic_lab.spectral", "harmonic_lab.walks"
     ]
 
@@ -723,11 +757,13 @@ def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
     """A sweep runs on the gradient operators: it loads neither the strip
-    solvers of halfspace nor their spectral layer, and one thread loads no
-    thread pool."""
+    solvers of halfspace nor their spectral layer nor the FFT, and one
+    thread loads no thread pool.  What numpy.random pulls in is numpy's."""
     argv = [f"{kind}-sweep", "--d", "2,3", "--n-list", "4", "--samples", "2",
             "--out", str(tmp_path)]
-    assert _modules_loaded_by(argv) == ["harmonic_lab.boxes", "harmonic_lab.lattice"]
+    modules, footprint = _modules_loaded_by(argv)
+    assert modules == ["harmonic_lab.boxes", "harmonic_lab.lattice"]
+    assert "numpy.fft" not in footprint
 
 
 @pytest.mark.parametrize(

@@ -428,11 +428,12 @@ def test_grid_symbols_refuse_a_grid_over_the_budget(monkeypatch):
     with pytest.raises(ValueError, match=r"d=6, L=64 needs about \d+ MiB"):
         spectral.grid_symbols(6, 64)
     # one row of 64 entries per block, read with the row after it, and for
-    # each of the 64 rows 4 flag vectors x (full, dropped) x 2 symbols x 12
+    # each of the 64 rows 3 partials (the 2 flag vectors that sum along
+    # axis 0 and the shared maximum) x (full, dropped) x 2 symbols x 12
     # levels of float64: a budget of exactly the d = 3, L = 32 estimate
     # admits it and refuses L = 33, whose rows are longer and have 13 levels
     monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", 1)
-    estimate = 2 * 64 * spectral.SYMBOL_BYTES_PER_ENTRY + 64 * 4 * 2 * 2 * 12 * 8
+    estimate = 2 * 64 * spectral.SYMBOL_BYTES_PER_ENTRY + 64 * 3 * 2 * 2 * 12 * 8
     monkeypatch.setattr(spectral, "SYMBOL_GRID_BUDGET", estimate)
     assert spectral.grid_symbols(3, 32)().f.shape == (64, 64)
     with pytest.raises(ValueError, match="d=3, L=33 needs about 0 MiB"):
