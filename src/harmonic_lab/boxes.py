@@ -34,7 +34,6 @@ chain are test oracles in ``tests/proof_chain.py``.
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -90,14 +89,13 @@ def _path_eigenvalues(kind, n):
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-@lru_cache(maxsize=4)
 def _path_matrix(kind, n):
     """Orthonormal n x n transform T diagonalizing the path operator, mode k
     in row k: the DST-I sqrt(2/(n+1)) sin(pi (k+1)(j+1) / (n+1)) for
     Dirichlet ends, the DCT-II s_k cos(pi k (2j+1) / 2n) with s_0 = sqrt(1/n)
     and s_k = sqrt(2/n) for free ends.  The integer phase is reduced modulo
-    its period and looks up one table of that period.  Read-only, as callers
-    share it."""
+    its period and looks up one table of that period.  Read-only, as the
+    pooled chunks of a sweep cell share it through one operator."""
     k = np.arange(n)
     if kind == "dirichlet":
         period = 2 * n + 2
@@ -127,7 +125,6 @@ class _BoxMaps(NamedTuple):
     fill: tuple  # per codimension 2..d: (targets, sources), see _neumann_boundary
 
 
-@lru_cache(maxsize=4)
 def _box_maps(d, N):
     verts = lattice.boundary_vertices(d, N)
     shape = (N + 1,) * d
@@ -167,7 +164,7 @@ def _box_maps(d, N):
         edge_face, face_edge, tuple(fill),
     )
     for a in (*maps[:-1], *(a for pair in fill for a in pair)):
-        a.flags.writeable = False  # every caller shares them
+        a.flags.writeable = False  # the pooled chunks of a sweep cell share them
     return maps
 
 

@@ -115,6 +115,10 @@ class SweepSpec:
             raise ValueError("need at least one sample per cell")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
+        for name in ("d_list", "n_list", "p_list"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
 
 
 def _cell_seed(seed, *parts):
@@ -143,11 +147,10 @@ def _dirichlet_data(generator, rng, vertices, N):
     return np.where(sum(x) % 2 == 0, 1.0, -1.0)
 
 
-def _neumann_data(generator, rng, d, N):
-    """Mean-zero normal data; ``g[j]`` belongs to ``lattice.normal_edges(d, N)[j]``."""
-    from . import lattice
-
-    edges = lattice.normal_edges(d, N)
+def _neumann_data(generator, rng, edges, N):
+    """Mean-zero normal data; ``g[j]`` belongs to ``edges[j]``, the normal
+    edges ``lattice.normal_edges(d, N)``."""
+    d = edges.shape[-1]
     if generator == "iid-gaussian":
         raw = rng.standard_normal(len(edges))
     elif generator == "single-mode":
@@ -163,42 +166,26 @@ def _neumann_data(generator, rng, d, N):
     return g
 
 
-def _chunk_inputs(kind, spec, d, N, samples):
-    """Cell seeds and the operator input for ``samples`` of cell (d, N), one
-    generator row per sample: Dirichlet values on the chunk's one array of
-    ``lattice.boundary_vertices(d, N)``, or Neumann normal data."""
-    from . import lattice
-
-    if kind == "dirichlet":
-        vertices = lattice.boundary_vertices(d, N)
-        generate = lambda rng: _dirichlet_data(spec.generator, rng, vertices, N)
-    else:
-        generate = lambda rng: _neumann_data(spec.generator, rng, d, N)
-    seeds = [_cell_seed(spec.seed, d, N, sample) for sample in samples]
-    return seeds, np.stack([generate(np.random.default_rng(s)) for s in seeds])
-
-
-def _operator(kind, d, N):
+def _chunk_rows(kind, spec, d, N, samples, cell):
+    """Rows of the cells (d, N, sample) for ``samples``, drawn on the points
+    of ``cell`` and solved as one batch by its operator; each row's
+    runtime_ms is its share of the chunk's time.  Norms and ratio are
+    ``boxes.gradient_comparison``'s, nor/tan or tan/nor by ``kind``."""
     from . import boxes
 
-    build = boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator
-    return build(d, N)
-
-
-def _chunk_rows(kind, spec, d, N, samples):
-    """Rows of the cells (d, N, sample) for ``samples``, solved as one batch;
-    each row's runtime_ms is its share of the chunk's time.  Norms and ratio
-    are ``boxes.gradient_comparison``'s, nor/tan or tan/nor by ``kind``."""
-    from . import boxes
-
+    operator, points = cell
+    generate = _dirichlet_data if kind == "dirichlet" else _neumann_data
     ratio = "ratio_nor_tan" if kind == "dirichlet" else "ratio_tan_nor"
     try:
         started = time.perf_counter()
-        seeds, batch = _chunk_inputs(kind, spec, d, N, samples)
+        seeds = [_cell_seed(spec.seed, d, N, sample) for sample in samples]
+        batch = np.stack(
+            [generate(spec.generator, np.random.default_rng(s), points, N) for s in seeds]
+        )
         # each sample's gradients, reused for every exponent
         reports = [
             [(p, boxes.gradient_comparison(tan, nor, p)) for p in spec.p_list]
-            for tan, nor in zip(*_operator(kind, d, N)(batch))
+            for tan, nor in zip(*operator(batch))
         ]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
     except Exception as exc:
@@ -208,7 +195,7 @@ def _chunk_rows(kind, spec, d, N, samples):
             ) from exc
         # rerun the cells one at a time, so the error names the failing one
         for sample in samples:
-            _chunk_rows(kind, spec, d, N, [sample])
+            _chunk_rows(kind, spec, d, N, [sample], cell)
         raise RuntimeError(
             f"cells d={d} N={N} samples={samples[0]}..{samples[-1]} failed: {exc}"
         ) from exc
@@ -216,8 +203,8 @@ def _chunk_rows(kind, spec, d, N, samples):
     return [
         dict(d=d, N=N, p=p, sample=sample, seed=cell_seed, tan_norm=report["tan_norm"],
              nor_norm=report["nor_norm"], ratio=report[ratio], runtime_ms=per_row_ms)
-        for sample, cell_seed, cell in zip(samples, seeds, reports)
-        for p, report in cell
+        for sample, cell_seed, by_p in zip(samples, seeds, reports)
+        for p, report in by_p
     ]
 
 
@@ -243,16 +230,20 @@ def _summarize(rows):
 
 
 def _run_sweep(kind, spec, threads):
-    from . import boxes
+    from . import boxes, lattice
 
+    build = getattr(boxes, f"{kind}_operator")
+    points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     tasks = []
     for d in spec.d_list:
         for N in spec.n_list:
-            # each chunk holds at most boxes._BLOCK interior coefficients
+            # the cell's operator and data points, built once and shared by
+            # its chunks of at most boxes._BLOCK interior coefficients each
             # (one sample when a single one holds more)
+            cell = (build(d, N), points(d, N))
             size = max(1, boxes._BLOCK // (N - 1) ** d)
             tasks += [
-                (d, N, range(s, min(s + size, spec.samples)))
+                (d, N, range(s, min(s + size, spec.samples)), cell)
                 for s in range(0, spec.samples, size)
             ]
     if threads > 1:

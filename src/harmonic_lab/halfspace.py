@@ -15,7 +15,6 @@ half-space extensions, or telescopes) is test oracles in
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +41,8 @@ def tangential_angles(d: int, L: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-@lru_cache(maxsize=8)
 def _mode_factors(d: int, L: int):
-    """lambda(hk) and Q(lambda(hk)), read-only: every caller shares them."""
+    """lambda(hk) and Q(lambda(hk)), read-only: the solvers only read them."""
     lam = lambda_symbol(tangential_angles(d, L), d)
     q = q_symbol(lam)
     lam.flags.writeable = False

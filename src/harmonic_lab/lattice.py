@@ -20,7 +20,6 @@ over that full set follow from these two (``boxes.gradient_comparison``).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,9 +58,6 @@ def _read_only(a):
     return a
 
 
-# a sweep asks for the same two sets of one box in every cell; the arrays
-# are read-only, so the cells can share them
-@lru_cache(maxsize=4)
 def _edges(d, N, kind):
     _check_box(d, N)
     # tails in lexicographic order; for a fixed tail the sorted heads are

@@ -205,14 +205,15 @@ def test_neumann_sweep_accepts_its_own_mean_zero_data(tmp_path, generator, d, N)
 @pytest.mark.parametrize("generator,d,N", SWEEP_FLUX_CELLS)
 def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
     rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
-    g = cli._neumann_data(generator, rng, d, N)
+    g = cli._neumann_data(generator, rng, lattice.normal_edges(d, N), N)
     assert abs(g.sum()) > 1e-12 * np.abs(g).max()
-    boxes.neumann_operator(d, N)(g)
+    operator = boxes.neumann_operator(d, N)
+    operator(g)
     g[0] += 1e-6 * np.abs(g).sum()
     with pytest.raises(ValueError, match="flux"):
         oracles.neumann_extension(g, d, N)
     with pytest.raises(ValueError, match="flux"):
-        boxes.neumann_operator(d, N)(g)
+        operator(g)
 
 
 def test_neumann_rejects_wrong_edge_count():
@@ -268,8 +269,9 @@ def test_operators_match_the_extension_gradients(kind, d, N):
     else:
         tan, nor = boxes.neumann_operator(d, N)(batch)
         fields = [oracles.neumann_extension(g, d, N) for g in inputs]
+    edge_sets = ((tan, lattice.tangential_edges(d, N)), (nor, lattice.normal_edges(d, N)))
     for j, u in enumerate(fields):
-        for got, edges in ((tan, lattice.tangential_edges(d, N)), (nor, lattice.normal_edges(d, N))):
+        for got, edges in edge_sets:
             want = lattice.edge_gradients(u, edges)
             assert got[j].shape == want.shape
             assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
@@ -378,9 +380,11 @@ def test_operators_keep_leading_batch_axes(kind):
 def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
     spec = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
     assert boxes._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
-    chunk = cli._chunk_rows(kind, spec, d, N, range(spec.samples))
+    points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
+    cell = (getattr(boxes, f"{kind}_operator")(d, N), points(d, N))
+    chunk = cli._chunk_rows(kind, spec, d, N, range(spec.samples), cell)
     for sample in range(spec.samples):
-        alone = cli._chunk_rows(kind, spec, d, N, [sample])
+        alone = cli._chunk_rows(kind, spec, d, N, [sample], cell)
         inside = [row for row in chunk if row["sample"] == sample]
         for row in alone + inside:
             row["runtime_ms"] = 0.0

@@ -41,6 +41,15 @@ def test_sweep_spec_coerces_and_validates():
     ):
         with pytest.raises(ValueError):
             cli.SweepSpec(**kwargs)
+    # a repeated value would solve one cell again and repeat its rows; 2 and
+    # 2.0 are the same exponent once coerced
+    for name, kwargs in (
+        ("d_list", dict(d_list=(2, 3, 2), n_list=(4,), p_list=(2.0,))),
+        ("n_list", dict(d_list=(2,), n_list=(4, 4), p_list=(2.0,))),
+        ("p_list", dict(d_list=(2,), n_list=(4,), p_list=(2, 3.0, 2.0))),
+    ):
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            cli.SweepSpec(**kwargs, samples=1, seed=0)
 
 
 def test_cell_seed_is_stable_and_spread():
@@ -112,7 +121,7 @@ def test_iid_gaussian_data_holds_one_slab_of_the_box_at_a_time():
 
 def test_neumann_data_is_mean_free():
     for gen in ("iid-gaussian", "single-mode"):
-        g = cli._neumann_data(gen, np.random.default_rng(3), 2, 4)
+        g = cli._neumann_data(gen, np.random.default_rng(3), lattice.normal_edges(2, 4), 4)
         assert g.shape == (len(lattice.normal_edges(2, 4)),)
         assert abs(g.mean()) < 1e-12
         assert np.abs(g).max() > 0
@@ -122,8 +131,8 @@ def test_neumann_checkerboard_degenerates_on_the_smallest_box():
     # every normal edge tail of the 2x2 box has odd coordinate sum, so the
     # centered pattern is identically zero
     with pytest.raises(ValueError, match="identically zero"):
-        cli._neumann_data("checkerboard", np.random.default_rng(4), 2, 2)
-    g = cli._neumann_data("checkerboard", np.random.default_rng(4), 2, 3)
+        cli._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 2), 2)
+    g = cli._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 3), 3)
     assert abs(g.mean()) < 1e-12
 
 
@@ -133,7 +142,7 @@ def test_neumann_single_mode_rounding_residue_is_identically_zero(tmp_path, caps
     # residue (1.1e-15), not a flux
     rng = np.random.default_rng(cli._cell_seed(0, 2, 3, 1))
     with pytest.raises(ValueError, match="identically zero"):
-        cli._neumann_data("single-mode", rng, 2, 3)
+        cli._neumann_data("single-mode", rng, lattice.normal_edges(2, 3), 3)
     argv = ["neumann-sweep", "--d", "2", "--n-list", "3", "--generator",
             "single-mode", "--samples", "2", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
@@ -197,15 +206,51 @@ def test_neumann_sweep_ratio_direction():
     assert list(summary) == ["d=2,p=2.0"]
 
 
-def test_sweeps_are_thread_count_invariant():
-    spec = _small_spec(samples=3)
-    rows1, sum1 = cli.run_dirichlet_sweep(spec, threads=1)
-    rows3, sum3 = cli.run_dirichlet_sweep(spec, threads=3)
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_sweeps_are_thread_count_invariant(kind):
+    # the (3, 32) cell spans three chunks, which the pool runs on one shared
+    # operator, with more workers than cores and frequent thread switches;
+    # the others are a chunk each
+    assert boxes._BLOCK // 31**3 == 2
+    spec = _small_spec(d_list=(2, 3), n_list=(4, 8, 32), samples=5)
+    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
+    rows1, sum1 = run(spec, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows3, sum3 = run(spec, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
     for rows in (rows1, rows3):
         for r in rows:
             r["runtime_ms"] = 0.0
     assert rows1 == rows3
     assert sum1 == sum3
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_each_sweep_cell_is_built_once(monkeypatch, kind):
+    """A cell's operator is built once however many chunks it spans, and its
+    edge and vertex sets are built as often at one sample as at five."""
+    assert boxes._BLOCK // 31**3 == 2  # five samples of (3, 32): three chunks
+    calls = collections.Counter()
+    for module, name in [(boxes, "dirichlet_operator"), (boxes, "neumann_operator"),
+                         (lattice, "boundary_vertices"), (lattice, "normal_edges")]:
+        def counted(d, N, build=getattr(module, name), name=name):
+            calls[name, d, N] += 1
+            return build(d, N)
+
+        monkeypatch.setattr(module, name, counted)
+    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
+    counts = []
+    for samples in (1, 5):
+        calls.clear()
+        run(_small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    built = {key[1:]: n for key, n in counts[1].items() if key[0] == f"{kind}_operator"}
+    assert built == {(3, 4): 1, (3, 32): 1}
+    assert {key[1:] for key in counts[1]} == {(3, 4), (3, 32)}
 
 
 @pytest.mark.parametrize("generator", ["single-mode", "checkerboard"])
@@ -605,6 +650,12 @@ def test_main_error_paths(tmp_path, capsys):
             "--samples", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert "every exponent must exceed 1" in capsys.readouterr().err
+    # a repeated value is refused before any cell runs
+    argv = ["dirichlet-sweep", "--d", "2,2", "--n-list", "4,4", "--p-list", "2,2",
+            "--samples", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "d_list repeats a value: (2, 2)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("dirichlet_sweep_*"))
 
 
 def _run_console(args, tmp_path):
@@ -783,9 +834,9 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
     assert boxes._BLOCK // 7**2 >= spec.samples  # one chunk holds all five
     generate = cli._neumann_data
 
-    def with_flux(generator, rng, d, N):
-        g = generate(generator, rng, d, N)
-        if rng.bit_generator.seed_seq.entropy == cli._cell_seed(spec.seed, d, N, 3):
+    def with_flux(generator, rng, edges, N):
+        g = generate(generator, rng, edges, N)
+        if rng.bit_generator.seed_seq.entropy == cli._cell_seed(spec.seed, 2, N, 3):
             g[0] += 0.1
         return g
 
@@ -836,8 +887,8 @@ def test_selftest_compares_a_pool_at_its_default_thread_count(
 ):
     chunk_rows = cli._chunk_rows
 
-    def skewed_off_main(kind, spec, d, N, samples):
-        rows = chunk_rows(kind, spec, d, N, samples)
+    def skewed_off_main(kind, spec, d, N, samples, cell):
+        rows = chunk_rows(kind, spec, d, N, samples, cell)
         if threading.current_thread() is not threading.main_thread():
             for row in rows:
                 row["tan_norm"] *= 1.0 + 1e-9

@@ -2,9 +2,7 @@
 
 import itertools
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,7 +147,6 @@ def test_edge_and_vertex_arrays_match_the_enumeration_oracle(d, N):
 
 def test_edge_sets_at_target_sizes_stay_read_only_and_small():
     builders = (lattice.tangential_edges, lattice.normal_edges)
-    lattice._edges.cache_clear()
     tracemalloc.start()
     try:
         sets = [build(3, 64) for build in builders]
@@ -164,33 +161,6 @@ def test_edge_sets_at_target_sizes_stay_read_only_and_small():
     d, N = 2, 512
     assert len(lattice.boundary_vertices(d, N)) == (N + 1) ** d - (N - 1) ** d
     assert len(lattice.normal_edges(d, N)) == 2 * d * (N - 1) ** (d - 1)
-
-
-def test_cached_edge_sets_are_shared_safely_between_threads():
-    # more workers than cores and more distinct sets than cache entries, so
-    # the bounded cache is filled and evicted concurrently
-    boxes = [(2, 5), (2, 9), (3, 4), (3, 6)]
-    builders = (lattice.tangential_edges, lattice.normal_edges)
-    jobs = [(build, d, N) for d, N in boxes for build in builders]
-    expected = {(b, d, N): np.array(b(d, N)) for b, d, N in jobs}
-
-    def work(offset):
-        for i in range(60):
-            build, d, N = jobs[(offset + i) % len(jobs)]
-            got = build(d, N)
-            if got.flags.writeable or not np.array_equal(got, expected[build, d, N]):
-                return False
-        return True
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        lattice._edges.cache_clear()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [pool.submit(work, k) for k in range(8)]
-            assert all(r.result(timeout=60) for r in results)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
