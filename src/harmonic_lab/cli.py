@@ -19,19 +19,23 @@ its own generator seed from (seed, d, N, sample), so thread scheduling
 cannot change any emitted value.  CSV sweep rows carry exactly the
 columns d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms.
 
-Each command imports the library modules it runs when it starts, and output
-files are named by a CRC-32 of the run descriptor, so parsing the arguments
-loads no library module and no OpenSSL.
+A sweep builds each (d, N) cell when its first chunk is due and drops it
+after its last.  Each command imports the library modules it runs when it
+starts, and output files are named by a CRC-32 of the run descriptor, so
+parsing the arguments loads no library module and no OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import functools
 import importlib
 import itertools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 import time
@@ -40,15 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SweepSpec",
-    "run_dirichlet_sweep",
-    "run_neumann_sweep",
-    "run_kernel_report",
-    "run_symbol_report",
-    "run_selftest",
-    "main",
-]
+__all__ = ["SweepSpec", "run_sweep", "run_kernel_report", "run_symbol_report",
+           "run_selftest", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -102,9 +99,13 @@ class SweepSpec:
     generator: str = "iid-gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "d_list", tuple(int(v) for v in self.d_list))
-        object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
-        object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
+        # operator.index refuses a float count instead of truncating it
+        put, index = functools.partial(object.__setattr__, self), operator.index
+        put("d_list", tuple(map(index, self.d_list)))
+        put("n_list", tuple(map(index, self.n_list)))
+        put("p_list", tuple(map(float, self.p_list)))
+        put("samples", index(self.samples))
+        put("seed", index(self.seed))
         if not self.d_list or min(self.d_list) < 2:
             raise ValueError("every dimension must be at least 2")
         if not self.n_list or min(self.n_list) < 2:
@@ -113,6 +114,8 @@ class SweepSpec:
             raise ValueError("every exponent must exceed 1")
         if self.samples < 1:
             raise ValueError("need at least one sample per cell")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         for name in ("d_list", "n_list", "p_list"):
@@ -229,45 +232,44 @@ def _summarize(rows):
     return summary
 
 
-def _run_sweep(kind, spec, threads):
+def _tasks(kind, spec):
+    """The chunks (d, N, samples, cell) in (d, N) order, each of at most
+    boxes._BLOCK interior coefficients or of one sample; a cell (operator,
+    data points) is built for its first chunk and dropped after its last."""
     from . import boxes, lattice
 
     build = getattr(boxes, f"{kind}_operator")
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
-    tasks = []
-    for d in spec.d_list:
-        for N in spec.n_list:
-            # the cell's operator and data points, built once and shared by
-            # its chunks of at most boxes._BLOCK interior coefficients each
-            # (one sample when a single one holds more)
-            cell = (build(d, N), points(d, N))
-            size = max(1, boxes._BLOCK // (N - 1) ** d)
-            tasks += [
-                (d, N, range(s, min(s + size, spec.samples)), cell)
-                for s in range(0, spec.samples, size)
-            ]
+    for d, N in itertools.product(spec.d_list, spec.n_list):
+        cell = (build(d, N), points(d, N))
+        size = max(1, boxes._BLOCK // (N - 1) ** d)
+        for s in range(0, spec.samples, size):
+            yield d, N, range(s, min(s + size, spec.samples)), cell
+        del cell
+
+
+def run_sweep(kind, spec: SweepSpec, threads: int = 1):
+    """Rows and summary of the "dirichlet" or "neumann" extension sweep; the
+    ratio is nor/tan or tan/nor.  A pool holds at most threads + 1 chunks."""
+    run, tasks, rows = functools.partial(_chunk_rows, kind, spec), _tasks(kind, spec), []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _chunk_rows(kind, spec, *t), tasks))
+            # a FIFO window of chunks that spans cell boundaries
+            pending = collections.deque()
+            for future in itertools.starmap(functools.partial(pool.submit, run), tasks):
+                pending.append(future)
+                if len(pending) > threads:
+                    rows += pending.popleft().result()
+            for future in pending:
+                rows += future.result()
     else:
-        chunks = [_chunk_rows(kind, spec, *t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+        # starmap drops each task before it asks for the next
+        for chunk in itertools.starmap(run, tasks):
+            rows += chunk
     rows.sort(key=lambda r: (r["d"], r["N"], r["p"], r["sample"]))
     return rows, _summarize(rows)
-
-
-def run_dirichlet_sweep(spec: SweepSpec, threads: int = 1):
-    """Rows and summary for the boundary-value extension sweep; the ratio
-    column is nor_norm / tan_norm."""
-    return _run_sweep("dirichlet", spec, threads)
-
-
-def run_neumann_sweep(spec: SweepSpec, threads: int = 1):
-    """Rows and summary for the normal-difference extension sweep; data is
-    projected to zero sum per cell and the ratio column is tan / nor."""
-    return _run_sweep("neumann", spec, threads)
 
 
 def run_kernel_report(d, z_list, L, n_samples, seed=0):
@@ -388,41 +390,28 @@ def _output_path(out_dir, command, descriptor, fmt):
 
 
 def _sweep_descriptor(command, spec):
-    return {
-        "command": command,
-        "d": list(spec.d_list),
-        "N": list(spec.n_list),
-        "p": list(spec.p_list),
-        "samples": spec.samples,
-        "seed": spec.seed,
-        "generator": spec.generator,
-    }
+    return dict(command=command, d=list(spec.d_list), N=list(spec.n_list),
+                p=list(spec.p_list), samples=spec.samples, seed=spec.seed,
+                generator=spec.generator)
 
 
-def _emit(args, descriptor, payload, header, rows):
-    """Write ``rows`` as CSV or ``payload`` as JSON, as ``args.format`` asks,
-    under the name hashed from ``descriptor``, and print the path."""
-    path = _output_path(args.out, descriptor["command"], descriptor, args.format)
-    if args.format == "csv":
+def _emit(out_dir, fmt, descriptor, payload, header, rows):
+    """Write ``rows`` as CSV or ``payload`` as JSON, as ``fmt`` asks, in
+    ``out_dir`` under the name hashed from ``descriptor``; returns the path."""
+    path = _output_path(out_dir, descriptor["command"], descriptor, fmt)
+    if fmt == "csv":
         _write_csv_lines(path, header, rows)
     else:
         _write_json(path, payload)
-    print(path)
+    return path
 
 
 def _cmd_sweep(args, kind):
-    spec = SweepSpec(
-        d_list=tuple(args.d),
-        n_list=tuple(args.n_list),
-        p_list=tuple(args.p_list),
-        samples=args.samples,
-        seed=args.seed,
-        generator=args.generator,
-    )
-    rows, summary = _run_sweep(kind, spec, args.threads)
+    spec = SweepSpec(args.d, args.n_list, args.p_list, args.samples, args.seed, args.generator)
+    rows, summary = run_sweep(kind, spec, args.threads)
     descriptor = _sweep_descriptor(f"{kind}-sweep", spec)
     payload = {"spec": descriptor, "rows": rows, "summary": summary}
-    _emit(args, descriptor, payload, CSV_COLUMNS, rows)
+    print(_emit(args.out, args.format, descriptor, payload, CSV_COLUMNS, rows))
     for key, block in summary.items():
         print(f"{key}: growth={block['growth']}")
     return 0
@@ -430,20 +419,14 @@ def _cmd_sweep(args, kind):
 
 def _cmd_kernel(args):
     payload = run_kernel_report(args.d, args.z_list, args.L, args.samples, args.seed)
-    descriptor = {
-        "command": "kernel-report",
-        "d": args.d,
-        "z": list(args.z_list),
-        "L": args.L,
-        "n_samples": args.samples,
-        "seed": args.seed,
-    }
+    descriptor = dict(command="kernel-report", d=args.d, z=list(args.z_list), L=args.L,
+                      n_samples=args.samples, seed=args.seed)
     rows = [
         dict(entry, z=block["z"], offset=";".join(str(v) for v in entry["offset"]))
         for block in payload["blocks"]
         for entry in block["offsets"]
     ]
-    _emit(args, descriptor, payload, ("z", *KERNEL_COLUMNS), rows)
+    print(_emit(args.out, args.format, descriptor, payload, ("z", *KERNEL_COLUMNS), rows))
     for block in payload["blocks"]:
         print(
             f"z={block['z']}: tv={block['tv_mc_vs_spectral']:.4f} "
@@ -462,7 +445,7 @@ def _cmd_symbol(args):
         for block in payload["blocks"]
         for name in ("neumann_axis0", "dirichlet_glued")
     ]
-    _emit(args, descriptor, payload, header, rows)
+    print(_emit(args.out, args.format, descriptor, payload, header, rows))
     print(f"stability: {payload['stability']}")
     return 0
 
@@ -481,17 +464,11 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
     from . import boxes
 
     failures = []
-    spec = SweepSpec(
-        d_list=(2,),
-        n_list=(4, 8),
-        p_list=(2.0,),
-        samples=3,
-        seed=SELFTEST_SEED,
-    )
+    spec = SweepSpec((2,), (4, 8), (2.0,), samples=3, seed=SELFTEST_SEED)
     emitted, pooled = [], max(2, threads)
     for kind in ("dirichlet", "neumann"):
-        rows_single, summary = _run_sweep(kind, spec, 1)
-        rows_pooled, _ = _run_sweep(kind, spec, pooled)
+        rows_single, summary = run_sweep(kind, spec, 1)
+        rows_pooled, _ = run_sweep(kind, spec, pooled)
         for rows in (rows_single, rows_pooled):
             for row in rows:
                 row["runtime_ms"] = 0.0
@@ -519,11 +496,8 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
         failures.append("neumann max_lvar drifts across L by more than a factor 2")
 
     descriptor = _sweep_descriptor("selftest", spec)
-    path = _output_path(out_dir, "selftest", descriptor, fmt)
-    if fmt == "csv":
-        _write_csv_lines(path, CSV_COLUMNS, emitted)
-    else:
-        _write_json(path, {"spec": descriptor, "rows": emitted})
+    path = _emit(out_dir, fmt, descriptor, {"spec": descriptor, "rows": emitted},
+                 CSV_COLUMNS, emitted)
 
     if failures:
         for failure in failures:
@@ -532,10 +506,6 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
     print(path)
     print("selftest ok")
     return 0
-
-
-def _cmd_selftest(args):
-    return run_selftest(out_dir=args.out, threads=args.threads, fmt=args.format)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -600,10 +570,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for kind in ("dirichlet", "neumann"):
-        p = sub.add_parser(
-            f"{kind}-sweep",
-            help=f"{kind} extension sweep over (d, N, p) cells",
-        )
+        p = sub.add_parser(f"{kind}-sweep", help=f"{kind} extension sweep over (d, N, p) cells")
         p.add_argument("--d", type=_int_list, default=[2], help="dimensions, e.g. 2,3")
         p.add_argument("--n-list", type=_int_list, default=[8, 16, 32])
         p.add_argument("--p-list", type=_float_list, default=[2.0])
@@ -628,7 +595,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="deterministic pipeline check")
     _add_common(p)
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=lambda args: run_selftest(args.out, args.threads, args.format))
 
     return parser
 
@@ -636,16 +603,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=args.log_level, format="%(levelname)s %(name)s: %(message)s"
-    )
-    if getattr(args, "threads", 1) < 1:
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 1
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ command runs is in ``proof_chain``, moved there from the library:
 """
 
 import inspect
+import json
 import math
 import subprocess
 import sys
@@ -310,8 +311,8 @@ def test_gradient_ratio_growth_is_bounded_across_box_sizes():
         seed=2026,
     )
     for spec in (plan, plan_3d):
-        for runner in (cli.run_dirichlet_sweep, cli.run_neumann_sweep):
-            _, summary = runner(spec)
+        for kind in ("dirichlet", "neumann"):
+            _, summary = cli.run_sweep(kind, spec)
             assert summary
             for block in summary.values():
                 growth = block["growth"]
@@ -320,13 +321,17 @@ def test_gradient_ratio_growth_is_bounded_across_box_sizes():
 
 
 def test_selftest_output_is_thread_invariant(tmp_path):
-    rc_serial = cli.run_selftest(out_dir=str(tmp_path / "serial"), threads=1)
-    rc_pooled = cli.run_selftest(out_dir=str(tmp_path / "pooled"), threads=4)
-    assert rc_serial == 0 and rc_pooled == 0
-    (serial,) = (tmp_path / "serial").glob("selftest_*.csv")
-    (pooled,) = (tmp_path / "pooled").glob("selftest_*.csv")
-    assert serial.name == pooled.name
-    assert serial.read_bytes() == pooled.read_bytes()
+    for fmt in ("csv", "json"):
+        for name, threads in (("serial", 1), ("pooled", 4)):
+            out = tmp_path / fmt / name
+            assert cli.run_selftest(out_dir=str(out), threads=threads, fmt=fmt) == 0
+        (serial,) = (tmp_path / fmt / "serial").glob(f"selftest_*.{fmt}")
+        (pooled,) = (tmp_path / fmt / "pooled").glob(f"selftest_*.{fmt}")
+        assert serial.name == pooled.name
+        assert serial.read_bytes() == pooled.read_bytes()
+    rows = json.loads(serial.read_bytes())["rows"]
+    assert len(rows) == 2 * 2 * 3  # two sweeps, two sizes, three samples
+    assert all(row["runtime_ms"] == 0.0 for row in rows)
     run = subprocess.run(
         [
             sys.executable,

@@ -389,8 +389,8 @@ def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
         for row in alone + inside:
             row["runtime_ms"] = 0.0
         assert repr(alone) == repr(inside)
-    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
-    first, _ = run(cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=1, seed=7))
+    one = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=1, seed=7)
+    first, _ = cli.run_sweep(kind, one)
     for row in first:
         row["runtime_ms"] = 0.0
     assert repr(first) == repr([row for row in chunk if row["sample"] == 0])

@@ -50,6 +50,21 @@ def test_sweep_spec_coerces_and_validates():
     ):
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             cli.SweepSpec(**kwargs, samples=1, seed=0)
+    # a count is an integer, not a float that int() would truncate, and the
+    # seed is a non-negative integer
+    for kwargs in (
+        dict(n_list=(4.7,), samples=1, seed=0),
+        dict(d_list=(2.0,), samples=1, seed=0),
+        dict(samples=2.5, seed=0),
+        dict(samples=1, seed=1.5),
+        dict(samples=1, seed=-1),
+    ):
+        with pytest.raises((TypeError, ValueError)):
+            cli.SweepSpec(**{**dict(d_list=(2,), n_list=(4,), p_list=(2.0,)), **kwargs})
+    spec = cli.SweepSpec(d_list=(np.int64(2),), n_list=[4], p_list=[2], samples=np.int64(3),
+                         seed=np.uint64(5))
+    assert (spec.d_list, spec.samples, spec.seed) == ((2,), 3, 5)
+    assert all(type(v) is int for v in (*spec.d_list, spec.samples, spec.seed))
 
 
 def test_cell_seed_is_stable_and_spread():
@@ -165,7 +180,7 @@ def _small_spec(**overrides):
 
 def test_dirichlet_sweep_rows_and_summary():
     spec = _small_spec()
-    rows, summary = cli.run_dirichlet_sweep(spec)
+    rows, summary = cli.run_sweep("dirichlet", spec)
     assert len(rows) == 1 * 2 * 2 * 2
     keys = [(r["d"], r["N"], r["p"], r["sample"]) for r in rows]
     assert keys == sorted(keys)
@@ -197,8 +212,8 @@ def test_a_large_exponent_gives_finite_norms_between_its_neighbours(tmp_path, ca
 
 
 def test_neumann_sweep_ratio_direction():
-    rows, summary = cli.run_neumann_sweep(
-        _small_spec(n_list=(4,), p_list=(2.0,), samples=2)
+    rows, summary = cli.run_sweep(
+        "neumann", _small_spec(n_list=(4,), p_list=(2.0,), samples=2)
     )
     assert len(rows) == 2
     for r in rows:
@@ -213,12 +228,11 @@ def test_sweeps_are_thread_count_invariant(kind):
     # the others are a chunk each
     assert boxes._BLOCK // 31**3 == 2
     spec = _small_spec(d_list=(2, 3), n_list=(4, 8, 32), samples=5)
-    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
-    rows1, sum1 = run(spec, threads=1)
+    rows1, sum1 = cli.run_sweep(kind, spec, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows3, sum3 = run(spec, threads=3)
+        rows3, sum3 = cli.run_sweep(kind, spec, threads=3)
     finally:
         sys.setswitchinterval(interval)
     for rows in (rows1, rows3):
@@ -241,11 +255,10 @@ def test_each_sweep_cell_is_built_once(monkeypatch, kind):
             return build(d, N)
 
         monkeypatch.setattr(module, name, counted)
-    run = cli.run_dirichlet_sweep if kind == "dirichlet" else cli.run_neumann_sweep
     counts = []
     for samples in (1, 5):
         calls.clear()
-        run(_small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
+        cli.run_sweep(kind, _small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     built = {key[1:]: n for key, n in counts[1].items() if key[0] == f"{kind}_operator"}
@@ -253,10 +266,45 @@ def test_each_sweep_cell_is_built_once(monkeypatch, kind):
     assert {key[1:] for key in counts[1]} == {(3, 4), (3, 32)}
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_holds_only_the_cells_in_flight(monkeypatch, threads):
+    """A cell is built when its first chunk is due and released after its
+    last, so eight d=3 cells peak no higher than the two largest alone; a
+    sweep that held every cell read 1.41 times as much.  Once a chunk has
+    finished, each build waits for the chunks of every earlier cell, so the
+    peak reads what the sweep keeps, not how a build overlaps them."""
+    done, built, idle = [0], [0], threading.Condition()
+    chunk_rows, build = cli._chunk_rows, boxes.dirichlet_operator
+
+    def counted_chunk(*args):
+        rows = chunk_rows(*args)
+        with idle:
+            done[0] += 1
+            idle.notify_all()
+        return rows
+
+    def build_when_idle(d, N):
+        with idle:
+            assert idle.wait_for(lambda: done[0] in (0, built[0]), timeout=60)
+            built[0] += 1
+        return build(d, N)
+
+    monkeypatch.setattr(cli, "_chunk_rows", counted_chunk)
+    monkeypatch.setattr(boxes, "dirichlet_operator", build_when_idle)
+
+    def peak(n_list):
+        done[0] = built[0] = 0  # one chunk per cell at one sample
+        spec = _small_spec(d_list=(3,), n_list=n_list, p_list=(2.0,), samples=1)
+        return _traced_peak(lambda: cli.run_sweep("dirichlet", spec, threads))
+
+    cli.run_sweep("dirichlet", _small_spec(d_list=(3,), n_list=(4,)), threads)  # imports
+    assert peak(tuple(range(20, 49, 4))) <= 1.15 * peak((44, 48))
+
+
 @pytest.mark.parametrize("generator", ["single-mode", "checkerboard"])
 def test_sweep_alternative_generators(generator):
-    rows, _ = cli.run_dirichlet_sweep(
-        _small_spec(n_list=(4,), p_list=(2.0,), samples=1, generator=generator)
+    rows, _ = cli.run_sweep(
+        "dirichlet", _small_spec(n_list=(4,), p_list=(2.0,), samples=1, generator=generator)
     )
     assert len(rows) == 1
     assert rows[0]["tan_norm"] > 0
@@ -842,7 +890,7 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
 
     monkeypatch.setattr(cli, "_neumann_data", with_flux)
     with pytest.raises(RuntimeError, match=r"cell d=2 N=8 sample=3 failed: .*flux"):
-        cli.run_neumann_sweep(spec)
+        cli.run_sweep("neumann", spec)
 
 
 @pytest.mark.parametrize("kind,other", [("dirichlet", "neumann"), ("neumann", "dirichlet")])
