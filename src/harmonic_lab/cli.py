@@ -20,9 +20,10 @@ cannot change any emitted value.  CSV sweep rows carry exactly the
 columns d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms.
 
 A sweep builds each (d, N) cell when its first chunk is due and drops it
-after its last.  Each command imports the library modules it runs when it
-starts, and output files are named by a CRC-32 of the run descriptor, so
-parsing the arguments loads no library module and no OpenSSL.
+after its last.  Each command imports numpy and the library modules it
+runs when it starts, and output files are named by a CRC-32 of the run
+descriptor, so parsing and validating the arguments loads no library
+module, no OpenSSL and no numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["SweepSpec", "run_sweep", "run_kernel_report", "run_symbol_report",
            "run_selftest", "main"]
@@ -89,6 +88,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _refuse_repeats(name, values):
+    """Raise a ValueError naming ``name`` if ``values`` holds a value twice."""
+    values = tuple(values)
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeats a value: {values}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     d_list: tuple
@@ -119,12 +125,12 @@ class SweepSpec:
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         for name in ("d_list", "n_list", "p_list"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} repeats a value: {values}")
+            _refuse_repeats(name, getattr(self, name))
 
 
 def _cell_seed(seed, *parts):
+    import numpy as np
+
     ss = np.random.SeedSequence([int(seed)] + [int(v) for v in parts])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -134,6 +140,8 @@ def _dirichlet_data(generator, rng, vertices, N):
     lexicographic (M, d) array, in their order.  iid-gaussian keeps them from
     a draw of the whole (N+1,)*d box, one axis-0 slab at a time, which
     defines its stream; the others evaluate there."""
+    import numpy as np
+
     d = vertices.shape[1]
     if generator == "iid-gaussian":
         out = np.empty(len(vertices))
@@ -153,6 +161,8 @@ def _dirichlet_data(generator, rng, vertices, N):
 def _neumann_data(generator, rng, edges, N):
     """Mean-zero normal data; ``g[j]`` belongs to ``edges[j]``, the normal
     edges ``lattice.normal_edges(d, N)``."""
+    import numpy as np
+
     d = edges.shape[-1]
     if generator == "iid-gaussian":
         raw = rng.standard_normal(len(edges))
@@ -174,6 +184,8 @@ def _chunk_rows(kind, spec, d, N, samples, cell):
     of ``cell`` and solved as one batch by its operator; each row's
     runtime_ms is its share of the chunk's time.  Norms and ratio are
     ``boxes.gradient_comparison``'s, nor/tan or tan/nor by ``kind``."""
+    import numpy as np
+
     from . import boxes
 
     operator, points = cell
@@ -250,7 +262,8 @@ def _tasks(kind, spec):
 
 def run_sweep(kind, spec: SweepSpec, threads: int = 1):
     """Rows and summary of the "dirichlet" or "neumann" extension sweep; the
-    ratio is nor/tan or tan/nor.  A pool holds at most threads + 1 chunks."""
+    ratio is nor/tan or tan/nor.  A pool holds at most threads + 1 chunks;
+    it raises the first chunk that fails and logs any other failure."""
     run, tasks, rows = functools.partial(_chunk_rows, kind, spec), _tasks(kind, spec), []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -258,12 +271,22 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # a FIFO window of chunks that spans cell boundaries
             pending = collections.deque()
-            for future in itertools.starmap(functools.partial(pool.submit, run), tasks):
-                pending.append(future)
-                if len(pending) > threads:
+            try:
+                for future in itertools.starmap(functools.partial(pool.submit, run), tasks):
+                    pending.append(future)
+                    if len(pending) > threads:
+                        rows += pending.popleft().result()
+                while pending:
                     rows += pending.popleft().result()
-            for future in pending:
-                rows += future.result()
+            except Exception:
+                # the first failure is raised: the chunks not yet started are
+                # dropped, and what the running ones raise is logged
+                for future in pending:
+                    future.cancel()
+                for future in pending:
+                    if not future.cancelled() and future.exception() is not None:
+                        logger.error("%s", future.exception())
+                raise
     else:
         # starmap drops each task before it asks for the next
         for chunk in itertools.starmap(run, tasks):
@@ -273,6 +296,9 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
 
 
 def run_kernel_report(d, z_list, L, n_samples, seed=0):
+    _refuse_repeats("z_list", z_list)
+    import numpy as np
+
     from . import walks
     from .halfspace import periodized_poisson_kernel
 
@@ -318,6 +344,9 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
 
 
 def run_symbol_report(d, l_list):
+    _refuse_repeats("l_list", l_list)
+    import numpy as np
+
     from . import dyadic
     from .spectral import grid_symbols
 

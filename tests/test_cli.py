@@ -4,6 +4,7 @@ import collections
 import importlib
 import itertools
 import json
+import logging
 import math
 import os
 import re
@@ -703,23 +704,36 @@ def test_main_error_paths(tmp_path, capsys):
             "--samples", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert "d_list repeats a value: (2, 2)" in capsys.readouterr().err
-    assert not list(tmp_path.glob("dirichlet_sweep_*"))
+    # so is a repeated kernel offset or half-period, before any block runs
+    for argv, message in [
+        (["kernel-report", "--z-list", "1,3,1", "--L", "8"], "z_list repeats a value: (1, 3, 1)"),
+        (["symbol-report", "--l-list", "4,4"], "l_list repeats a value: (4, 4)"),
+    ]:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def _run_console(args, tmp_path):
-    """Run the CLI entry point in a fresh interpreter, as the console
-    script does, so the logging configuration starts from scratch."""
+def _fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports the
+    package from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys; from harmonic_lab.cli import main; sys.exit(main())"
     return subprocess.run(
-        [sys.executable, "-c", code, *args, "--out", str(tmp_path)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
         check=False,
     )
+
+
+def _run_console(args, tmp_path):
+    """Run the CLI entry point in a fresh interpreter, as the console
+    script does, so the logging configuration starts from scratch."""
+    code = "import sys; from harmonic_lab.cli import main; sys.exit(main())"
+    return _fresh_python(code, *args, "--out", str(tmp_path))
 
 
 def test_log_level_reaches_the_debug_records(tmp_path):
@@ -744,9 +758,6 @@ def test_log_level_reaches_the_debug_records(tmp_path):
 def test_no_command_loads_scipy(tmp_path):
     """In a fresh interpreter, importing the CLI and running both sweeps,
     both reports and the self test leaves every scipy module unloaded."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = str(tmp_path)
     code = f"""
 import json, sys
@@ -767,28 +778,20 @@ for name, args in commands.items():
     seen[name] = loaded()
 print(json.dumps(seen))
 """
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
+    run = _fresh_python(code)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert all(modules == [] for modules in seen.values()), seen
 
 
 def _modules_loaded_by(argv):
-    """In a fresh interpreter, import the CLI, parse ``argv`` and run it;
-    returns the library and thread-pool modules loaded after the run, and
-    which of OpenSSL's binding ``_hashlib``, ``numpy.random`` and
-    ``numpy.fft`` it loaded beyond what ``import numpy`` loads by itself.
-    Parsing loads none of either kind, and every submodule still resolves
-    from the package on first access."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    """In a fresh interpreter, import numpy, then import the CLI, parse
+    ``argv`` and run it; returns the library and thread-pool modules loaded
+    after the run, and which of OpenSSL's binding ``_hashlib``,
+    ``numpy.random`` and ``numpy.fft`` it loaded beyond what ``import numpy``
+    loads by itself.  Parsing loads none of either kind (numpy itself is
+    loaded first here, so ``test_parsing_loads_no_numpy`` checks it), and
+    every submodule still resolves from the package on first access."""
     code = f"""
 import json, sys
 import numpy
@@ -816,13 +819,7 @@ except AttributeError as exc:
     seen["nope"] = str(exc)
 print(json.dumps(seen))
 """
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
+    run = _fresh_python(code)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["parse"] == []
@@ -865,6 +862,65 @@ def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
     assert "numpy.fft" not in footprint
 
 
+def test_parsing_loads_no_numpy():
+    """In a fresh interpreter, importing the CLI, parsing a command line of
+    every command or asking for help, and validating a sweep spec load no
+    numpy: each command imports it when it starts."""
+    argvs = [
+        ["dirichlet-sweep", "--d", "2,3", "--n-list", "4,8", "--p-list", "2,inf",
+         "--samples", "2", "--generator", "single-mode"],
+        ["neumann-sweep", "--generator", "checkerboard", "--threads", "2"],
+        ["kernel-report", "--d", "3", "--z-list", "1,4", "--L", "16", "--samples", "500"],
+        ["symbol-report", "--d", "3", "--l-list", "32,64", "--format", "json"],
+        ["selftest", "--threads", "4", "--seed", "7", "--log-level", "DEBUG"],
+    ]
+    helps = [["--help"]] + [[argv[0], "--help"] for argv in argvs]
+    code = f"""
+import json, sys
+from harmonic_lab import cli
+for argv in {argvs!r}:
+    cli.build_parser().parse_args(argv)
+cli.SweepSpec((2, 3), (4, 8), (2.0, float("inf")), 2, 0, "single-mode")
+for argv in {helps!r}:
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+    else:
+        raise AssertionError(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+"""
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_an_argument_error_returns_before_numpy_loads(tmp_path):
+    """A spec the sweep refuses, a thread count below 1 and a repeated list
+    value each exit with code 1 before numpy is imported, and write no
+    file."""
+    argvs = [
+        ["dirichlet-sweep", "--d", "1"],
+        ["neumann-sweep", "--n-list", "4,4"],
+        ["dirichlet-sweep", "--threads", "0"],
+        ["symbol-report", "--threads", "0"],
+        ["kernel-report", "--z-list", "1,1"],
+        ["symbol-report", "--l-list", "4,4"],
+    ]
+    code = f"""
+import json, sys
+from harmonic_lab import cli
+codes = [cli.main([*argv, "--out", {str(tmp_path)!r}]) for argv in {argvs!r}]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[1] * len(argvs), False]
+    assert "z_list repeats a value: (1, 1)" in run.stderr
+    assert "l_list repeats a value: (4, 4)" in run.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "name", ["lattice", "spectral", "dyadic", "halfspace", "boxes", "walks", "cli"]
 )
@@ -891,6 +947,23 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
     monkeypatch.setattr(cli, "_neumann_data", with_flux)
     with pytest.raises(RuntimeError, match=r"cell d=2 N=8 sample=3 failed: .*flux"):
         cli.run_sweep("neumann", spec)
+
+
+def test_a_pool_raises_the_first_failing_chunk_and_logs_the_others(monkeypatch, caplog):
+    spec = _small_spec(n_list=(4, 8), p_list=(2.0,), samples=1)
+    both_running = threading.Barrier(2, timeout=60)
+
+    def failing(generator, rng, vertices, N):
+        both_running.wait()  # each cell's one chunk fails while the other runs
+        raise ValueError(f"no data at N={N}")
+
+    monkeypatch.setattr(cli, "_dirichlet_data", failing)
+    with caplog.at_level(logging.ERROR, logger="harmonic_lab.cli"):
+        with pytest.raises(RuntimeError, match=r"^cell d=2 N=4 sample=0 failed: no data at N=4$"):
+            cli.run_sweep("dirichlet", spec, threads=2)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.ERROR, "cell d=2 N=8 sample=0 failed: no data at N=8")
+    ]
 
 
 @pytest.mark.parametrize("kind,other", [("dirichlet", "neumann"), ("neumann", "dirichlet")])
