@@ -52,6 +52,14 @@ logger = logging.getLogger(__name__)
 
 _BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep chunk
 
+#: peak bytes of an operator build per boundary vertex and per d^2
+#: (``_box_maps`` dominates); tracemalloc read 74-77 at d = 3 to 5
+_BUILD_BYTES = 77
+
+#: a sweep refuses a cell whose estimate passes this many bytes; the value
+#: of ``spectral.SYMBOL_GRID_BUDGET``, which a sweep does not import
+_CELL_BUDGET = 2**31
+
 
 def __getattr__(name):
     # the strip solver, once imported here by name, resolved on first access
@@ -166,6 +174,22 @@ def _box_maps(d, N):
     for a in (*maps[:-1], *(a for pair in fill for a in pair)):
         a.flags.writeable = False  # the pooled chunks of a sweep cell share them
     return maps
+
+
+def _refuse_over_budget(d, N):
+    """Raise a ValueError, before anything is allocated, when building the
+    (d, N) operator and applying it to one sweep chunk would pass
+    ``_CELL_BUDGET`` by estimate: the build, the three n x n arrays of the
+    path transform (n = N-1), which dominate at d = 2, and the chunk's
+    transform coefficients (at least n^d) with one temporary copy."""
+    n = N - 1
+    estimate = (_BUILD_BYTES * d * d * ((N + 1) ** d - n**d) + 24 * n * n
+                + 16 * max(n**d, _BLOCK))
+    if estimate > _CELL_BUDGET:
+        raise ValueError(
+            f"sweep cell d={d}, N={N} needs about {estimate >> 20} MiB to build "
+            f"and apply, above the {_CELL_BUDGET >> 20} MiB budget"
+        )
 
 
 def _neumann_boundary(layer, g, maps):

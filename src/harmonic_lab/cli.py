@@ -264,6 +264,10 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
     """Rows and summary of the "dirichlet" or "neumann" extension sweep; the
     ratio is nor/tan or tan/nor.  A pool holds at most threads + 1 chunks;
     it raises the first chunk that fails and logs any other failure."""
+    from . import boxes
+
+    for d, N in itertools.product(spec.d_list, spec.n_list):
+        boxes._refuse_over_budget(d, N)  # every cell, before the first is built
     run, tasks, rows = functools.partial(_chunk_rows, kind, spec), _tasks(kind, spec), []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -302,6 +306,8 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
     from . import walks
     from .halfspace import periodized_poisson_kernel
 
+    for z in z_list:  # WalkConfig's own error for a bad z, before a seed is derived
+        walks.WalkConfig(d, int(z))
     blocks = []
     window = min(8, L - 1)
     for z in z_list:
@@ -345,23 +351,14 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
 
 def run_symbol_report(d, l_list):
     _refuse_repeats("l_list", l_list)
-    import numpy as np
-
     from . import dyadic
     from .spectral import grid_symbols
 
     naxes = d - 1
     blocks = []
     for L in map(int, l_list):
-        symbols = grid_symbols(d, L)  # refuses an over-budget grid up front
-
-        def both(rows):
-            # f(lambda) once per entry for both symbols; each rectangle takes
-            # the Dirichlet symbol of its dominant axis
-            grid, labels = symbols(rows), dyadic.dominant_axes(naxes, L, rows)
-            return np.stack([grid.neumann(0), grid.dirichlet(labels)], axis=-1)
-
-        table = dyadic.variation_table(both, L, naxes)
+        # grid_symbols refuses an over-budget grid before anything is built
+        table = dyadic.variation_table(grid_symbols(d, L), L, naxes)
         block = {"L": L}
         for j, name in enumerate(("neumann_axis0", "dirichlet_glued")):
             max_lvar, total = float(table.local[..., j].max()), float(table.total[j])

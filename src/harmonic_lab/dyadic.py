@@ -23,21 +23,21 @@ flag vector and reduced over all segments together with
 ``np.add.reduceat`` (summed axes) or ``np.maximum.reduceat`` (sup axes),
 innermost axis first.  A summed axis drops its largest element by zeroing
 the last entry of each segment, which is exact because the terms are
-nonnegative.  The symbol is read once, in blocks of ``BLOCK_ENTRIES``
-entries of whole axis-0 rows (at least one), so a symbol given as a
-function of its rows is never held whole.  Each block also holds the row
-after its last, the forward neighbour along axis 0, carried over from the
-block before and wrapping around from the first row; it is reduced over
-axes d-1..1, and the per-row partials of all blocks over axis 0 last,
-which are the reductions of the whole symbol, bit for bit.  The flag
+nonnegative.  The symbol is a function of its axis-0 rows, read once, in
+blocks of ``BLOCK_ENTRIES`` entries of whole rows (at least one), so it is
+never held whole.  Each block also holds the row after its last, the
+forward neighbour along axis 0, carried over from the block before and
+wrapping around from the first row; it is reduced over axes d-1..1, and
+the per-row partials of all blocks over axis 0 last, which are the
+reductions of the whole symbol, bit for bit.  The flag
 vectors that take the sup along axis 0 share one running elementwise
 maximum of their partials, since their results are only combined by
 maximum, which is exact in any order.
 
 ``dominant_axes`` labels each stored frequency with the first axis of
 largest |level|, the axis whose quotient symbol a glued multiplier takes on
-that frequency's rectangle (``spectral.GridSymbols.dirichlet`` takes the
-label grid).
+that frequency's rectangle (``spectral.grid_symbols`` glues the Dirichlet
+symbol by it).
 """
 
 from __future__ import annotations
@@ -139,23 +139,16 @@ class VariationTable(NamedTuple):
     total: float | np.ndarray
 
 
-def variation_table(a, L: int, d: int | None = None) -> VariationTable:
-    """Local variation of ``a`` over every nonempty dyadic rectangle and its
-    total variation, from a single pass over the mixed differences.
+def variation_table(read, L: int, d: int) -> VariationTable:
+    """Local variation of a symbol over every nonempty dyadic rectangle and
+    its total variation, from a single pass over the mixed differences.
 
-    ``a`` is an array of shape (2L,)*d, or a function that returns the
-    symbol on an integer array of axis-0 storage rows, shaped
-    (len(rows), 2L, ..., 2L) with ``d`` (then required) symbol axes and
-    any trailing axes that stack several symbols of one grid.  It is read
-    once, a block of ``BLOCK_ENTRIES`` entries (at least one row) at a time.
+    ``read`` returns the symbol on an integer array of axis-0 storage rows,
+    shaped (len(rows), 2L, ..., 2L) with ``d`` symbol axes and any trailing
+    axes that stack several symbols of one grid (``spectral.grid_symbols``;
+    ``a.__getitem__`` reads an array ``a``).  It is read once, a block of
+    ``BLOCK_ENTRIES`` entries (at least one row) at a time.
     """
-    if callable(a):
-        read = a
-    else:
-        a = np.asarray(a)
-        read, d = a.__getitem__, a.ndim
-        if a.shape != (2 * L,) * d:
-            raise ValueError(f"symbol shape {a.shape} does not match half-period {L}")
     # ascending frequency -L+1..L (the argsort of spectral.index_grid(L)):
     # every dyadic interval becomes one contiguous segment, and the periodic
     # forward neighbour is still the next position

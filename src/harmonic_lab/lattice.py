@@ -32,9 +32,6 @@ __all__ = [
     "check_zero_flux",
 ]
 
-#: exponent of the maximum norm
-INFINITY = math.inf
-
 
 def _check_box(d, N):
     if d < 2:
@@ -140,7 +137,7 @@ def lp_norm(values, p) -> float:
     return float(total ** (1.0 / p))
 
 
-def check_zero_flux(g, what="normal data"):
+def check_zero_flux(g):
     """Raise a ValueError unless every row of ``g`` (values on the last
     axis) is finite and sums to zero: Neumann data with a net flux has no
     harmonic extension.  The rounding error of a sum of n terms stays below
@@ -149,13 +146,13 @@ def check_zero_flux(g, what="normal data"):
     every comparison with that bound, so it is rejected first."""
     g = np.asarray(g)
     if not np.isfinite(g).all():
-        raise ValueError(f"{what} has a non-finite entry (NaN or inf)")
+        raise ValueError("normal data has a non-finite entry (NaN or inf)")
     n = g.shape[-1]
     total = g.sum(axis=-1)
     bad = np.flatnonzero(np.abs(total) > n * np.finfo(float).eps * np.abs(g).sum(axis=-1))
     if bad.size:
         net = total.flat[bad[0]]
         raise ValueError(
-            f"{what} sums to {net:.3e} (mean {net / n:.3e}); a nonzero total "
+            f"normal data sums to {net:.3e} (mean {net / n:.3e}); a nonzero total "
             "flux admits no harmonic extension"
         )

@@ -20,19 +20,20 @@ and the inverse transform of a coefficient field a is
 With h = pi / L the pair is an exact round trip.  Under this convention a
 shift by one site along axis i multiplies the transform by exp(-i h k_i).
 
-``grid_symbols`` evaluates f(lambda) on the stored angle grid a block of
-axis-0 rows at a time, once per entry, and both quotient symbols of a
-block from it by one division each (``GridSymbols``).  The symbol report
-never holds a whole (2L)^(d-1) grid: its peak is one block plus per-row
-partial reductions, and a grid whose report would pass
-``SYMBOL_GRID_BUDGET`` is refused before anything is allocated.
+Every grid here has real lambda >= 1, so Q and f are real: ``q_symbol``
+takes real z >= 1 only.  ``grid_symbols`` returns the one row function
+the symbol report reads: on a block of axis-0 rows of the stored angle
+grid it evaluates f(lambda) once per entry and both symbols of the report
+from it, by one division each.  The report never holds a whole
+(2L)^(d-1) grid: its peak is one block plus per-row partial reductions,
+and a grid whose report would pass ``SYMBOL_GRID_BUDGET`` is refused
+before anything is allocated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +41,18 @@ __all__ = [
     "index_grid",
     "forward_dft",
     "inverse_dft",
-    "principal_sqrt",
     "lambda_symbol",
     "q_symbol",
     "f_symbol",
-    "neumann_symbol",
     "dirichlet_symbol",
-    "GridSymbols",
     "grid_symbols",
 ]
 
 
-#: peak bytes the symbol report (``cli.run_symbol_report``) holds per entry
-#: of the block of axis-0 rows it reads at a time, besides its per-row
-#: partial reductions; 97-116 measured with tracemalloc at d = 2 to 6
+#: peak bytes the symbol report (``grid_symbols`` read by
+#: ``dyadic.variation_table``) holds per entry of the block of axis-0 rows
+#: it reads at a time, besides its per-row partial reductions; 97-116
+#: measured with tracemalloc at d = 2 to 6
 SYMBOL_BYTES_PER_ENTRY = 120
 
 #: ``grid_symbols`` refuses a grid whose report would pass this many bytes
@@ -112,30 +111,6 @@ def inverse_dft(a, axes=None) -> np.ndarray:
     return (2 * math.pi) ** (-len(axes)) * np.fft.fftn(a, axes=axes)
 
 
-def _real_or_complex(z) -> np.ndarray:
-    """``z`` as a float64 array, or as a complex128 one when it is complex."""
-    arr = np.asarray(z)
-    return np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
-
-
-def principal_sqrt(z):
-    """Principal branch square root, continuous off (-inf, 0), with 0 at 0.
-
-    Accepts scalars or arrays; inputs on the open negative real axis are
-    rejected.  The real part of the result is never negative.  Complex input
-    takes numpy's complex square root, which takes the principal branch.
-    Real input gives a real float64 result, the real part of the complex
-    root bit for bit, so -0.0 gives +0.0.
-    """
-    arr = _real_or_complex(z)
-    if np.any((arr.real < 0) & (arr.imag == 0)):
-        raise ValueError("square root is not defined on the negative real axis")
-    out = np.sqrt(arr)
-    if not np.iscomplexobj(out):
-        out += 0.0  # -0.0 + 0.0 is +0.0
-    return out.item() if out.ndim == 0 else out
-
-
 def _as_angles(t, d: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if d < 2:
@@ -160,16 +135,13 @@ def lambda_symbol(t, d: int):
 
 
 def q_symbol(z):
-    """Layer propagation factor z + sqrt(z+1) sqrt(z-1), off (-inf, 1).
-
-    The reciprocal root of the same quadratic is 1/Q, and Q + 1/Q = 2z.
-    Real z (at least 1) gives a real Q, the real part of the complex
-    evaluation bit for bit.
-    """
-    arr = _real_or_complex(z)
-    if np.any((arr.real < 1) & (arr.imag == 0)):
+    """Layer propagation factor z + sqrt(z+1) sqrt(z-1) of real z >= 1, as
+    float64.  The reciprocal root of the same quadratic is 1/Q, and
+    Q + 1/Q = 2z."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 1):
         raise ValueError("propagation factor is not defined on (-inf, 1)")
-    return arr + principal_sqrt(arr + 1) * principal_sqrt(arr - 1)
+    return z + np.sqrt(z + 1) * np.sqrt(z - 1)
 
 
 def f_symbol(z):
@@ -189,25 +161,11 @@ def _quotient(num, den, zero):
     return complex(out) if out.ndim == 0 else out
 
 
-def _check_axis(i: int, d: int) -> None:
-    if not 0 <= i < d - 1:
-        raise ValueError(f"tangential axis {i} out of range for d={d}")
-
-
 def _axis_angles(i: int, t, d: int):
     t = _as_angles(t, d)
-    _check_axis(i, d)
+    if not 0 <= i < d - 1:
+        raise ValueError(f"tangential axis {i} out of range for d={d}")
     return t, t[..., i]
-
-
-def neumann_symbol(i: int, t, d: int):
-    """Ratio (exp(-i t_i) - 1) / f(lambda(t)), with value 0 at t = 0.
-
-    ``i`` is the tangential axis, 0-based.
-    """
-    t, ti = _axis_angles(i, t, d)
-    origin = np.all(t == 0.0, axis=-1)
-    return _quotient(_phase(ti), f_symbol(lambda_symbol(t, d)), origin)
 
 
 def dirichlet_symbol(i: int, t, d: int):
@@ -216,57 +174,22 @@ def dirichlet_symbol(i: int, t, d: int):
     return _quotient(f_symbol(lambda_symbol(t, d)), _phase(ti), ti == 0.0)
 
 
-class GridSymbols(NamedTuple):
-    """f(lambda(t)) on axis-0 rows of the stored angle grid t = h k,
-    k in I_L^(d-1), with h = pi / L (the grid of
-    ``halfspace.tangential_angles(d, L)`` without its component axis), and
-    the 1-D angles of each axis: h * index_grid(L) on the rows of axis 0
-    that ``f`` holds, and on every other axis all of them.  lambda is at
-    least 1 on the grid, so ``f`` is real (float64).
-    """
-
-    f: np.ndarray
-    angles: tuple
-
-    def _on_axis(self, i: int) -> np.ndarray:
-        _check_axis(i, self.f.ndim + 1)
-        return self.angles[i].reshape((-1,) + (1,) * (self.f.ndim - 1 - i))
-
-    def dirichlet(self, i) -> np.ndarray:
-        """``dirichlet_symbol(i, t, d)`` on the grid.
-
-        ``i`` may also be an integer array of axes on the grid, such as
-        ``dyadic.dominant_axes``: each entry then takes the symbol of its
-        labelled axis, from that axis's angle at the entry.  This equals
-        ``np.choose(i, [dirichlet(j) for j in ...])`` bit for bit without
-        building the per-axis symbols.
-        """
-        for axis in (np.min(i), np.max(i)):
-            _check_axis(int(axis), self.f.ndim + 1)
-        # each entry picks its axis's phase and zero test from the 1-D axes
-        t = [self._on_axis(j) for j in range(self.f.ndim)]
-        zero = np.choose(i, [tj == 0.0 for tj in t])
-        return _quotient(self.f, np.choose(i, [_phase(tj) for tj in t]), zero)
-
-    def neumann(self, i: int) -> np.ndarray:
-        """``neumann_symbol(i, t, d)`` on the grid."""
-        zeros = [self._on_axis(j) == 0.0 for j in range(self.f.ndim)]
-        origin = functools.reduce(np.logical_and, zeros)
-        return _quotient(_phase(self._on_axis(i)), self.f, origin)
-
-
 def grid_symbols(d: int, L: int):
-    """The quotient symbols on the stored angle grid of half-period L, a
+    """The two symbols of the symbol report on the stored angle grid
+    t = h k, k in I_L^(d-1), with h = pi / L (the grid of
+    ``halfspace.tangential_angles(d, L)`` without its component axis), a
     block of axis-0 rows at a time.
 
-    Returns a function of ``rows``, axis-0 storage positions (an integer
-    array or a slice, all of them by default), that evaluates f(lambda(t))
-    once on those rows and returns it as ``GridSymbols``; every quotient
-    symbol is then one division (``GridSymbols.dirichlet`` and
-    ``GridSymbols.neumann``).  lambda is summed from the 1-D cosines in axis
-    order, which reproduces ``lambda_symbol`` bit for bit up to d = 8 (numpy
-    sums 8 or more terms pairwise).  The estimate of the symbol report, one
-    block of both symbols plus their partials
+    Returns a function of ``rows``, an integer array of axis-0 storage
+    positions, for ``dyadic.variation_table``.  It evaluates f(lambda(t))
+    once per entry of those rows and returns, stacked on a last axis, the
+    Neumann symbol (exp(-i t_0) - 1) / f of axis 0, with value 0 at t = 0,
+    and the Dirichlet symbol glued by ``dyadic.dominant_axes``: each entry
+    takes ``dirichlet_symbol(i, t, d)`` of its labelled axis i.  Each is
+    one division.  lambda is summed from the 1-D cosines in axis order,
+    which reproduces ``lambda_symbol`` bit for bit up to d = 8 (numpy sums 8
+    or more terms pairwise); lambda is at least 1, so f is real.  The
+    estimate of the report, one block of both symbols plus their partials
     (``dyadic.variation_footprint``), is checked first.
     """
     from . import dyadic
@@ -284,10 +207,20 @@ def grid_symbols(d: int, L: int):
     angles = (math.pi / L) * k
     cos = np.cos(angles)
 
-    def evaluate(rows=slice(None)):
-        total = 0.0
-        for i, c in enumerate([cos[rows]] + [cos] * (d - 2)):
-            total = total + c.reshape((-1,) + (1,) * (d - 2 - i))
-        return GridSymbols(f_symbol(d - total), (angles[rows],) + (angles,) * (d - 2))
+    def symbols(rows):
+        def on_axis(values, i):
+            # axis i's 1-D values, on the given rows of axis 0
+            return (values[rows] if i == 0 else values).reshape((-1,) + (1,) * (d - 2 - i))
 
-    return evaluate
+        total = 0.0
+        for i in range(d - 1):
+            total = total + on_axis(cos, i)
+        f = f_symbol(d - total)
+        t = [on_axis(angles, i) for i in range(d - 1)]
+        zero = [ti == 0.0 for ti in t]
+        labels = dyadic.dominant_axes(d - 1, L, rows)
+        neumann = _quotient(_phase(t[0]), f, functools.reduce(np.logical_and, zero))
+        glued = _quotient(f, np.choose(labels, [_phase(ti) for ti in t]), np.choose(labels, zero))
+        return np.stack([neumann, glued], axis=-1)
+
+    return symbols

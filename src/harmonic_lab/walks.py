@@ -299,14 +299,12 @@ def mc_exit_array(cfg: WalkConfig, n_samples: int, L: int) -> np.ndarray:
 
 def continuum_kernel(x, z, d: int = 2):
     """Leading-order continuum half-space Poisson kernel 2z / (omega_d
-    (|x|^2 + z^2)^(d/2)), with omega_d the unit sphere area in R^d."""
+    (|x|^2 + z^2)^(d/2)), with omega_d the unit sphere area in R^d, at the
+    offsets ``x``, shaped (..., d-1)."""
     x = np.asarray(x, dtype=float)
-    if d == 2:
-        r2 = x**2
-    else:
-        if x.shape[-1] != d - 1:
-            raise ValueError(f"offsets need {d - 1} components, got {x.shape}")
-        r2 = (x**2).sum(axis=-1)
+    if x.ndim == 0 or x.shape[-1] != d - 1:
+        raise ValueError(f"offsets need {d - 1} components, got {x.shape}")
+    r2 = (x**2).sum(axis=-1)
     if np.any(r2 + z * z == 0):
         raise ValueError("kernel undefined at the origin with z = 0")
     omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

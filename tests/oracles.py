@@ -454,6 +454,35 @@ def cosine_constant() -> float:
     return 2.0 / math.pi**2
 
 
+def complex_q_symbol(z):
+    """Q(z) = z + sqrt(z+1) sqrt(z-1) in complex arithmetic on the principal
+    branch, off (-inf, 1): the continuation of the real symbol off the
+    spectral segment, which the resolvent-circle bound reads."""
+    z = np.asarray(z, dtype=complex)
+    return z + np.sqrt(z + 1) * np.sqrt(z - 1)
+
+
+def complex_f_symbol(z):
+    'f(z) = 1/Q(z) - 1 of ``complex_q_symbol``.'
+    return 1.0 / complex_q_symbol(z) - 1.0
+
+
+def neumann_symbol(i, t, d):
+    """The Neumann ratio symbol (exp(-i t_i) - 1) / f(lambda(t)) point by
+    point, with value 0 at t = 0: lambda = d - sum_j cos(t_j) and f = 1/Q - 1
+    in real arithmetic (lambda >= 1).  ``t`` holds the d-1 tangential angles
+    on its last axis (a scalar when d = 2); ``i`` is the tangential axis,
+    0-based."""
+    t = np.asarray(t, dtype=float).reshape(np.shape(t) or (1,))
+    if t.shape[-1] != d - 1 or not 0 <= i < d - 1:
+        raise ValueError(f"tangential axis {i} out of range for d={d}, angles {t.shape}")
+    lam = d - np.cos(t).sum(axis=-1)
+    f = 1.0 / (lam + np.sqrt(lam + 1) * np.sqrt(lam - 1)) - 1.0
+    origin = np.all(t == 0.0, axis=-1)
+    out = np.where(origin, 0.0, (np.exp(-1j * t[..., i]) - 1.0) / np.where(origin, 1.0, f))
+    return complex(out) if out.ndim == 0 else out
+
+
 # dyadic interval membership without the package's helpers
 def interval_contains(level, x):
     if level == 0:

@@ -33,6 +33,14 @@ def halfspace_strip(bottom: np.ndarray, N: int) -> np.ndarray:
     return _mode_sum(F, np.zeros_like(F), _mode_factors(d, L)[1], N, np.isrealobj(bottom))
 
 
+def _check_zero_flux(g, what):
+    """``lattice.check_zero_flux`` with ``what`` naming the data in its error."""
+    try:
+        lattice.check_zero_flux(g)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def neumann_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.ndarray:
     """Harmonic strip function with prescribed normal differences.
 
@@ -47,8 +55,8 @@ def neumann_strip_solve(bottom: np.ndarray, top: np.ndarray, N: int) -> np.ndarr
         raise ValueError("bottom and top data differ in shape")
     if N < 2:
         raise ValueError(f"strip height must be at least 2, got {N}")
-    lattice.check_zero_flux(bottom.ravel(), "bottom layer")
-    lattice.check_zero_flux(top.ravel(), "top layer")
+    _check_zero_flux(bottom.ravel(), "bottom layer")
+    _check_zero_flux(top.ravel(), "top layer")
     d, L = _layer_dims(bottom)
     q = _mode_factors(d, L)[1]
     gb = forward_dft(bottom)
@@ -183,7 +191,7 @@ def telescope_neumann(bottom: np.ndarray, top: np.ndarray, N: int, tol: float = 
     _check_aspect(L, N)
 
     flux = np.concatenate([bottom.ravel(), -top.ravel()])
-    lattice.check_zero_flux(flux, "unequal layer means: bottom minus top")
+    _check_zero_flux(flux, "unequal layer means: bottom minus top")
     mb = float(np.mean(bottom))
     mt = float(np.mean(top))
     ys = np.arange(N + 1, dtype=float)

@@ -83,14 +83,9 @@ def test_transform_identities_hold_at_machine_scale():
                 np.testing.assert_allclose(
                     shifted, phase * a, rtol=0.0, atol=1e-10 * scale
                 )
-    # propagation symbol algebra on points off the spectral segment
-    z = np.concatenate(
-        [
-            rng.uniform(-3.0, 6.0, 60)
-            + 1j * np.sign(rng.standard_normal(60)) * rng.uniform(0.1, 4.0, 60),
-            rng.uniform(1.1, 6.0, 40).astype(complex),
-        ]
-    )
+    # propagation symbol algebra on the spectral segment, where every grid's
+    # lambda lies
+    z = rng.uniform(1.1, 6.0, 100)
     q = spectral.q_symbol(z)
     f = spectral.f_symbol(z)
     np.testing.assert_allclose(q + 1.0 / q, 2.0 * z, rtol=1e-12, atol=1e-12)
@@ -103,7 +98,7 @@ LAYER_EXPONENTS = (
     (1.5, 2.0 / 3.0),
     (2.0, 1.0),
     (3.0, 2.0 / 3.0),
-    (lattice.INFINITY, 0.0),
+    (math.inf, 0.0),
 )
 
 
@@ -136,7 +131,7 @@ def test_tangential_and_normal_differences_are_multiplier_related():
         dom = np.argmax(np.abs(lev), axis=0)
         mask = np.abs(lev).max(axis=0) != 0
         t = h * np.stack(np.meshgrid(*([idx] * (d - 1)), indexing="ij"), axis=-1)
-        neu = np.stack([spectral.neumann_symbol(i, t, d) for i in range(d - 1)])
+        neu = np.stack([oracles.neumann_symbol(i, t, d) for i in range(d - 1)])
         dirs = np.stack([spectral.dirichlet_symbol(i, t, d) for i in range(d - 1)])
         for _ in range(50):
             b = rng.standard_normal((2 * L,) * (d - 1))
@@ -168,13 +163,13 @@ def test_variation_laws_on_random_symbols():
             inside[window] = True
             for _ in range(100):
                 a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                table = dyadic.variation_table(a, L)
+                table = dyadic.variation_table(a.__getitem__, L, d)
                 origin = (table.levels.index(0),) * d
                 assert table.local[origin] == float(np.abs(a)[(0,) * d])
                 tampered = a.copy()
                 tampered[~inside] += 7.0
                 two = (table.levels.index(2),) * d
-                tampered_table = dyadic.variation_table(tampered, L)
+                tampered_table = dyadic.variation_table(tampered.__getitem__, L, d)
                 assert tampered_table.local[two] == table.local[two]
                 assert table.total <= 4**d * table.local.max() + 1e-12
 
@@ -286,7 +281,7 @@ def test_exit_kernels_agree_across_the_three_routes():
 
     kernel = halfspace.periodized_poisson_kernel(32, 2, 128)
     offsets = np.arange(-16, 17)
-    continuum = walks.continuum_kernel(offsets.astype(float), 32, 2)
+    continuum = walks.continuum_kernel(offsets[:, None].astype(float), 32, 2)
     rel = np.abs(kernel[offsets % 256] - continuum) / continuum
     assert rel.max() <= 0.10
 
@@ -356,7 +351,6 @@ UNCALLED = {
     "halfspace.dirichlet_strip_solve": "the benchmark's tracer test reads it, also through boxes",
     "lattice.edge_gradients": "the benchmark's tracer test reads it",
     "spectral.dirichlet_symbol": "the benchmark's tracer test reads it through cli",
-    "spectral.neumann_symbol": "the pointwise reference of GridSymbols.neumann",
 }
 
 

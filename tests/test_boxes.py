@@ -4,6 +4,7 @@ reflections and face decomposition of ``proof_chain``, and the gradient
 comparison report."""
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,21 @@ def test_face_map_is_symmetric(kind, d, N):
     assert np.all(gap <= 1e-13 * np.linalg.norm(Kx, axis=1) * np.linalg.norm(y, axis=1))
 
 
+def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
+    """Traced peaks of a build and one chunk read 62 MiB at (3, 128), 304 MiB
+    at (4, 32) and 1026 MiB at (4, 48); those cells pass, and the estimate
+    refuses (4, 64), (3, 512), whose one-sample coefficients alone take
+    1 GiB, and (2, 8192), whose path transform does."""
+    from harmonic_lab import spectral
+
+    assert boxes._CELL_BUDGET == spectral.SYMBOL_GRID_BUDGET
+    for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12)]:
+        boxes._refuse_over_budget(d, N)
+    for d, N in [(4, 64), (3, 512), (2, 8192)]:
+        with pytest.raises(ValueError, match=f"sweep cell d={d}, N={N} needs about"):
+            boxes._refuse_over_budget(d, N)
+
+
 def test_each_operator_build_logs_one_debug_line(caplog):
     """``--log-level DEBUG`` shows the box stage: one line per operator
     build, naming the kind, d, N and the face count."""
@@ -559,7 +575,7 @@ def test_gradient_comparison_of_a_constant():
 
 def test_gradient_comparison_max_norm():
     x, _ = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-    rep = _comparison(x, lattice.INFINITY)
+    rep = _comparison(x, math.inf)
     assert rep["tan_norm"] == pytest.approx(1.0)
     assert rep["full_norm"] == pytest.approx(1.0)
 
@@ -571,7 +587,7 @@ def test_full_norm_is_the_norm_over_the_full_edge_set(d, N):
     the norm over the oracle's enumeration of the set."""
     u = np.random.default_rng(10 * d + N).standard_normal((N + 1,) * d)
     full = lattice.edge_gradients(u, np.array(oracles.full_edge_set(d, N)))
-    for p in (1.5, 2, 3, lattice.INFINITY):
+    for p in (1.5, 2, 3, math.inf):
         want = lattice.lp_norm(full, p)
         assert _comparison(u, p)["full_norm"] == pytest.approx(want, rel=1e-13, abs=0)
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -398,7 +399,7 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
             L = block["L"]
             angles = halfspace.tangential_angles(d, L)
             symbols = {
-                "neumann_axis0": spectral.neumann_symbol(0, angles, d),
+                "neumann_axis0": oracles.neumann_symbol(0, angles, d),
                 "dirichlet_glued": _oracle_glued_dirichlet(d, L),
             }
             for name, a in symbols.items():
@@ -444,6 +445,37 @@ def test_symbol_report_refuses_an_over_budget_grid_before_allocating(tmp_path, c
     assert "MiB budget" in err[0]
     assert not out.exists()
     assert peak < 2**20
+
+
+def test_a_sweep_refuses_an_over_budget_cell_before_building_any(tmp_path, capsys, monkeypatch):
+    """The (4, 64) cell's estimate passes the budget, so either sweep is
+    refused at once, before its first cell, (2, 8), is built."""
+    built = []
+    monkeypatch.setattr(boxes, "_box_maps", lambda d, N: built.append((d, N)))
+    out = tmp_path / "out"
+    for kind in ("dirichlet", "neumann"):
+        argv = [f"{kind}-sweep", "--d", "2,4", "--n-list", "8,64", "--samples", "1",
+                "--out", str(out)]
+        codes, started = [], time.perf_counter()
+        peak = _traced_peak(lambda: codes.append(cli.main(argv)))
+        assert codes == [1] and time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep cell d=4, N=64 needs about")
+        assert err[0].endswith("MiB to build and apply, above the 2048 MiB budget")
+        assert peak < 2**20
+    assert built == [] and not out.exists()
+
+
+def test_kernel_report_checks_each_height_before_seeding_it(tmp_path, capsys):
+    """A start height out of range gets the walk's own error, before any
+    seed is derived from it or any block runs, and no file is written."""
+    out = tmp_path / "out"
+    for z_list, z in [("-2", -2), ("0", 0), ("1,1023", 1023)]:
+        argv = ["kernel-report", "--d", "2", "--z-list", z_list, "--L", "8",
+                "--samples", "100", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: start height must be in [1, 1022], got {z}\n"
+    assert not out.exists()
 
 
 def test_kernel_report_schema():

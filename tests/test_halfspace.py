@@ -407,7 +407,7 @@ def test_tangential_from_normal_ratio_everywhere(d, L):
     angles = halfspace.tangential_angles(d, L)
     for i in range(d - 1):
         dt = spectral.forward_dft(proof_chain.tangential_difference(b, i, h))
-        ratio = spectral.neumann_symbol(i, angles, d)
+        ratio = oracles.neumann_symbol(i, angles, d)
         np.testing.assert_allclose(dt, ratio * dn, atol=1e-10)
 
 

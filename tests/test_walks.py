@@ -394,12 +394,12 @@ def test_boundary_data_average_reproduces_the_extension():
 
 
 def test_continuum_kernel_values():
-    assert walks.continuum_kernel(0.0, 1.0) == pytest.approx(1.0 / math.pi)
+    assert walks.continuum_kernel(np.zeros(1), 1.0) == pytest.approx(1.0 / math.pi)
     for z in (1.0, 2.0, 5.0):
         got = walks.continuum_kernel(np.zeros(2), z, d=3)
         assert got == pytest.approx(1.0 / (2 * math.pi * z * z))
     # even in x
-    xs = np.linspace(-10, 10, 41)
+    xs = np.linspace(-10, 10, 41)[:, None]
     np.testing.assert_allclose(
         walks.continuum_kernel(xs, 2.0), walks.continuum_kernel(-xs, 2.0)
     )
@@ -411,23 +411,18 @@ def test_continuum_kernel_tail_exponent():
         x2 = np.zeros(d - 1)
         x1[0] = 100.0
         x2[0] = 200.0
-        if d == 2:
-            k1, k2 = walks.continuum_kernel(100.0, 1.0), walks.continuum_kernel(
-                200.0, 1.0
-            )
-        else:
-            k1, k2 = walks.continuum_kernel(x1, 1.0, d=3), walks.continuum_kernel(
-                x2, 1.0, d=3
-            )
+        k1, k2 = walks.continuum_kernel(x1, 1.0, d), walks.continuum_kernel(x2, 1.0, d)
         slope = math.log(k2 / k1) / math.log(2.0)
         assert abs(slope + d) < 0.05 * d
 
 
 def test_continuum_kernel_rejections():
     with pytest.raises(ValueError):
-        walks.continuum_kernel(0.0, 0.0)
-    with pytest.raises(ValueError):
-        walks.continuum_kernel(np.zeros(3), 1.0, d=3)
+        walks.continuum_kernel(np.zeros(1), 0.0)
+    # offsets always carry their d-1 components on the last axis
+    for x, d in [(np.zeros(3), 3), (0.0, 2), (np.zeros(4), 2)]:
+        with pytest.raises(ValueError, match="components"):
+            walks.continuum_kernel(x, 1.0, d)
 
 
 def test_kernel_variation_constant_is_bounded_in_z():
