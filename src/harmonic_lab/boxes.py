@@ -1,11 +1,9 @@
 """Harmonic functions on the box {0,...,N}^d, read on its boundary.
 
-Builds the face map K, the batched operators from either kind of boundary
-data (values prescribed, or inward normal differences) to the tangential
-and normal boundary gradients, and the tangential/normal gradient
-comparison: the one definition of the two norms, the full-boundary norm
-derived from them and the ratios the sweeps report.  Neumann data is tested
-with ``lattice.check_zero_flux``.
+Builds the face map K and the one batched operator from either kind of
+boundary data (values prescribed, or inward normal differences) to the
+tangential and normal boundary gradients, whose l^p norms the sweeps
+compare.  Neumann data is tested with ``lattice.check_zero_flux``.
 
 Each box problem has one exact solver, the matrix decomposition of Buzbee,
 Golub & Nielson, "On direct methods for solving Poisson's equations", SIAM
@@ -22,13 +20,14 @@ operator needs is K = P^T L^-1 P from face data to that layer
 L the interior operator (inverted on the mean-zero modes for Neumann).  K
 is symmetric.  It transforms the face data along the faces and divides by
 the eigenvalue sums (``_coefficients``), then contracts along each face's
-normal axis (``_layer_values``).  The operators wrap it: a gather of the
-boundary data into the face layout, K, then sparse differences and, for
-Neumann, the ridge and corner fill.  ``operator_certificate`` measures
-both on exact lattice-harmonic functions, and ``cli.run_selftest`` gates
-it; the full-field solve is a test reference in ``tests/oracles.py``, and
-the reflections and the face-by-face strip split of the paper's proof
-chain are test oracles in ``tests/proof_chain.py``.
+normal axis (``_layer_values``).  ``gradient_operator`` wraps it: a
+gather of the boundary data into the face layout, K, then sparse
+differences and, for Neumann, the ridge and corner fill.
+``operator_certificate`` measures it on exact lattice-harmonic functions
+of either kind, and ``cli.run_selftest`` gates that; the full-field solve
+is a test reference in ``tests/oracles.py``, and the reflections and the
+face-by-face strip split of the paper's proof chain are test oracles in
+``tests/proof_chain.py``.
 """
 
 from __future__ import annotations
@@ -40,13 +39,7 @@ import numpy as np
 
 from . import lattice
 
-__all__ = [
-    "face_map",
-    "dirichlet_operator",
-    "neumann_operator",
-    "operator_certificate",
-    "gradient_comparison",
-]
+__all__ = ["face_map", "gradient_operator", "operator_certificate"]
 
 logger = logging.getLogger(__name__)
 
@@ -72,20 +65,19 @@ def __getattr__(name):
 
 
 def _divide_by_eigenvalue_sums(coeffs, lam, d):
-    """Divide the transform coefficients on the last d axes of ``coeffs``,
+    """Divide the transform coefficients ``coeffs``, shaped (B,) + (n,)*d,
     in place, by the eigenvalue sums lam[k_0] + ... + lam[k_{d-1}] of the
-    d-fold tensor sum of one path operator.  Leading axes are a batch.  The
-    sums are formed a block along the first mode axis at a time, in axis
-    order; a zero sum (the Neumann constant mode, the kernel) divides by
-    inf, which gauges that mode to zero."""
+    d-fold tensor sum of one path operator.  The sums are formed a block
+    along the first mode axis at a time, in axis order; a zero sum (the
+    Neumann constant mode, the kernel) divides by inf, which gauges that
+    mode to zero."""
     n = len(lam)
-    modes = coeffs.reshape((-1,) + (n,) * d)
     step = max(1, _BLOCK // n ** (d - 1))
     for i in range(0, n, step):
         axes = [lam[i : i + step]] + [lam] * (d - 1)
         block = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
         block[block == 0.0] = np.inf
-        modes[:, i : i + step] /= block
+        coeffs[:, i : i + step] /= block
 
 
 def _path_eigenvalues(kind, n):
@@ -119,7 +111,7 @@ def _path_matrix(kind, n):
 
 
 class _BoxMaps(NamedTuple):
-    """Flat indices of one box, shared by both gradient operators.
+    """Flat indices of one box, shared by both kinds of gradient operator.
     Positions count boundary vertices in ``lattice.boundary_vertices``
     order; the face layout orders the face vertices by (axis, side 0 or N,
     remaining coordinates in C order)."""
@@ -271,20 +263,20 @@ def _layer_values(coeffs, T):
 
 def _batch(x, size, what):
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != size:
-        raise ValueError(f"expected {size} {what} on the last axis, got shape {x.shape}")
-    return x.reshape(-1, size)
+    if x.ndim != 2 or x.shape[1] != size:
+        raise ValueError(f"expected {what} shaped (B, {size}), got shape {x.shape}")
+    return x
 
 
 def face_map(kind: str, d: int, N: int):
     """Batched face map K of the ``kind`` box problem, "dirichlet" or
     "neumann".
 
-    Returns a function of ``x``, shaped (..., 2d (N-1)^(d-1)): data on the
-    face vertices, one sample per leading index, in the face layout, which
-    orders them by (axis, side 0 or N, remaining coordinates in C order).
-    It returns, in the same layout and shape, the values on the layer next
-    to each face of the interior solution whose right-hand side is ``x`` on
+    Returns a function of ``x``, shaped (B, 2d (N-1)^(d-1)): data on the
+    face vertices, one sample per row, in the face layout, which orders
+    them by (axis, side 0 or N, remaining coordinates in C order).  It
+    returns, in the same layout and shape, the values on the layer next to
+    each face of the interior solution whose right-hand side is ``x`` on
     the outer layer of the interior: K = P^T L^-1 P, with P the injection
     of the faces into that layer and L the interior operator 2d*I - A or,
     inverted on the mean-zero modes, diag(deg) - A.  K is symmetric.  It
@@ -300,66 +292,49 @@ def face_map(kind: str, d: int, N: int):
     logger.debug("%s face map d=%d N=%d: %d faces, %d face values", kind, d, N, 2 * d, size)
 
     def apply(x):
-        lead = np.shape(x)[:-1]
         x = _batch(x, size, "face values")
         coeffs = _coefficients(x.reshape(len(x), 2 * d, -1), T, lam)
-        return _layer_values(coeffs, T).reshape(lead + (-1,))
+        return _layer_values(coeffs, T).reshape(len(x), -1)
 
     return apply
 
 
-def dirichlet_operator(d: int, N: int):
-    """Batched map from Dirichlet boundary values to boundary gradients.
+def gradient_operator(kind: str, d: int, N: int):
+    """Batched map from the ``kind`` boundary data to boundary gradients.
 
-    Returns a function of ``f``, shaped (..., M): the values on the M
-    vertices of ``lattice.boundary_vertices(d, N)``, in that order, one
-    sample per leading index.  It returns ``(tan, nor)``, the gradients of
-    each sample's harmonic extension along ``lattice.tangential_edges(d, N)``
-    and ``lattice.normal_edges(d, N)``, shaped (..., E_T) and (..., E_N):
-    ``tan`` differences the data, and ``nor`` is K applied to the face
-    values (``face_map``) minus the face values.
+    Returns a function of the data, shaped (B, M) for "dirichlet": values on
+    the M vertices of ``lattice.boundary_vertices(d, N)``, in that order;
+    or (B, E_N) for "neumann": normal differences on
+    ``lattice.normal_edges(d, N)``, each row summing to zero.  One sample
+    per row.  It returns ``(tan, nor)``, the gradients of each sample's
+    harmonic extension (mean-zero for Neumann) along
+    ``lattice.tangential_edges(d, N)`` and ``lattice.normal_edges(d, N)``,
+    shaped (B, E_T) and (B, E_N).  The layer next to the faces is K
+    (``face_map``) applied to the face values or to -g.  The Dirichlet
+    boundary values are the data; the Neumann face values follow through
+    each inward edge, and the ridge and corner values, which no equation
+    constrains, are the neighbour means of ``_neumann_boundary``.  A
+    Neumann sample with a net flux or a non-finite entry raises a
+    ValueError.
     """
+    K = face_map(kind, d, N)
     maps = _box_maps(d, N)
-    K = face_map("dirichlet", d, N)
-    face_vertices = maps.nor_tail[maps.face_edge]
+    if kind == "dirichlet":
+        size, what, faces = len(maps.flat), "boundary values", maps.nor_tail[maps.face_edge]
+    else:
+        size, what, faces = len(maps.nor_tail), "normal edge values", maps.face_edge
 
-    def apply(f):
-        lead = np.shape(f)[:-1]
-        f = _batch(f, len(maps.flat), "boundary values")
-        layer = K(f[:, face_vertices])[:, maps.edge_face]
-        tan = f[:, maps.tan_head] - f[:, maps.tan_tail]
-        nor = layer - f[:, maps.nor_tail]
-        return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
-
-    return apply
-
-
-def neumann_operator(d: int, N: int):
-    """Batched map from Neumann normal data to boundary gradients.
-
-    Returns a function of ``g``, shaped (..., E_N): normal data on
-    ``lattice.normal_edges(d, N)``, each sample summing to zero, one sample
-    per leading index.  It returns ``(tan, nor)``, the gradients of each
-    sample's mean-zero harmonic extension along
-    ``lattice.tangential_edges(d, N)`` and ``lattice.normal_edges(d, N)``.
-    The layer next to the faces is K applied to -g (``face_map``); the face
-    values follow through each inward edge, and the ridge and corner
-    values, which no equation constrains, are the neighbour means of
-    ``_neumann_boundary``.  A sample with a net flux or a non-finite entry
-    raises a ValueError.
-    """
-    maps = _box_maps(d, N)
-    K = face_map("neumann", d, N)
-
-    def apply(g):
-        lead = np.shape(g)[:-1]
-        g = _batch(g, len(maps.nor_tail), "normal edge values")
-        lattice.check_zero_flux(g)
-        layer = K(np.negative(g[:, maps.face_edge]))[:, maps.edge_face]
-        boundary = _neumann_boundary(layer, g, maps)
+    def apply(x):
+        x = _batch(x, size, what)
+        if kind == "dirichlet":
+            layer = K(x[:, faces])[:, maps.edge_face]
+            boundary = x
+        else:
+            lattice.check_zero_flux(x)
+            layer = K(np.negative(x[:, faces]))[:, maps.edge_face]
+            boundary = _neumann_boundary(layer, x, maps)
         tan = boundary[:, maps.tan_head] - boundary[:, maps.tan_tail]
-        nor = layer - boundary[:, maps.nor_tail]
-        return tan.reshape(lead + (-1,)), nor.reshape(lead + (-1,))
+        return tan, layer - boundary[:, maps.nor_tail]
 
     return apply
 
@@ -383,34 +358,11 @@ def operator_certificate(kind: str, d: int, N: int) -> float:
 
     want_tan, want_nor = u(tan[:, 1]) - u(tan[:, 0]), u(nor[:, 1]) - u(nor[:, 0])
     if kind == "dirichlet":
-        got_tan, got_nor = dirichlet_operator(d, N)(u(lattice.boundary_vertices(d, N)))
-        keep = slice(None)
+        data, keep = u(lattice.boundary_vertices(d, N)), slice(None)
     else:
-        got_tan, got_nor = neumann_operator(d, N)(want_nor)
-        keep = (((tan == 0) | (tan == N)).sum(axis=-1) == 1).all(axis=1)
+        data, keep = want_nor, (((tan == 0) | (tan == N)).sum(axis=-1) == 1).all(axis=1)
+    got_tan, got_nor = gradient_operator(kind, d, N)(data)
     want = np.concatenate([want_tan[:, keep], want_nor], axis=1)
     got = np.concatenate([got_tan[:, keep], got_nor], axis=1)
     return float(np.abs(got - want).max() / np.abs(want).max())
 
-
-def gradient_comparison(tan: np.ndarray, nor: np.ndarray, p) -> dict:
-    """l^p norms of one sample's gradients along the tangential edges
-    (``tan``) and the normal edges (``nor``) and over the full boundary
-    edge set, plus the two comparison ratios: nor/tan, the one the
-    Dirichlet sweep reports, and tan/nor, the Neumann one.
-
-    ``tan`` and ``nor`` are one row of an operator's output or the
-    ``lattice.edge_gradients`` of a box function.  The full set, the edges
-    with an endpoint on a face, is the tangential edges, the normal edges
-    and their reversals, so its norm is the l^p norm of
-    (tan_norm, nor_norm, nor_norm).  Ratios with a zero denominator are
-    reported as None.
-    """
-    tan_norm, nor_norm = lattice.lp_norm(tan, p), lattice.lp_norm(nor, p)
-    return {
-        "tan_norm": tan_norm,
-        "nor_norm": nor_norm,
-        "full_norm": lattice.lp_norm([tan_norm, nor_norm, nor_norm], p),
-        "ratio_nor_tan": nor_norm / tan_norm if tan_norm > 0 else None,
-        "ratio_tan_nor": tan_norm / nor_norm if nor_norm > 0 else None,
-    }

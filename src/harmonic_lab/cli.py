@@ -171,6 +171,9 @@ def _neumann_data(generator, rng, edges, N):
         logger.debug("single-mode wave vector %s for d=%d N=%d", k, d, N)
         h = math.pi / N
         raw = np.cos(edges[:, 0].astype(float) @ (h * k.astype(float)))
+        m = edges[:, 0] @ k % (2 * N)  # cos(pi m / N) is constant iff min(m, 2N - m) is
+        if np.ptp(np.minimum(m, 2 * N - m)) == 0:
+            raise ValueError("generated normal data is identically zero")
     else:
         raw = np.where(edges[:, 0].sum(axis=1) % 2 == 0, 1.0, -1.0)
     g = raw - raw.mean()
@@ -182,15 +185,14 @@ def _neumann_data(generator, rng, edges, N):
 def _chunk_rows(kind, spec, d, N, samples, cell):
     """Rows of the cells (d, N, sample) for ``samples``, drawn on the points
     of ``cell`` and solved as one batch by its operator; each row's
-    runtime_ms is its share of the chunk's time.  Norms and ratio are
-    ``boxes.gradient_comparison``'s, nor/tan or tan/nor by ``kind``."""
+    runtime_ms is its share of the chunk's time.  Norms are ``lp_norm``'s;
+    the ratio is nor/tan or tan/nor by ``kind``, None at a zero denominator."""
     import numpy as np
 
-    from . import boxes
+    from .lattice import lp_norm
 
     operator, points = cell
     generate = _dirichlet_data if kind == "dirichlet" else _neumann_data
-    ratio = "ratio_nor_tan" if kind == "dirichlet" else "ratio_tan_nor"
     try:
         started = time.perf_counter()
         seeds = [_cell_seed(spec.seed, d, N, sample) for sample in samples]
@@ -198,8 +200,8 @@ def _chunk_rows(kind, spec, d, N, samples, cell):
             [generate(spec.generator, np.random.default_rng(s), points, N) for s in seeds]
         )
         # each sample's gradients, reused for every exponent
-        reports = [
-            [(p, boxes.gradient_comparison(tan, nor, p)) for p in spec.p_list]
+        norms = [
+            [(p, lp_norm(tan, p), lp_norm(nor, p)) for p in spec.p_list]
             for tan, nor in zip(*operator(batch))
         ]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -216,10 +218,11 @@ def _chunk_rows(kind, spec, d, N, samples, cell):
         ) from exc
     per_row_ms = round(elapsed_ms / (len(samples) * len(spec.p_list)), 3)
     return [
-        dict(d=d, N=N, p=p, sample=sample, seed=cell_seed, tan_norm=report["tan_norm"],
-             nor_norm=report["nor_norm"], ratio=report[ratio], runtime_ms=per_row_ms)
-        for sample, cell_seed, by_p in zip(samples, seeds, reports)
-        for p, report in by_p
+        dict(d=d, N=N, p=p, sample=sample, seed=cell_seed, tan_norm=tan, nor_norm=nor,
+             ratio=top / bottom if bottom > 0 else None, runtime_ms=per_row_ms)
+        for sample, cell_seed, by_p in zip(samples, seeds, norms)
+        for p, tan, nor in by_p
+        for top, bottom in [(nor, tan) if kind == "dirichlet" else (tan, nor)]
     ]
 
 
@@ -250,10 +253,9 @@ def _tasks(kind, spec):
     data points) is built for its first chunk and dropped after its last."""
     from . import boxes, lattice
 
-    build = getattr(boxes, f"{kind}_operator")
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     for d, N in itertools.product(spec.d_list, spec.n_list):
-        cell = (build(d, N), points(d, N))
+        cell = (boxes.gradient_operator(kind, d, N), points(d, N))
         size = max(1, boxes._BLOCK // (N - 1) ** d)
         for s in range(0, spec.samples, size):
             yield d, N, range(s, min(s + size, spec.samples)), cell
@@ -481,7 +483,7 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
 
     Runs both sweeps twice, serially and on a pool of ``max(2, threads)``
     workers (so the default of 1 checks a pool too), requires identical
-    rows, certifies the gradient operators on exact lattice-harmonic
+    rows, certifies the gradient operator of each kind on exact lattice-harmonic
     functions (``boxes.operator_certificate``) at the sweep's own sizes and
     at N=4 for d=3 and 4, checks the variation bound and the cross-L
     stability of the symbol metrics, and writes the sweep rows with the

@@ -14,7 +14,7 @@ Edge sets are built by index arithmetic from the tails on the boundary
 shell, with no candidate edges for the rest of the box.  The two sets are
 the tangential and the normal edges; every edge with an endpoint on the
 shell is a tangential edge, a normal edge or the reversal of one, so norms
-over that full set follow from these two (``boxes.gradient_comparison``).
+over that full set follow from these two.
 """
 
 from __future__ import annotations

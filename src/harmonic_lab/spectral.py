@@ -137,7 +137,9 @@ def lambda_symbol(t, d: int):
 def q_symbol(z):
     """Layer propagation factor z + sqrt(z+1) sqrt(z-1) of real z >= 1, as
     float64.  The reciprocal root of the same quadratic is 1/Q, and
-    Q + 1/Q = 2z."""
+    Q + 1/Q = 2z.  Complex input raises a TypeError."""
+    if np.iscomplexobj(z):
+        raise TypeError(f"propagation factor takes real z only, got {np.asarray(z).dtype}")
     z = np.asarray(z, dtype=float)
     if np.any(z < 1):
         raise ValueError("propagation factor is not defined on (-inf, 1)")

@@ -219,7 +219,7 @@ def test_every_neumann_solver_tests_the_net_flux_at_any_scale(scale):
     layers = scale * (layers - layers.mean(axis=1, keepdims=True))
     solvers = [
         lambda: oracles.neumann_extension(g, d, N),
-        lambda: boxes.neumann_operator(d, N)(g),
+        lambda: boxes.gradient_operator("neumann", d, N)(g[None]),
         lambda: proof_chain.neumann_strip_solve(layers[0], layers[1], N),
         lambda: proof_chain.telescope_neumann(layers[0], layers[1], N),
     ]

@@ -1,10 +1,11 @@
-"""The face map and the box gradient operators, their exact-harmonic
+"""The face map and the box gradient operator, its exact-harmonic
 certificate, the full-field reference solves of ``oracles``, the
-reflections and face decomposition of ``proof_chain``, and the gradient
-comparison report."""
+reflections and face decomposition of ``proof_chain``, and the norm over
+the full boundary edge set."""
 
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_neumann_rejects_net_flux():
     batch = np.zeros((3, len(g)))
     batch[2] = g
     with pytest.raises(ValueError, match="flux"):
-        boxes.neumann_operator(2, 3)(batch)
+        boxes.gradient_operator("neumann", 2, 3)(batch)
 
 
 # the sweep cells whose mean-zero data summed to a few 1e-12 through
@@ -208,13 +209,13 @@ def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
     rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
     g = cli._neumann_data(generator, rng, lattice.normal_edges(d, N), N)
     assert abs(g.sum()) > 1e-12 * np.abs(g).max()
-    operator = boxes.neumann_operator(d, N)
-    operator(g)
+    operator = boxes.gradient_operator("neumann", d, N)
+    operator(g[None])
     g[0] += 1e-6 * np.abs(g).sum()
     with pytest.raises(ValueError, match="flux"):
         oracles.neumann_extension(g, d, N)
     with pytest.raises(ValueError, match="flux"):
-        operator(g)
+        operator(g[None])
 
 
 def test_neumann_rejects_wrong_edge_count():
@@ -223,11 +224,13 @@ def test_neumann_rejects_wrong_edge_count():
     with pytest.raises(ValueError):
         oracles.neumann_extension(np.zeros(4), 2, 1)
     with pytest.raises(ValueError, match="normal edge values"):
-        boxes.neumann_operator(2, 3)(np.zeros((2, 5)))
+        boxes.gradient_operator("neumann", 2, 3)(np.zeros((2, 5)))
     with pytest.raises(ValueError):
-        boxes.neumann_operator(2, 1)
+        boxes.gradient_operator("neumann", 2, 1)
     with pytest.raises(ValueError, match="boundary values"):
-        boxes.dirichlet_operator(2, 3)(np.zeros(len(lattice.normal_edges(2, 3))))
+        boxes.gradient_operator("dirichlet", 2, 3)(np.zeros((1, len(lattice.normal_edges(2, 3)))))
+    with pytest.raises(ValueError, match="unknown box problem"):
+        boxes.gradient_operator("robin", 2, 3)
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 5), (3, 4)])
@@ -264,11 +267,10 @@ def _operator_and_extension_inputs(kind, d, N, samples):
 @pytest.mark.parametrize("d,N", OPERATOR_CASES)
 def test_operators_match_the_extension_gradients(kind, d, N):
     batch, inputs = _operator_and_extension_inputs(kind, d, N, 2)
+    tan, nor = boxes.gradient_operator(kind, d, N)(batch)
     if kind == "dirichlet":
-        tan, nor = boxes.dirichlet_operator(d, N)(batch)
         fields = [oracles.dirichlet_extension(f) for f in inputs]
     else:
-        tan, nor = boxes.neumann_operator(d, N)(batch)
         fields = [oracles.neumann_extension(g, d, N) for g in inputs]
     edge_sets = ((tan, lattice.tangential_edges(d, N)), (nor, lattice.normal_edges(d, N)))
     for j, u in enumerate(fields):
@@ -314,8 +316,8 @@ def test_each_operator_build_logs_one_debug_line(caplog):
     """``--log-level DEBUG`` shows the box stage: one line per operator
     build, naming the kind, d, N and the face count."""
     with caplog.at_level(logging.DEBUG, logger="harmonic_lab.boxes"):
-        boxes.dirichlet_operator(3, 5)
-        boxes.neumann_operator(2, 4)
+        boxes.gradient_operator("dirichlet", 3, 5)
+        boxes.gradient_operator("neumann", 2, 4)
     assert [r.getMessage() for r in caplog.records if r.name == "harmonic_lab.boxes"] == [
         "dirichlet face map d=3 N=5: 6 faces, 96 face values",
         "neumann face map d=2 N=4: 4 faces, 12 face values",
@@ -366,7 +368,7 @@ def test_operator_memory_is_bounded_by_the_interior(kind, d, N):
     temporary of the same size: measured peak 2.10 x the interior at
     (3,128) and 2.03 x at (2,1024); a third interior array adds 1 x."""
     batch, _ = _operator_and_extension_inputs(kind, d, N, 1)
-    operator = (boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator)(d, N)
+    operator = boxes.gradient_operator(kind, d, N)
     operator(batch)
     tracemalloc.start()
     try:
@@ -378,17 +380,19 @@ def test_operator_memory_is_bounded_by_the_interior(kind, d, N):
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
-def test_operators_keep_leading_batch_axes(kind):
+def test_the_operator_and_the_face_map_take_only_a_batch_of_rows(kind):
+    """Every caller passes one sample per row; a single sample or a batch
+    with more leading axes is refused with the expected (B, size) shape."""
     d, N = 3, 4
     batch, _ = _operator_and_extension_inputs(kind, d, N, 6)
-    operator = boxes.dirichlet_operator if kind == "dirichlet" else boxes.neumann_operator
-    flat = operator(d, N)(batch)
-    shaped = operator(d, N)(batch.reshape(2, 3, -1))
-    single = operator(d, N)(batch[4])
-    for a, b, c in zip(flat, shaped, single):
-        assert b.shape == (2, 3, a.shape[-1]) and c.shape == a.shape[-1:]
-        assert b.reshape(a.shape).tobytes() == a.tobytes()
-        assert c.tobytes() == a[4].tobytes()
+    faces = np.zeros((6, 2 * d * (N - 1) ** (d - 1)))
+    maps = [(boxes.gradient_operator(kind, d, N), batch), (boxes.face_map(kind, d, N), faces)]
+    for apply, x in maps:
+        apply(x)
+        for bad in (x[4], x.reshape(2, 3, -1)):
+            want = f"shaped (B, {x.shape[1]}), got shape {bad.shape}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                apply(bad)
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
@@ -397,7 +401,7 @@ def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
     spec = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
     assert boxes._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
-    cell = (getattr(boxes, f"{kind}_operator")(d, N), points(d, N))
+    cell = (boxes.gradient_operator(kind, d, N), points(d, N))
     chunk = cli._chunk_rows(kind, spec, d, N, range(spec.samples), cell)
     for sample in range(spec.samples):
         alone = cli._chunk_rows(kind, spec, d, N, [sample], cell)
@@ -536,60 +540,24 @@ def test_face_decomposition_3d_smoke():
 
 
 # ---------------------------------------------------------------------------
-# gradient comparison
+# full boundary norm
 # ---------------------------------------------------------------------------
-
-
-def _comparison(u, p):
-    d, N = u.ndim, u.shape[0] - 1
-    return boxes.gradient_comparison(
-        lattice.edge_gradients(u, lattice.tangential_edges(d, N)),
-        lattice.edge_gradients(u, lattice.normal_edges(d, N)),
-        p,
-    )
-
-
-def test_gradient_comparison_keys_and_ratios():
-    x, y = np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")
-    rep = _comparison(2.0 * x + y, 2)
-    assert set(rep) == {
-        "tan_norm",
-        "nor_norm",
-        "full_norm",
-        "ratio_nor_tan",
-        "ratio_tan_nor",
-    }
-    assert rep["tan_norm"] > 0 and rep["nor_norm"] > 0
-    assert rep["ratio_nor_tan"] == pytest.approx(rep["nor_norm"] / rep["tan_norm"])
-    assert rep["ratio_tan_nor"] == pytest.approx(rep["tan_norm"] / rep["nor_norm"])
-    assert rep["full_norm"] >= max(rep["tan_norm"], rep["nor_norm"])
-
-
-def test_gradient_comparison_of_a_constant():
-    rep = _comparison(np.full((4, 4), 1.0), 2)
-    assert rep["tan_norm"] == 0.0
-    assert rep["nor_norm"] == 0.0
-    assert rep["ratio_nor_tan"] is None
-    assert rep["ratio_tan_nor"] is None
-
-
-def test_gradient_comparison_max_norm():
-    x, _ = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-    rep = _comparison(x, math.inf)
-    assert rep["tan_norm"] == pytest.approx(1.0)
-    assert rep["full_norm"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d,N", [(d, N) for d in (2, 3, 4) for N in (2, 3, 5, 8)])
 def test_full_norm_is_the_norm_over_the_full_edge_set(d, N):
     """The full boundary edge set is the tangential edges and the normal
-    edges both ways, so its norm follows from the two norms; compared with
-    the norm over the oracle's enumeration of the set."""
+    edges both ways, so its norm is the l^p norm of (tan norm, nor norm,
+    nor norm), as ``proof_chain.face_decomposition_dirichlet`` forms it;
+    compared with the norm over the oracle's enumeration of the set."""
     u = np.random.default_rng(10 * d + N).standard_normal((N + 1,) * d)
+    tan = lattice.edge_gradients(u, lattice.tangential_edges(d, N))
+    nor = lattice.edge_gradients(u, lattice.normal_edges(d, N))
     full = lattice.edge_gradients(u, np.array(oracles.full_edge_set(d, N)))
     for p in (1.5, 2, 3, math.inf):
+        t, n = lattice.lp_norm(tan, p), lattice.lp_norm(nor, p)
         want = lattice.lp_norm(full, p)
-        assert _comparison(u, p)["full_norm"] == pytest.approx(want, rel=1e-13, abs=0)
+        assert lattice.lp_norm([t, n, n], p) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,47 @@ def test_neumann_single_mode_rounding_residue_is_identically_zero(tmp_path, caps
     assert "sample=1 failed: generated normal data is identically zero" in err
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_neumann_single_mode_at_n_2_is_refused_for_even_d(tmp_path, capsys, d):
+    # N=2 forces the wave vector (1,...,1); for even d the cosine is 0 on
+    # every normal edge tail, so the data is rounding residue (max|g| 1e-16)
+    # that the rounding bound n eps sum|raw| scales with and lets through
+    argv = ["neumann-sweep", "--d", str(d), "--n-list", "2", "--generator",
+            "single-mode", "--samples", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sample=0 failed: generated normal data is identically zero" in err
+    assert list(tmp_path.iterdir()) == []
+    argv[2] = "3"  # tails at phase 0 and pi: cos is 1 and -1
+    assert cli.main(argv) == 0
+
+
+def test_neumann_single_mode_refuses_exactly_the_constant_cosines():
+    """The refusal reads the integer phases m = tails . k mod 2N: cos(pi m/N)
+    takes one value exactly when min(m, 2N - m) does.  So every refused draw
+    is rounding residue around a constant, and every accepted one spreads
+    over at least 1 - cos(pi/12), the smallest gap between two values of
+    cos(pi m/N) at N <= 12, with its values unchanged."""
+    cells = [(2, N) for N in range(2, 13)] + [(3, N) for N in range(2, 9)] + [(4, 2), (4, 3)]
+    refused = 0
+    for d, N in cells:
+        edges = lattice.normal_edges(d, N)
+        for sample in range(6):
+            seed = cli._cell_seed(0, d, N, sample)
+            k = np.random.default_rng(seed).integers(1, N, size=d)
+            raw = np.cos(edges[:, 0].astype(float) @ (math.pi / N * k.astype(float)))
+            spread = raw.max() - raw.min()
+            try:
+                g = cli._neumann_data("single-mode", np.random.default_rng(seed), edges, N)
+            except ValueError as exc:
+                assert "identically zero" in str(exc) and spread < 1e-14
+                refused += 1
+            else:
+                assert spread > 1.0 - math.cos(math.pi / 12)
+                assert g.tobytes() == (raw - raw.mean()).tobytes()
+    assert refused > 0
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -250,11 +291,11 @@ def test_each_sweep_cell_is_built_once(monkeypatch, kind):
     edge and vertex sets are built as often at one sample as at five."""
     assert boxes._BLOCK // 31**3 == 2  # five samples of (3, 32): three chunks
     calls = collections.Counter()
-    for module, name in [(boxes, "dirichlet_operator"), (boxes, "neumann_operator"),
-                         (lattice, "boundary_vertices"), (lattice, "normal_edges")]:
-        def counted(d, N, build=getattr(module, name), name=name):
-            calls[name, d, N] += 1
-            return build(d, N)
+    for module, name in [(boxes, "gradient_operator"), (lattice, "boundary_vertices"),
+                         (lattice, "normal_edges")]:
+        def counted(*args, build=getattr(module, name), name=name):
+            calls[(name,) + args[-2:]] += 1  # keyed by (d, N)
+            return build(*args)
 
         monkeypatch.setattr(module, name, counted)
     counts = []
@@ -263,7 +304,7 @@ def test_each_sweep_cell_is_built_once(monkeypatch, kind):
         cli.run_sweep(kind, _small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    built = {key[1:]: n for key, n in counts[1].items() if key[0] == f"{kind}_operator"}
+    built = {key[1:]: n for key, n in counts[1].items() if key[0] == "gradient_operator"}
     assert built == {(3, 4): 1, (3, 32): 1}
     assert {key[1:] for key in counts[1]} == {(3, 4), (3, 32)}
 
@@ -276,7 +317,7 @@ def test_a_sweep_holds_only_the_cells_in_flight(monkeypatch, threads):
     finished, each build waits for the chunks of every earlier cell, so the
     peak reads what the sweep keeps, not how a build overlaps them."""
     done, built, idle = [0], [0], threading.Condition()
-    chunk_rows, build = cli._chunk_rows, boxes.dirichlet_operator
+    chunk_rows, build = cli._chunk_rows, boxes.gradient_operator
 
     def counted_chunk(*args):
         rows = chunk_rows(*args)
@@ -285,14 +326,14 @@ def test_a_sweep_holds_only_the_cells_in_flight(monkeypatch, threads):
             idle.notify_all()
         return rows
 
-    def build_when_idle(d, N):
+    def build_when_idle(kind, d, N):
         with idle:
             assert idle.wait_for(lambda: done[0] in (0, built[0]), timeout=60)
             built[0] += 1
-        return build(d, N)
+        return build(kind, d, N)
 
     monkeypatch.setattr(cli, "_chunk_rows", counted_chunk)
-    monkeypatch.setattr(boxes, "dirichlet_operator", build_when_idle)
+    monkeypatch.setattr(boxes, "gradient_operator", build_when_idle)
 
     def peak(n_list):
         done[0] = built[0] = 0  # one chunk per cell at one sample
@@ -559,6 +600,36 @@ def test_kernel_report_simulates_each_block_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # serialization and file naming
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("zero", ["tan", "nor"])
+def test_a_row_whose_denominator_norm_is_zero_has_no_ratio(tmp_path, kind, zero):
+    """The ratio is nor/tan (Dirichlet) or tan/nor (Neumann): None, written
+    as an empty CSV field, where the denominator's norm is 0, and 0.0 where
+    the numerator's is; shown with a stub operator whose tan or nor rows
+    are zero."""
+    d, N = 2, 4
+    spec = cli.SweepSpec((d,), (N,), (2.0, math.inf), samples=2, seed=0)
+    points = (lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges)(d, N)
+
+    def stub(batch):
+        grads = {"tan": np.zeros((len(batch), 3)), "nor": np.full((len(batch), 4), -0.5)}
+        if zero == "nor":
+            grads = {"tan": grads["nor"], "nor": grads["tan"]}
+        return grads["tan"], grads["nor"]
+
+    rows = cli._chunk_rows(kind, spec, d, N, range(2), (stub, points))
+    no_ratio = (zero == "tan") == (kind == "dirichlet")
+    assert [(row["sample"], row["p"]) for row in rows] == [
+        (0, 2.0), (0, math.inf), (1, 2.0), (1, math.inf)
+    ]
+    assert [row[f"{zero}_norm"] for row in rows] == [0.0] * 4
+    assert [row["ratio"] for row in rows] == [None if no_ratio else 0.0] * 4
+    path = tmp_path / "rows.csv"
+    cli._write_csv_lines(path, cli.CSV_COLUMNS, rows)
+    fields = [line.split(",")[7] for line in path.read_text().splitlines()[1:]]
+    assert fields == ["" if no_ratio else "0.0"] * 4
 
 
 def test_csv_writer_formats(tmp_path):
@@ -844,7 +915,7 @@ assert cli.main(args) == 0
 seen["run"] = loaded()
 seen["footprint"] = footprint()
 import harmonic_lab
-seen["boxes"] = harmonic_lab.boxes.dirichlet_operator.__name__
+seen["boxes"] = harmonic_lab.boxes.gradient_operator.__name__
 try:
     harmonic_lab.nope
 except AttributeError as exc:
@@ -855,7 +926,7 @@ print(json.dumps(seen))
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["parse"] == []
-    assert seen["boxes"] == "dirichlet_operator"
+    assert seen["boxes"] == "gradient_operator"
     assert "nope" in seen["nope"]
     return seen["run"], seen["footprint"]
 
@@ -1002,13 +1073,15 @@ def test_a_pool_raises_the_first_failing_chunk_and_logs_the_others(monkeypatch, 
 def test_selftest_reports_an_operator_that_fails_the_certificate(
     tmp_path, capsys, monkeypatch, kind, other
 ):
-    build = getattr(boxes, f"{kind}_operator")
+    build = boxes.gradient_operator
 
-    def skewed(d, N):
-        apply = build(d, N)
+    def skewed(which, d, N):
+        apply = build(which, d, N)
+        if which != kind:
+            return apply
         return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
-    monkeypatch.setattr(boxes, f"{kind}_operator", skewed)
+    monkeypatch.setattr(boxes, "gradient_operator", skewed)
     assert cli.run_selftest(out_dir=str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"selftest FAIL: {kind} operator misses exact harmonic gradients" in err
@@ -1017,16 +1090,15 @@ def test_selftest_reports_an_operator_that_fails_the_certificate(
 
 
 def test_selftest_certifies_the_operators_at_d_3_and_4(tmp_path, capsys, monkeypatch):
-    for kind in ("dirichlet", "neumann"):
-        build = getattr(boxes, f"{kind}_operator")
+    build = boxes.gradient_operator
 
-        def skewed(d, N, build=build):
-            apply = build(d, N)
-            if d < 3:
-                return apply
-            return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
+    def skewed(kind, d, N):
+        apply = build(kind, d, N)
+        if d < 3:
+            return apply
+        return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
-        monkeypatch.setattr(boxes, f"{kind}_operator", skewed)
+    monkeypatch.setattr(boxes, "gradient_operator", skewed)
     assert cli.run_selftest(out_dir=str(tmp_path)) == 2
     fails = capsys.readouterr().err.splitlines()
     for kind in ("dirichlet", "neumann"):

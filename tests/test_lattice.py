@@ -116,7 +116,7 @@ def test_edge_set_relations(d, N):
     nor = set(oracles.as_tuples(lattice.normal_edges(d, N)))
     full = set(oracles.full_edge_set(d, N))
     assert tan.isdisjoint(nor)
-    # the full set, on which boxes.gradient_comparison derives its norm, is
+    # the full set, whose norm the proof chain derives from the two, is
     # exactly the tangential edges and the normal edges in both orientations
     assert full == tan | nor | {(head, tail) for tail, head in nor}
     # membership criterion: the edge midpoint leaves the open inner box
@@ -284,6 +284,10 @@ def test_lp_norm_basics():
     assert lattice.lp_norm([3.0, 4.0], 2) == pytest.approx(5.0)
     assert lattice.lp_norm([1.0, 1.0, 1.0, 1.0], math.inf) == 1.0
     assert lattice.lp_norm([1.0, -2.0], np.inf) == 2.0
+    # a function of slope 1 along axis 0 has max gradient 1 on both edge sets
+    x = np.indices((4, 4))[0].astype(float)
+    for edges in (lattice.tangential_edges(2, 3), lattice.normal_edges(2, 3)):
+        assert lattice.lp_norm(lattice.edge_gradients(x, edges), math.inf) == 1.0
 
 
 def test_lp_norm_outside_the_double_range_of_its_power_sum():
@@ -338,8 +342,8 @@ def test_non_finite_neumann_data_is_rejected(bad):
         g[j] = layer[j] = value
     solvers = [
         lambda: lattice.check_zero_flux(g),
-        lambda: boxes.neumann_operator(d, N)(g),
-        lambda: boxes.neumann_operator(d, N)(np.stack([np.zeros_like(g), g])),
+        lambda: boxes.gradient_operator("neumann", d, N)(g[None]),
+        lambda: boxes.gradient_operator("neumann", d, N)(np.stack([np.zeros_like(g), g])),
         lambda: proof_chain.neumann_strip_solve(layer, zeros, 16),
         lambda: proof_chain.neumann_strip_solve(zeros, layer, 16),
         lambda: proof_chain.telescope_neumann(layer, zeros, 16),

@@ -347,15 +347,19 @@ def test_real_q_and_f_above_one_equal_the_complex_real_part():
 
 def test_real_and_complex_input_keep_their_kind():
     """Real input of any real kind gives float64 (a float for a scalar);
-    complex input, which no grid here produces, is refused."""
+    complex input, which no grid here produces, is refused, scalar or array,
+    even with a zero imaginary part (an array cast once dropped it with a
+    warning and returned a wrong real Q)."""
     for z in (3.0, 3, np.float32(3.0)):
         assert isinstance(spectral.q_symbol(z), float)
         assert isinstance(spectral.f_symbol(z), float)
     for real in (np.array([1.0, 2.5]), np.array([1, 4]), np.array([1.0, 2.5], np.float32)):
         assert spectral.q_symbol(real).dtype == np.float64
         assert spectral.f_symbol(real).dtype == np.float64
-    with pytest.raises(TypeError):
-        spectral.q_symbol(3 + 0j)
+    for z in (3 + 0j, 3 + 1j, np.complex128(3 + 1j), np.array([3 + 1j]), np.array([3.0 + 0j])):
+        for symbol in (spectral.q_symbol, spectral.f_symbol):
+            with pytest.raises(TypeError, match="real z only"):
+                symbol(z)
 
 
 @pytest.mark.parametrize("d,L", [(2, 1), (2, 8), (3, 3), (3, 8), (4, 4), (5, 2)])
