@@ -24,7 +24,7 @@ normal axis (``_layer_values``).  ``gradient_operator`` wraps it: a
 gather of the boundary data into the face layout, K, then sparse
 differences and, for Neumann, the ridge and corner fill.
 ``operator_certificate`` measures it on exact lattice-harmonic functions
-of either kind, and ``cli.run_selftest`` gates that; the full-field solve
+of either kind, and ``sweeps.run_selftest`` gates that; the full-field solve
 is a test reference in ``tests/oracles.py``, and the reflections and the
 face-by-face strip split of the paper's proof chain are test oracles in
 ``tests/proof_chain.py``.

@@ -33,7 +33,7 @@ import pytest
 
 import oracles
 import proof_chain
-from harmonic_lab import boxes, cli, dyadic, halfspace, lattice, spectral, walks
+from harmonic_lab import boxes, cli, dyadic, halfspace, lattice, spectral, sweeps, walks
 
 
 def _boundary_mask(shape):
@@ -291,14 +291,14 @@ def test_exit_kernels_agree_across_the_three_routes():
 
 
 def test_gradient_ratio_growth_is_bounded_across_box_sizes():
-    plan = cli.SweepSpec(
+    plan = sweeps.SweepSpec(
         d_list=(2,),
         n_list=(8, 16, 32, 64),
         p_list=(1.5, 2.0, 3.0),
         samples=50,
         seed=2026,
     )
-    plan_3d = cli.SweepSpec(
+    plan_3d = sweeps.SweepSpec(
         d_list=(3,),
         n_list=(4, 8, 16),
         p_list=(1.5, 2.0, 3.0),
@@ -307,7 +307,7 @@ def test_gradient_ratio_growth_is_bounded_across_box_sizes():
     )
     for spec in (plan, plan_3d):
         for kind in ("dirichlet", "neumann"):
-            _, summary = cli.run_sweep(kind, spec)
+            _, summary = sweeps.run_sweep(kind, spec)
             assert summary
             for block in summary.values():
                 growth = block["growth"]
@@ -319,7 +319,7 @@ def test_selftest_output_is_thread_invariant(tmp_path):
     for fmt in ("csv", "json"):
         for name, threads in (("serial", 1), ("pooled", 4)):
             out = tmp_path / fmt / name
-            assert cli.run_selftest(out_dir=str(out), threads=threads, fmt=fmt) == 0
+            assert sweeps.run_selftest(out_dir=str(out), threads=threads, fmt=fmt) == 0
         (serial,) = (tmp_path / fmt / "serial").glob(f"selftest_*.{fmt}")
         (pooled,) = (tmp_path / fmt / "pooled").glob(f"selftest_*.{fmt}")
         assert serial.name == pooled.name

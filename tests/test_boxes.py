@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmonic_lab import boxes, cli, lattice
+from harmonic_lab import boxes, cli, lattice, sweeps
 
 import oracles
 import proof_chain
@@ -207,7 +207,7 @@ def test_neumann_sweep_accepts_its_own_mean_zero_data(tmp_path, generator, d, N)
 @pytest.mark.parametrize("generator,d,N", SWEEP_FLUX_CELLS)
 def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
     rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
-    g = cli._neumann_data(generator, rng, lattice.normal_edges(d, N), N)
+    g = sweeps._neumann_data(generator, rng, lattice.normal_edges(d, N), N)
     assert abs(g.sum()) > 1e-12 * np.abs(g).max()
     operator = boxes.gradient_operator("neumann", d, N)
     operator(g[None])
@@ -337,7 +337,7 @@ def test_face_map_rejects_unknown_kinds_and_shapes():
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("d,N", FACE_MAP_CASES)
 def test_operators_reproduce_exact_harmonic_gradients_to_the_certificate(kind, d, N):
-    """The certificate the selftest gates at cli.OPERATOR_RTOL: the
+    """The certificate the selftest gates at sweeps.OPERATOR_RTOL: the
     operators' gradients of u = cosh(mu (x_a - N/2)) prod cos(theta x_i),
     one sample per axis a, against u's own (face-only tangential edges for
     Neumann)."""
@@ -349,13 +349,13 @@ def test_operators_reproduce_exact_harmonic_gradients_to_the_certificate(kind, d
 def test_large_boxes_pass_the_certificate_without_a_dense_system(kind, d, N):
     # (2,128) has 16129 interior unknowns, whose dense matrix would take
     # 2 GB; N - 1 = 127 is prime
-    assert boxes.operator_certificate(kind, d, N) <= cli.OPERATOR_RTOL
+    assert boxes.operator_certificate(kind, d, N) <= sweeps.OPERATOR_RTOL
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("N", [512, 1024])
 def test_certificate_at_the_sweep_sizes_stays_below_n_squared_eps(kind, N):
-    """The certificate grows about like N^2 on d=2, past cli.OPERATOR_RTOL
+    """The certificate grows about like N^2 on d=2, past sweeps.OPERATOR_RTOL
     at the sizes the sweeps run (measured 8.2e-13/3.0e-12 at N=512 and
     3.2e-12/1.4e-12 at N=1024, Dirichlet/Neumann), so its bound scales."""
     assert boxes.operator_certificate(kind, 2, N) <= N**2 * np.finfo(float).eps
@@ -398,19 +398,19 @@ def test_the_operator_and_the_face_map_take_only_a_batch_of_rows(kind):
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("d,N", [(2, 64), (3, 20), (4, 8)])
 def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
-    spec = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
+    spec = sweeps.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
     assert boxes._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     cell = (boxes.gradient_operator(kind, d, N), points(d, N))
-    chunk = cli._chunk_rows(kind, spec, d, N, range(spec.samples), cell)
+    chunk = sweeps._chunk_rows(kind, spec, d, N, range(spec.samples), cell)
     for sample in range(spec.samples):
-        alone = cli._chunk_rows(kind, spec, d, N, [sample], cell)
+        alone = sweeps._chunk_rows(kind, spec, d, N, [sample], cell)
         inside = [row for row in chunk if row["sample"] == sample]
         for row in alone + inside:
             row["runtime_ms"] = 0.0
         assert repr(alone) == repr(inside)
-    one = cli.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=1, seed=7)
-    first, _ = cli.run_sweep(kind, one)
+    one = sweeps.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=1, seed=7)
+    first, _ = sweeps.run_sweep(kind, one)
     for row in first:
         row["runtime_ms"] = 0.0
     assert repr(first) == repr([row for row in chunk if row["sample"] == 0])

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmonic_lab import boxes, cli, halfspace, lattice, spectral, walks
+from harmonic_lab import boxes, cli, halfspace, lattice, spectral, sweeps, walks
 
 import oracles
 
@@ -28,7 +28,7 @@ import oracles
 
 
 def test_sweep_spec_coerces_and_validates():
-    spec = cli.SweepSpec(d_list=[2, 3], n_list=[4], p_list=[2], samples=1, seed=0)
+    spec = sweeps.SweepSpec(d_list=[2, 3], n_list=[4], p_list=[2], samples=1, seed=0)
     assert spec.d_list == (2, 3)
     assert spec.p_list == (2.0,)
     assert isinstance(spec.p_list[0], float)
@@ -42,7 +42,7 @@ def test_sweep_spec_coerces_and_validates():
              generator="bogus"),
     ):
         with pytest.raises(ValueError):
-            cli.SweepSpec(**kwargs)
+            sweeps.SweepSpec(**kwargs)
     # a repeated value would solve one cell again and repeat its rows; 2 and
     # 2.0 are the same exponent once coerced
     for name, kwargs in (
@@ -51,7 +51,7 @@ def test_sweep_spec_coerces_and_validates():
         ("p_list", dict(d_list=(2,), n_list=(4,), p_list=(2, 3.0, 2.0))),
     ):
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
-            cli.SweepSpec(**kwargs, samples=1, seed=0)
+            sweeps.SweepSpec(**kwargs, samples=1, seed=0)
     # a count is an integer, not a float that int() would truncate, and the
     # seed is a non-negative integer
     for kwargs in (
@@ -62,9 +62,9 @@ def test_sweep_spec_coerces_and_validates():
         dict(samples=1, seed=-1),
     ):
         with pytest.raises((TypeError, ValueError)):
-            cli.SweepSpec(**{**dict(d_list=(2,), n_list=(4,), p_list=(2.0,)), **kwargs})
-    spec = cli.SweepSpec(d_list=(np.int64(2),), n_list=[4], p_list=[2], samples=np.int64(3),
-                         seed=np.uint64(5))
+            sweeps.SweepSpec(**{**dict(d_list=(2,), n_list=(4,), p_list=(2.0,)), **kwargs})
+    spec = sweeps.SweepSpec(d_list=(np.int64(2),), n_list=[4], p_list=[2], samples=np.int64(3),
+                            seed=np.uint64(5))
     assert (spec.d_list, spec.samples, spec.seed) == ((2,), 3, 5)
     assert all(type(v) is int for v in (*spec.d_list, spec.samples, spec.seed))
 
@@ -90,10 +90,10 @@ def test_cell_seed_is_stable_and_spread():
 
 def test_dirichlet_data_generators():
     vertices = lattice.boundary_vertices(2, 4)
-    g = cli._dirichlet_data("iid-gaussian", np.random.default_rng(0), vertices, 4)
+    g = sweeps._dirichlet_data("iid-gaussian", np.random.default_rng(0), vertices, 4)
     assert g.shape == (len(vertices),) == (16,)
 
-    mode = cli._dirichlet_data("single-mode", np.random.default_rng(1), vertices, 4)
+    mode = sweeps._dirichlet_data("single-mode", np.random.default_rng(1), vertices, 4)
     check = np.random.default_rng(1)
     k = check.integers(1, 4, size=2)
     h = math.pi / 4
@@ -103,7 +103,7 @@ def test_dirichlet_data_generators():
     )
 
     vertices = lattice.boundary_vertices(2, 3)
-    board = cli._dirichlet_data("checkerboard", np.random.default_rng(2), vertices, 3)
+    board = sweeps._dirichlet_data("checkerboard", np.random.default_rng(2), vertices, 3)
     assert set(np.unique(board)) == {-1.0, 1.0}
     at = dict(zip(map(tuple, vertices.tolist()), board))
     assert at[(0, 0)] == 1.0 and at[(0, 1)] == -1.0 and at[(3, 3)] == 1.0
@@ -116,7 +116,7 @@ def test_dirichlet_data_is_the_full_box_field_on_the_boundary(generator):
     pins the stream of the cell seed as well."""
     cases = [(2, 4), (3, 5), (4, 3), (2, 2), (3, 2), (5, 3)]
     for (d, N), seed in itertools.product(cases, (11, 12)):
-        got = cli._dirichlet_data(
+        got = sweeps._dirichlet_data(
             generator, np.random.default_rng(seed), lattice.boundary_vertices(d, N), N
         )
         field = oracles.full_box_dirichlet_data(
@@ -132,13 +132,13 @@ def test_iid_gaussian_data_holds_one_slab_of_the_box_at_a_time():
     and one slab 0.13 MB, while the whole box is 17 MB."""
     vertices = lattice.boundary_vertices(3, 128)
     rng = np.random.default_rng(0)
-    peak = _traced_peak(lambda: cli._dirichlet_data("iid-gaussian", rng, vertices, 128))
+    peak = _traced_peak(lambda: sweeps._dirichlet_data("iid-gaussian", rng, vertices, 128))
     assert peak < 4 * 2**20
 
 
 def test_neumann_data_is_mean_free():
     for gen in ("iid-gaussian", "single-mode"):
-        g = cli._neumann_data(gen, np.random.default_rng(3), lattice.normal_edges(2, 4), 4)
+        g = sweeps._neumann_data(gen, np.random.default_rng(3), lattice.normal_edges(2, 4), 4)
         assert g.shape == (len(lattice.normal_edges(2, 4)),)
         assert abs(g.mean()) < 1e-12
         assert np.abs(g).max() > 0
@@ -148,8 +148,8 @@ def test_neumann_checkerboard_degenerates_on_the_smallest_box():
     # every normal edge tail of the 2x2 box has odd coordinate sum, so the
     # centered pattern is identically zero
     with pytest.raises(ValueError, match="identically zero"):
-        cli._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 2), 2)
-    g = cli._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 3), 3)
+        sweeps._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 2), 2)
+    g = sweeps._neumann_data("checkerboard", np.random.default_rng(4), lattice.normal_edges(2, 3), 3)
     assert abs(g.mean()) < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_neumann_single_mode_rounding_residue_is_identically_zero(tmp_path, caps
     # residue (1.1e-15), not a flux
     rng = np.random.default_rng(cli._cell_seed(0, 2, 3, 1))
     with pytest.raises(ValueError, match="identically zero"):
-        cli._neumann_data("single-mode", rng, lattice.normal_edges(2, 3), 3)
+        sweeps._neumann_data("single-mode", rng, lattice.normal_edges(2, 3), 3)
     argv = ["neumann-sweep", "--d", "2", "--n-list", "3", "--generator",
             "single-mode", "--samples", "2", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
@@ -198,7 +198,7 @@ def test_neumann_single_mode_refuses_exactly_the_constant_cosines():
             raw = np.cos(edges[:, 0].astype(float) @ (math.pi / N * k.astype(float)))
             spread = raw.max() - raw.min()
             try:
-                g = cli._neumann_data("single-mode", np.random.default_rng(seed), edges, N)
+                g = sweeps._neumann_data("single-mode", np.random.default_rng(seed), edges, N)
             except ValueError as exc:
                 assert "identically zero" in str(exc) and spread < 1e-14
                 refused += 1
@@ -218,12 +218,12 @@ def _small_spec(**overrides):
         d_list=(2,), n_list=(4, 8), p_list=(2.0, 3.0), samples=2, seed=11
     )
     base.update(overrides)
-    return cli.SweepSpec(**base)
+    return sweeps.SweepSpec(**base)
 
 
 def test_dirichlet_sweep_rows_and_summary():
     spec = _small_spec()
-    rows, summary = cli.run_sweep("dirichlet", spec)
+    rows, summary = sweeps.run_sweep("dirichlet", spec)
     assert len(rows) == 1 * 2 * 2 * 2
     keys = [(r["d"], r["N"], r["p"], r["sample"]) for r in rows]
     assert keys == sorted(keys)
@@ -255,7 +255,7 @@ def test_a_large_exponent_gives_finite_norms_between_its_neighbours(tmp_path, ca
 
 
 def test_neumann_sweep_ratio_direction():
-    rows, summary = cli.run_sweep(
+    rows, summary = sweeps.run_sweep(
         "neumann", _small_spec(n_list=(4,), p_list=(2.0,), samples=2)
     )
     assert len(rows) == 2
@@ -271,11 +271,11 @@ def test_sweeps_are_thread_count_invariant(kind):
     # the others are a chunk each
     assert boxes._BLOCK // 31**3 == 2
     spec = _small_spec(d_list=(2, 3), n_list=(4, 8, 32), samples=5)
-    rows1, sum1 = cli.run_sweep(kind, spec, threads=1)
+    rows1, sum1 = sweeps.run_sweep(kind, spec, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows3, sum3 = cli.run_sweep(kind, spec, threads=3)
+        rows3, sum3 = sweeps.run_sweep(kind, spec, threads=3)
     finally:
         sys.setswitchinterval(interval)
     for rows in (rows1, rows3):
@@ -301,7 +301,7 @@ def test_each_sweep_cell_is_built_once(monkeypatch, kind):
     counts = []
     for samples in (1, 5):
         calls.clear()
-        cli.run_sweep(kind, _small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
+        sweeps.run_sweep(kind, _small_spec(d_list=(3,), n_list=(4, 32), samples=samples), threads=2)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     built = {key[1:]: n for key, n in counts[1].items() if key[0] == "gradient_operator"}
@@ -317,7 +317,7 @@ def test_a_sweep_holds_only_the_cells_in_flight(monkeypatch, threads):
     finished, each build waits for the chunks of every earlier cell, so the
     peak reads what the sweep keeps, not how a build overlaps them."""
     done, built, idle = [0], [0], threading.Condition()
-    chunk_rows, build = cli._chunk_rows, boxes.gradient_operator
+    chunk_rows, build = sweeps._chunk_rows, boxes.gradient_operator
 
     def counted_chunk(*args):
         rows = chunk_rows(*args)
@@ -332,21 +332,21 @@ def test_a_sweep_holds_only_the_cells_in_flight(monkeypatch, threads):
             built[0] += 1
         return build(kind, d, N)
 
-    monkeypatch.setattr(cli, "_chunk_rows", counted_chunk)
+    monkeypatch.setattr(sweeps, "_chunk_rows", counted_chunk)
     monkeypatch.setattr(boxes, "gradient_operator", build_when_idle)
 
     def peak(n_list):
         done[0] = built[0] = 0  # one chunk per cell at one sample
         spec = _small_spec(d_list=(3,), n_list=n_list, p_list=(2.0,), samples=1)
-        return _traced_peak(lambda: cli.run_sweep("dirichlet", spec, threads))
+        return _traced_peak(lambda: sweeps.run_sweep("dirichlet", spec, threads))
 
-    cli.run_sweep("dirichlet", _small_spec(d_list=(3,), n_list=(4,)), threads)  # imports
+    sweeps.run_sweep("dirichlet", _small_spec(d_list=(3,), n_list=(4,)), threads)  # imports
     assert peak(tuple(range(20, 49, 4))) <= 1.15 * peak((44, 48))
 
 
 @pytest.mark.parametrize("generator", ["single-mode", "checkerboard"])
 def test_sweep_alternative_generators(generator):
-    rows, _ = cli.run_sweep(
+    rows, _ = sweeps.run_sweep(
         "dirichlet", _small_spec(n_list=(4,), p_list=(2.0,), samples=1, generator=generator)
     )
     assert len(rows) == 1
@@ -610,7 +610,7 @@ def test_a_row_whose_denominator_norm_is_zero_has_no_ratio(tmp_path, kind, zero)
     the numerator's is; shown with a stub operator whose tan or nor rows
     are zero."""
     d, N = 2, 4
-    spec = cli.SweepSpec((d,), (N,), (2.0, math.inf), samples=2, seed=0)
+    spec = sweeps.SweepSpec((d,), (N,), (2.0, math.inf), samples=2, seed=0)
     points = (lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges)(d, N)
 
     def stub(batch):
@@ -619,7 +619,7 @@ def test_a_row_whose_denominator_norm_is_zero_has_no_ratio(tmp_path, kind, zero)
             grads = {"tan": grads["nor"], "nor": grads["tan"]}
         return grads["tan"], grads["nor"]
 
-    rows = cli._chunk_rows(kind, spec, d, N, range(2), (stub, points))
+    rows = sweeps._chunk_rows(kind, spec, d, N, range(2), (stub, points))
     no_ratio = (zero == "tan") == (kind == "dirichlet")
     assert [(row["sample"], row["p"]) for row in rows] == [
         (0, 2.0), (0, math.inf), (1, 2.0), (1, math.inf)
@@ -781,9 +781,9 @@ def test_main_error_paths(tmp_path, capsys):
     rc = cli.main(["symbol-report", "--threads", "0", "--out", str(tmp_path)])
     assert rc == 1
     # runtime failures are reported, not raised
-    rc = cli.main(["kernel-report", "--d", "1", "--out", str(tmp_path)])
+    rc = cli.main(["kernel-report", "--z-list", "0", "--out", str(tmp_path)])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert "error: start height must be in" in capsys.readouterr().err
     # a negative seed is refused while the arguments are parsed
     for command, seed in [("dirichlet-sweep", "-1"), ("neumann-sweep", "-1"),
                           ("kernel-report", "-1"), ("symbol-report", "-1"),
@@ -792,11 +792,20 @@ def test_main_error_paths(tmp_path, capsys):
             cli.main([command, "--seed", seed, "--out", str(tmp_path)])
         assert exc.value.code == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
-    # a half-period below 1 is named before any array is built
-    for argv in [["kernel-report", "--L", "0"], ["kernel-report", "--L", "-1"],
-                 ["symbol-report", "--l-list", "0"]]:
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
-        assert "half-period must be positive" in capsys.readouterr().err
+    # so are a half-period below 1, a report dimension below 2 and a
+    # kernel sample count below 1
+    for argv, message in [
+        (["kernel-report", "--L", "0"], "half-period must be a positive integer, got '0'"),
+        (["kernel-report", "--L", "-1"], "half-period must be a positive integer, got '-1'"),
+        (["symbol-report", "--l-list", "8,0"], "half-period must be a positive integer, got '0'"),
+        (["kernel-report", "--d", "1"], "dimension must be an integer of at least 2, got '1'"),
+        (["symbol-report", "--d", "1"], "dimension must be an integer of at least 2, got '1'"),
+        (["kernel-report", "--samples", "0"], "sample count must be a positive integer, got '0'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
     # a NaN exponent compares False with 1, and is refused before any cell runs
     argv = ["dirichlet-sweep", "--d", "2", "--n-list", "4,8", "--p-list", "nan",
             "--samples", "1", "--out", str(tmp_path)]
@@ -839,6 +848,27 @@ def _run_console(args, tmp_path):
     return _fresh_python(code, *args, "--out", str(tmp_path))
 
 
+@pytest.mark.parametrize("command", ["dirichlet-sweep", "selftest"])
+def test_running_the_module_as_a_script_loads_it_once(tmp_path, command):
+    """``python -m harmonic_lab.cli`` runs the module as ``__main__``; the
+    sweep module it then imports finds it under its package name instead of
+    compiling and running a second copy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["--d", "2", "--n-list", "4", "--samples", "1"] if command != "selftest" else []
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "harmonic_lab.cli", command, *args,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "harmonic_lab.sweeps" in imported
+    assert "harmonic_lab.cli" not in imported
+
+
 def test_log_level_reaches_the_debug_records(tmp_path):
     args = [
         "dirichlet-sweep",
@@ -849,7 +879,7 @@ def test_log_level_reaches_the_debug_records(tmp_path):
     ]
     loud = _run_console([*args, "--log-level", "DEBUG"], tmp_path)
     assert loud.returncode == 0, loud.stderr
-    assert "DEBUG harmonic_lab.cli: single-mode wave vector" in loud.stderr
+    assert "DEBUG harmonic_lab.sweeps: single-mode wave vector" in loud.stderr
     quiet = _run_console(args, tmp_path)
     assert quiet.returncode == 0, quiet.stderr
     assert quiet.stderr == ""
@@ -901,7 +931,7 @@ import numpy
 own = set(sys.modules)
 def loaded():
     names = ["harmonic_lab." + m for m in
-             ("boxes", "dyadic", "halfspace", "lattice", "spectral", "walks")]
+             ("boxes", "dyadic", "halfspace", "lattice", "spectral", "sweeps", "walks")]
     return sorted(m for m in names + ["concurrent.futures"] if m in sys.modules)
 def footprint():
     names = ["_hashlib", "numpy.fft", "numpy.random"]
@@ -932,7 +962,7 @@ print(json.dumps(seen))
 
 
 def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
-    """Parsing a symbol-report command line loads no box, walk or
+    """Parsing a symbol-report command line loads no box, walk, sweep or
     thread-pool module; running it loads the symbol modules alone, and
     neither OpenSSL (it draws no random numbers and names its output by
     CRC-32) nor the FFT, and every submodule still resolves from the package
@@ -945,7 +975,8 @@ def test_symbol_report_loads_only_the_modules_it_runs(tmp_path):
 
 def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
     """A kernel report runs the walks and the half-space kernel: the strip
-    solvers' zero-flux check stays unloaded with the box modules."""
+    solvers' zero-flux check stays unloaded with the box and sweep
+    modules."""
     argv = ["kernel-report", "--d", "2", "--z-list", "1,3", "--L", "8",
             "--samples", "200", "--out", str(tmp_path)]
     assert _modules_loaded_by(argv)[0] == [
@@ -955,20 +986,23 @@ def test_kernel_report_loads_only_the_modules_it_runs(tmp_path):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_a_sweep_loads_only_the_box_and_lattice_modules(tmp_path, kind):
-    """A sweep runs on the gradient operators: it loads neither the strip
-    solvers of halfspace nor their spectral layer nor the FFT, and one
-    thread loads no thread pool.  What numpy.random pulls in is numpy's."""
+    """A sweep runs in the sweep module on the gradient operators: it loads
+    neither the strip solvers of halfspace nor their spectral layer nor the
+    FFT, and one thread loads no thread pool.  What numpy.random pulls in is
+    numpy's."""
     argv = [f"{kind}-sweep", "--d", "2,3", "--n-list", "4", "--samples", "2",
             "--out", str(tmp_path)]
     modules, footprint = _modules_loaded_by(argv)
-    assert modules == ["harmonic_lab.boxes", "harmonic_lab.lattice"]
+    assert modules == ["harmonic_lab.boxes", "harmonic_lab.lattice", "harmonic_lab.sweeps"]
     assert "numpy.fft" not in footprint
 
 
 def test_parsing_loads_no_numpy():
-    """In a fresh interpreter, importing the CLI, parsing a command line of
-    every command or asking for help, and validating a sweep spec load no
-    numpy: each command imports it when it starts."""
+    """In a fresh interpreter, importing the CLI and parsing a command line
+    of every command or asking for help adds no numpy, no sweep module and
+    none of dataclasses, inspect, logging or json to what the interpreter
+    had loaded before (site preloads some modules); each command imports
+    what it runs when it starts.  Validating a sweep spec loads no numpy."""
     argvs = [
         ["dirichlet-sweep", "--d", "2,3", "--n-list", "4,8", "--p-list", "2,inf",
          "--samples", "2", "--generator", "single-mode"],
@@ -979,29 +1013,40 @@ def test_parsing_loads_no_numpy():
     ]
     helps = [["--help"]] + [[argv[0], "--help"] for argv in argvs]
     code = f"""
-import json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 from harmonic_lab import cli
 for argv in {argvs!r}:
     cli.build_parser().parse_args(argv)
-cli.SweepSpec((2, 3), (4, 8), (2.0, float("inf")), 2, 0, "single-mode")
 for argv in {helps!r}:
     try:
-        cli.build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         assert exc.code == 0, argv
     else:
         raise AssertionError(argv)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+parsed = sorted(set(sys.modules) - before)
+import json
+from harmonic_lab.sweeps import SweepSpec
+SweepSpec((2, 3), (4, 8), (2.0, float("inf")), 2, 0, "single-mode")
+print(json.dumps([parsed, sorted(m for m in sys.modules if m.split(".")[0] == "numpy")]))
 """
     run = _fresh_python(code)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == []
+    parsed, numpy_modules = json.loads(run.stdout.splitlines()[-1])
+    watched = {"harmonic_lab.sweeps", "dataclasses", "inspect", "logging", "json"}
+    assert watched.isdisjoint(parsed), parsed
+    assert not [m for m in parsed if m.split(".")[0] == "numpy"], parsed
+    assert numpy_modules == []
 
 
 def test_an_argument_error_returns_before_numpy_loads(tmp_path):
-    """A spec the sweep refuses, a thread count below 1 and a repeated list
-    value each exit with code 1 before numpy is imported, and write no
-    file."""
+    """A spec the sweep refuses, a thread count below 1, a repeated list
+    value and a report dimension, half-period or sample count that the
+    parser refuses each exit with code 1 before numpy is imported, and write
+    no file."""
     argvs = [
         ["dirichlet-sweep", "--d", "1"],
         ["neumann-sweep", "--n-list", "4,4"],
@@ -1009,11 +1054,21 @@ def test_an_argument_error_returns_before_numpy_loads(tmp_path):
         ["symbol-report", "--threads", "0"],
         ["kernel-report", "--z-list", "1,1"],
         ["symbol-report", "--l-list", "4,4"],
+        ["kernel-report", "--samples", "0"],
+        ["kernel-report", "--L", "0"],
+        ["kernel-report", "--d", "1"],
+        ["symbol-report", "--d", "1"],
+        ["symbol-report", "--l-list", "0"],
     ]
     code = f"""
 import json, sys
 from harmonic_lab import cli
-codes = [cli.main([*argv, "--out", {str(tmp_path)!r}]) for argv in {argvs!r}]
+def run(argv):
+    try:
+        return cli.main([*argv, "--out", {str(tmp_path)!r}])
+    except SystemExit as exc:
+        return exc.code
+codes = [run(argv) for argv in {argvs!r}]
 print(json.dumps([codes, "numpy" in sys.modules]))
 """
     run = _fresh_python(code)
@@ -1025,7 +1080,7 @@ print(json.dumps([codes, "numpy" in sys.modules]))
 
 
 @pytest.mark.parametrize(
-    "name", ["lattice", "spectral", "dyadic", "halfspace", "boxes", "walks", "cli"]
+    "name", ["lattice", "spectral", "dyadic", "halfspace", "boxes", "walks", "cli", "sweeps"]
 )
 def test_every_public_name_resolves_once(name):
     """The benchmark tracer looks up every ``__all__`` entry with getattr,
@@ -1039,7 +1094,7 @@ def test_every_public_name_resolves_once(name):
 def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
     spec = _small_spec(n_list=(8,), p_list=(2.0,), samples=5)
     assert boxes._BLOCK // 7**2 >= spec.samples  # one chunk holds all five
-    generate = cli._neumann_data
+    generate = sweeps._neumann_data
 
     def with_flux(generator, rng, edges, N):
         g = generate(generator, rng, edges, N)
@@ -1047,9 +1102,9 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
             g[0] += 0.1
         return g
 
-    monkeypatch.setattr(cli, "_neumann_data", with_flux)
+    monkeypatch.setattr(sweeps, "_neumann_data", with_flux)
     with pytest.raises(RuntimeError, match=r"cell d=2 N=8 sample=3 failed: .*flux"):
-        cli.run_sweep("neumann", spec)
+        sweeps.run_sweep("neumann", spec)
 
 
 def test_a_pool_raises_the_first_failing_chunk_and_logs_the_others(monkeypatch, caplog):
@@ -1060,10 +1115,10 @@ def test_a_pool_raises_the_first_failing_chunk_and_logs_the_others(monkeypatch, 
         both_running.wait()  # each cell's one chunk fails while the other runs
         raise ValueError(f"no data at N={N}")
 
-    monkeypatch.setattr(cli, "_dirichlet_data", failing)
-    with caplog.at_level(logging.ERROR, logger="harmonic_lab.cli"):
+    monkeypatch.setattr(sweeps, "_dirichlet_data", failing)
+    with caplog.at_level(logging.ERROR, logger="harmonic_lab.sweeps"):
         with pytest.raises(RuntimeError, match=r"^cell d=2 N=4 sample=0 failed: no data at N=4$"):
-            cli.run_sweep("dirichlet", spec, threads=2)
+            sweeps.run_sweep("dirichlet", spec, threads=2)
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.ERROR, "cell d=2 N=8 sample=0 failed: no data at N=8")
     ]
@@ -1082,7 +1137,7 @@ def test_selftest_reports_an_operator_that_fails_the_certificate(
         return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
     monkeypatch.setattr(boxes, "gradient_operator", skewed)
-    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"selftest FAIL: {kind} operator misses exact harmonic gradients" in err
     assert "at d=2 N=8" in err
@@ -1099,7 +1154,7 @@ def test_selftest_certifies_the_operators_at_d_3_and_4(tmp_path, capsys, monkeyp
         return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
     monkeypatch.setattr(boxes, "gradient_operator", skewed)
-    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
     fails = capsys.readouterr().err.splitlines()
     for kind in ("dirichlet", "neumann"):
         named = [line for line in fails if line.startswith(f"selftest FAIL: {kind} operator")]
@@ -1110,7 +1165,7 @@ def test_selftest_certifies_the_operators_at_d_3_and_4(tmp_path, capsys, monkeyp
 def test_selftest_compares_a_pool_at_its_default_thread_count(
     tmp_path, capsys, monkeypatch
 ):
-    chunk_rows = cli._chunk_rows
+    chunk_rows = sweeps._chunk_rows
 
     def skewed_off_main(kind, spec, d, N, samples, cell):
         rows = chunk_rows(kind, spec, d, N, samples, cell)
@@ -1119,18 +1174,18 @@ def test_selftest_compares_a_pool_at_its_default_thread_count(
                 row["tan_norm"] *= 1.0 + 1e-9
         return rows
 
-    monkeypatch.setattr(cli, "_chunk_rows", skewed_off_main)
-    assert cli.run_selftest(out_dir=str(tmp_path)) == 2
+    monkeypatch.setattr(sweeps, "_chunk_rows", skewed_off_main)
+    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
     err = capsys.readouterr().err
     for kind in ("dirichlet", "neumann"):
         assert f"selftest FAIL: {kind} sweep rows differ between 1 and 2 threads" in err
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):
-    rc = cli.run_selftest(out_dir=str(tmp_path / "a"), threads=2)
+    rc = sweeps.run_selftest(out_dir=str(tmp_path / "a"), threads=2)
     assert rc == 0
     path_a = capsys.readouterr().out.splitlines()[0]
-    rc = cli.run_selftest(out_dir=str(tmp_path / "b"), threads=4)
+    rc = sweeps.run_selftest(out_dir=str(tmp_path / "b"), threads=4)
     assert rc == 0
     path_b = capsys.readouterr().out.splitlines()[0]
     bytes_a = open(path_a, "rb").read()
