@@ -16,6 +16,10 @@ import importlib
 __all__ = ["boxes", "dyadic", "halfspace", "lattice", "spectral", "walks"]
 __version__ = "0.1.0"
 
+#: bytes a sweep cell, a symbol report or a kernel report may take by
+#: estimate; each refuses, before it allocates, what would pass it
+MEMORY_BUDGET = 2**31
+
 
 def __getattr__(name):
     if name in __all__:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lattice
+from . import MEMORY_BUDGET, lattice
 
 __all__ = ["face_map", "gradient_operator", "operator_certificate"]
 
@@ -48,10 +48,6 @@ _BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep
 #: peak bytes of an operator build per boundary vertex and per d^2
 #: (``_box_maps`` dominates); tracemalloc read 74-77 at d = 3 to 5
 _BUILD_BYTES = 77
-
-#: a sweep refuses a cell whose estimate passes this many bytes; the value
-#: of ``spectral.SYMBOL_GRID_BUDGET``, which a sweep does not import
-_CELL_BUDGET = 2**31
 
 
 def __getattr__(name):
@@ -171,16 +167,16 @@ def _box_maps(d, N):
 def _refuse_over_budget(d, N):
     """Raise a ValueError, before anything is allocated, when building the
     (d, N) operator and applying it to one sweep chunk would pass
-    ``_CELL_BUDGET`` by estimate: the build, the three n x n arrays of the
+    ``MEMORY_BUDGET`` by estimate: the build, the three n x n arrays of the
     path transform (n = N-1), which dominate at d = 2, and the chunk's
     transform coefficients (at least n^d) with one temporary copy."""
     n = N - 1
     estimate = (_BUILD_BYTES * d * d * ((N + 1) ** d - n**d) + 24 * n * n
                 + 16 * max(n**d, _BLOCK))
-    if estimate > _CELL_BUDGET:
+    if estimate > MEMORY_BUDGET:
         raise ValueError(
             f"sweep cell d={d}, N={N} needs about {estimate >> 20} MiB to build "
-            f"and apply, above the {_CELL_BUDGET >> 20} MiB budget"
+            f"and apply, above the {MEMORY_BUDGET >> 20} MiB budget"
         )
 
 

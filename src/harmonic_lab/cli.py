@@ -26,7 +26,8 @@ library would, and output files are named by a CRC-32 of the run
 descriptor, so importing this module and parsing the arguments load only
 ``argparse``: no library module, no ``dataclasses``, ``logging`` or
 ``json``, no OpenSSL and no numpy.  A new command, such as a constant
-report, goes in its own module, imported by its handler.
+report, goes in its own module, imported by its handler, and returns
+rows for ``_emit``, which alone names, formats and writes every file.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ GENERATORS = ("iid-gaussian", "single-mode", "checkerboard")
 
 #: fields of each window entry of a kernel-report block, one row per offset
 KERNEL_COLUMNS = ("offset", "mc_p", "mc_se", "spectral_p", "continuum")
+
+#: peak bytes of a kernel report per entry of its (2L)^(d-1) kernel grid;
+#: tracemalloc read 56-78 at d = 2 to 4
+KERNEL_BYTES_PER_ENTRY = 80
 
 #: library functions this module once imported by name, resolved on first
 #: access for code that still reads them from here (the benchmark's tracer
@@ -89,6 +94,14 @@ def _cell_seed(seed, *parts):
 
 def run_kernel_report(d, z_list, L, n_samples, seed=0):
     _refuse_repeats("z_list", z_list)
+    from . import MEMORY_BUDGET
+
+    estimate = KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
+    if estimate > MEMORY_BUDGET:  # before anything is allocated
+        raise ValueError(
+            f"kernel report d={d}, L={L} needs about {estimate >> 20} MiB, "
+            f"above the {MEMORY_BUDGET >> 20} MiB budget"
+        )
     import numpy as np
 
     from . import walks
@@ -170,56 +183,39 @@ def run_symbol_report(d, l_list):
     }
 
 
-def _format_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # numpy floats repr as np.float64(...)
-    return str(value)
-
-
-def _write_csv_lines(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in header))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, payload):
+def _emit(out_dir, fmt, descriptor, payload, header, rows):
+    """Write ``rows`` (columns ``header``) as CSV or ``payload`` as JSON, as
+    ``fmt`` asks, to ``out_dir/<stem>_<crc32>.<fmt>``: the descriptor's
+    command and the CRC-32 of its canonical JSON; returns the path."""
     import json
 
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _spec_hash(descriptor):
-    import json
+    def field(value):
+        if isinstance(value, float):
+            return repr(float(value))  # numpy floats repr as np.float64(...)
+        return "" if value is None else str(value)
 
     canonical = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-    return f"{zlib.crc32(canonical.encode()):08x}"
-
-
-def _output_path(out_dir, command, descriptor, fmt):
+    stem = descriptor["command"].replace("-", "_")
     os.makedirs(out_dir, exist_ok=True)
-    stem = command.replace("-", "_")
-    return os.path.join(out_dir, f"{stem}_{_spec_hash(descriptor)}.{fmt}")
-
-
-def _emit(out_dir, fmt, descriptor, payload, header, rows):
-    """Write ``rows`` as CSV or ``payload`` as JSON, as ``fmt`` asks, in
-    ``out_dir`` under the name hashed from ``descriptor``; returns the path."""
-    path = _output_path(out_dir, descriptor["command"], descriptor, fmt)
-    if fmt == "csv":
-        _write_csv_lines(path, header, rows)
-    else:
-        _write_json(path, payload)
+    path = os.path.join(out_dir, f"{stem}_{zlib.crc32(canonical.encode()):08x}.{fmt}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            for line in [header, *([row[c] for c in header] for row in rows)]:
+                fh.write(",".join(map(field, line)) + "\n")
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return path
 
 
+def _sweep_descriptor(command, spec):
+    return dict(command=command, d=list(spec.d_list), N=list(spec.n_list),
+                p=list(spec.p_list), samples=spec.samples, seed=spec.seed,
+                generator=spec.generator)
+
+
 def _cmd_sweep(args, kind):
-    from .sweeps import SweepSpec, _sweep_descriptor, run_sweep
+    from .sweeps import SweepSpec, run_sweep
 
     spec = SweepSpec(args.d, args.n_list, args.p_list, args.samples, args.seed, args.generator)
     rows, summary = run_sweep(kind, spec, args.threads)
@@ -267,7 +263,15 @@ def _cmd_symbol(args):
 def _cmd_selftest(args):
     from .sweeps import run_selftest
 
-    return run_selftest(args.out, args.threads, args.format)
+    spec, rows, failures = run_selftest(args.threads)
+    descriptor = _sweep_descriptor("selftest", spec)
+    path = _emit(args.out, args.format, descriptor, {"spec": descriptor, "rows": rows},
+                 CSV_COLUMNS, rows)
+    for failure in failures:
+        print(f"selftest FAIL: {failure}", file=sys.stderr)
+    if not failures:
+        print(path, "selftest ok", sep="\n")
+    return 2 if failures else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,8 +325,9 @@ _sample_count = _int_at_least(1, "sample count must be a positive integer")
 _half_period_list = _list_parser(_half_period, "half-period")
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=_seed, default=0, help="master seed")
+def _add_common(sub, seeded=True):
+    if seeded:  # the self test runs at its own fixed seed
+        sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--threads", type=int, default=1, help="worker threads")
@@ -366,7 +371,7 @@ def build_parser():
     p.set_defaults(func=_cmd_symbol)
 
     p = sub.add_parser("selftest", help="deterministic pipeline check")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -26,7 +26,7 @@ the symbol report reads: on a block of axis-0 rows of the stored angle
 grid it evaluates f(lambda) once per entry and both symbols of the report
 from it, by one division each.  The report never holds a whole
 (2L)^(d-1) grid: its peak is one block plus per-row partial reductions,
-and a grid whose report would pass ``SYMBOL_GRID_BUDGET`` is refused
+and a grid whose report would pass the package's ``MEMORY_BUDGET`` is refused
 before anything is allocated.
 """
 
@@ -36,6 +36,8 @@ import functools
 import math
 
 import numpy as np
+
+from . import MEMORY_BUDGET
 
 __all__ = [
     "index_grid",
@@ -54,9 +56,6 @@ __all__ = [
 #: it reads at a time, besides its per-row partial reductions; 97-116
 #: measured with tracemalloc at d = 2 to 6
 SYMBOL_BYTES_PER_ENTRY = 120
-
-#: ``grid_symbols`` refuses a grid whose report would pass this many bytes
-SYMBOL_GRID_BUDGET = 2**31
 
 
 def index_grid(L: int) -> np.ndarray:
@@ -201,10 +200,10 @@ def grid_symbols(d: int, L: int):
     k = index_grid(L)  # rejects L < 1 before the division
     block, partials = dyadic.variation_footprint(d - 1, L, 2)
     estimate = block * SYMBOL_BYTES_PER_ENTRY + partials
-    if estimate > SYMBOL_GRID_BUDGET:
+    if estimate > MEMORY_BUDGET:
         raise ValueError(
             f"symbol grid d={d}, L={L} needs about {estimate >> 20} MiB for the "
-            f"symbol report, above the {SYMBOL_GRID_BUDGET >> 20} MiB budget"
+            f"symbol report, above the {MEMORY_BUDGET >> 20} MiB budget"
         )
     angles = (math.pi / L) * k
     cos = np.cos(angles)

@@ -3,14 +3,14 @@
 ``run_sweep`` extends random boundary data over a grid of (d, N) cells,
 records the tangential and normal gradient norms and their ratio per
 exponent p, and summarizes how the per-N maximum ratio grows with N.
-``run_selftest`` runs both sweeps serially and on a pool and certifies the
-gradient operators and the symbol metrics.  Every cell derives its own
-generator seed from (seed, d, N, sample), so thread scheduling cannot
-change any emitted value.
+``run_selftest`` runs both sweeps serially and on a pool, certifies the
+gradient operators and the symbol metrics, and returns its spec, rows and
+failed checks.  Every cell derives its own generator seed from
+(seed, d, N, sample), so thread scheduling cannot change any emitted value.
 
 The command line imports this module only when a sweep or the self test
-runs.  A sweep builds each (d, N) cell when its first chunk is due and
-drops it after its last.
+runs, and writes what it returns.  A sweep builds each (d, N) cell when its
+first chunk is due and drops it after its last.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ import itertools
 import logging
 import math
 import operator
-import sys
 import time
 from dataclasses import dataclass
 
-from .cli import CSV_COLUMNS, GENERATORS, _cell_seed, _emit, _refuse_repeats, run_symbol_report
+from .cli import GENERATORS, _cell_seed, _refuse_repeats, run_symbol_report
 
 __all__ = ["SweepSpec", "run_sweep", "run_selftest"]
 
@@ -237,28 +236,23 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
     return rows, _summarize(rows)
 
 
-def _sweep_descriptor(command, spec):
-    return dict(command=command, d=list(spec.d_list), N=list(spec.n_list),
-                p=list(spec.p_list), samples=spec.samples, seed=spec.seed,
-                generator=spec.generator)
-
-
-def run_selftest(out_dir=".", threads=1, fmt="csv"):
+def run_selftest(threads=1):
     """Small deterministic pipeline check.
 
     Runs both sweeps twice, serially and on a pool of ``max(2, threads)``
     workers (so the default of 1 checks a pool too), requires identical
     rows, certifies the gradient operator of each kind on exact lattice-harmonic
     functions (``boxes.operator_certificate``) at the sweep's own sizes and
-    at N=4 for d=3 and 4, checks the variation bound and the cross-L
-    stability of the symbol metrics, and writes the sweep rows with the
-    runtime column zeroed so the file is byte-reproducible.
+    at N=4 for d=3 and 4, and checks the variation bound and the cross-L
+    stability of the symbol metrics.  Returns the sweep spec, the pooled
+    rows of both sweeps with the runtime column zeroed, so a file of them
+    is byte-reproducible, and the failed checks, one message each.
     """
     from . import boxes
 
     failures = []
     spec = SweepSpec((2,), (4, 8), (2.0,), samples=3, seed=SELFTEST_SEED)
-    emitted, pooled = [], max(2, threads)
+    all_rows, pooled = [], max(2, threads)
     for kind in ("dirichlet", "neumann"):
         rows_single, summary = run_sweep(kind, spec, 1)
         rows_pooled, _ = run_sweep(kind, spec, pooled)
@@ -278,7 +272,7 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
                     f"{kind} operator misses exact harmonic gradients by "
                     f"{gap:.3e} (relative) at d={d} N={N}"
                 )
-        emitted.extend(rows_pooled)
+        all_rows.extend(rows_pooled)
 
     symbol = run_symbol_report(2, (4, 8))
     for block in symbol["blocks"]:
@@ -288,14 +282,4 @@ def run_selftest(out_dir=".", threads=1, fmt="csv"):
     if not symbol["stability"]["ok"]:
         failures.append("neumann max_lvar drifts across L by more than a factor 2")
 
-    descriptor = _sweep_descriptor("selftest", spec)
-    path = _emit(out_dir, fmt, descriptor, {"spec": descriptor, "rows": emitted},
-                 CSV_COLUMNS, emitted)
-
-    if failures:
-        for failure in failures:
-            print(f"selftest FAIL: {failure}", file=sys.stderr)
-        return 2
-    print(path)
-    print("selftest ok")
-    return 0
+    return spec, all_rows, failures

@@ -319,7 +319,8 @@ def test_selftest_output_is_thread_invariant(tmp_path):
     for fmt in ("csv", "json"):
         for name, threads in (("serial", 1), ("pooled", 4)):
             out = tmp_path / fmt / name
-            assert sweeps.run_selftest(out_dir=str(out), threads=threads, fmt=fmt) == 0
+            argv = ["selftest", "--threads", str(threads), "--format", fmt, "--out", str(out)]
+            assert cli.main(argv) == 0
         (serial,) = (tmp_path / fmt / "serial").glob(f"selftest_*.{fmt}")
         (pooled,) = (tmp_path / fmt / "pooled").glob(f"selftest_*.{fmt}")
         assert serial.name == pooled.name

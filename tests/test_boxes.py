@@ -302,9 +302,7 @@ def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
     at (4, 32) and 1026 MiB at (4, 48); those cells pass, and the estimate
     refuses (4, 64), (3, 512), whose one-sample coefficients alone take
     1 GiB, and (2, 8192), whose path transform does."""
-    from harmonic_lab import spectral
-
-    assert boxes._CELL_BUDGET == spectral.SYMBOL_GRID_BUDGET
+    assert boxes.MEMORY_BUDGET == 2**31
     for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12)]:
         boxes._refuse_over_budget(d, N)
     for d, N in [(4, 64), (3, 512), (2, 8192)]:

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import harmonic_lab
 from harmonic_lab import boxes, cli, halfspace, lattice, spectral, sweeps, walks
 
 import oracles
@@ -507,6 +508,31 @@ def test_a_sweep_refuses_an_over_budget_cell_before_building_any(tmp_path, capsy
     assert built == [] and not out.exists()
 
 
+def test_a_kernel_report_over_the_budget_is_refused_before_allocating(tmp_path, capsys):
+    """The estimate, cli.KERNEL_BYTES_PER_ENTRY per entry of the (2L)^(d-1)
+    kernel grid, is checked before any kernel or walk is built: the 2 GiB
+    budget refuses d=3, L=4096 (whose kernel alone took 1 GiB) and d=4,
+    L=256, and admits d=3, L=1024; the command writes no file."""
+    for d, L in [(3, 4096), (4, 256)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^kernel report d={d}, L={L} needs about"):
+                cli.run_kernel_report(d, [1], L, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    out = tmp_path / "out"
+    argv = ["kernel-report", "--d", "3", "--z-list", "1", "--L", "4096", "--samples", "10",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel report d=3, L=4096 needs about")
+    assert err.endswith("MiB, above the 2048 MiB budget\n")
+    assert not out.exists()
+    assert cli.KERNEL_BYTES_PER_ENTRY * (2 * 1024) ** 2 <= harmonic_lab.MEMORY_BUDGET
+
+
 def test_kernel_report_checks_each_height_before_seeding_it(tmp_path, capsys):
     """A start height out of range gets the walk's own error, before any
     seed is derived from it or any block runs, and no file is written."""
@@ -626,43 +652,75 @@ def test_a_row_whose_denominator_norm_is_zero_has_no_ratio(tmp_path, kind, zero)
     ]
     assert [row[f"{zero}_norm"] for row in rows] == [0.0] * 4
     assert [row["ratio"] for row in rows] == [None if no_ratio else 0.0] * 4
-    path = tmp_path / "rows.csv"
-    cli._write_csv_lines(path, cli.CSV_COLUMNS, rows)
-    fields = [line.split(",")[7] for line in path.read_text().splitlines()[1:]]
+    path = cli._emit(str(tmp_path), "csv", {"command": "rows"}, None, cli.CSV_COLUMNS, rows)
+    with open(path, encoding="utf-8") as fh:
+        fields = [line.split(",")[7] for line in fh.read().splitlines()[1:]]
     assert fields == ["" if no_ratio else "0.0"] * 4
 
 
+class _Unnamed(dict):
+    """A descriptor whose command reads "stem" but is no key of it, so it
+    hashes as the plain dict of its keys."""
+
+    def __missing__(self, key):
+        return "stem"
+
+
+def _emitted(out_dir, fmt, descriptor, payload=None, header=(), rows=()):
+    """Name and bytes of the file ``cli._emit`` writes."""
+    path = cli._emit(str(out_dir), fmt, descriptor, payload, header, rows)
+    with open(path, "rb") as fh:
+        return os.path.basename(path), fh.read()
+
+
 def test_csv_writer_formats(tmp_path):
-    path = tmp_path / "rows.csv"
+    """``_emit``'s bytes: a CSV field is the repr of a float (a numpy float
+    too), empty for None and str otherwise, each line ends in one newline;
+    the JSON is indented by 2 with sorted keys and one trailing newline."""
     rows = [
         {"d": 2, "N": 4, "p": 2.0, "sample": 0, "seed": 9, "tan_norm": 0.1,
          "nor_norm": 1.5, "ratio": None, "runtime_ms": 0.0},
+        {"d": 3, "N": 8, "p": math.inf, "sample": 1, "seed": 2**64 - 1,
+         "tan_norm": np.float64(1 / 3), "nor_norm": np.float64(2.5), "ratio": 7.5,
+         "runtime_ms": 1.25},
     ]
-    cli._write_csv_lines(path, cli.CSV_COLUMNS, rows)
-    text = path.read_text().splitlines()
-    assert text[0] == "d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms"
-    assert text[1] == "2,4,2.0,0,9,0.1,1.5,,0.0"
-    assert len(text) == 2
+    descriptor = _Unnamed(b=2, a=1)
+    name, data = _emitted(tmp_path, "csv", descriptor, None, cli.CSV_COLUMNS, rows)
+    assert name == "stem_cf41ce83.csv"
+    assert data == (
+        b"d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms\n"
+        b"2,4,2.0,0,9,0.1,1.5,,0.0\n"
+        b"3,8,inf,1,18446744073709551615,0.3333333333333333,2.5,7.5,1.25\n"
+    )
+    payload = {"spec": {"seed": 9, "command": "x"}, "rows": [{"b": None, "a": 0.5}], "ok": True}
+    name, data = _emitted(tmp_path, "json", descriptor, payload)
+    assert name == "stem_cf41ce83.json"
+    assert data == (
+        b'{\n  "ok": true,\n  "rows": [\n    {\n      "a": 0.5,\n      "b": null\n    }\n'
+        b'  ],\n  "spec": {\n    "command": "x",\n    "seed": 9\n  }\n}\n'
+    )
 
 
 def test_output_path_uses_a_content_hash(tmp_path):
     desc = {"command": "dirichlet-sweep", "seed": 3}
-    p1 = cli._output_path(str(tmp_path), "dirichlet-sweep", desc, "csv")
-    p2 = cli._output_path(str(tmp_path), "dirichlet-sweep", desc, "csv")
+    p1 = cli._emit(str(tmp_path), "csv", desc, None, (), ())
+    p2 = cli._emit(str(tmp_path), "csv", desc, None, (), ())
     assert p1 == p2
     name = p1.rsplit("/", 1)[1]
     assert re.fullmatch(r"dirichlet_sweep_[0-9a-f]{8}\.csv", name)
-    p3 = cli._output_path(str(tmp_path), "dirichlet-sweep", {"seed": 4}, "csv")
+    p3 = cli._emit(str(tmp_path), "csv", {"command": "dirichlet-sweep", "seed": 4}, None, (), ())
     assert p3 != p1
 
 
-def test_spec_hash_is_key_order_independent():
-    assert cli._spec_hash({"a": 1, "b": 2}) == cli._spec_hash({"b": 2, "a": 1})
+def test_spec_hash_is_key_order_independent(tmp_path):
+    assert _emitted(tmp_path, "csv", {"command": "c", "a": 1, "b": 2})[0] == (
+        _emitted(tmp_path, "csv", {"b": 2, "a": 1, "command": "c"})[0]
+    )
 
 
-def test_spec_hash_is_the_crc32_of_the_canonical_descriptor():
+def test_spec_hash_is_the_crc32_of_the_canonical_descriptor(tmp_path):
     # CRC-32 of the bytes {"a":1,"b":2}, as the gzip trailer of them gives it
-    assert cli._spec_hash({"b": 2, "a": 1}) == "cf41ce83"
+    assert _emitted(tmp_path, "csv", _Unnamed(b=2, a=1))[0] == "stem_cf41ce83.csv"
 
 
 @pytest.mark.parametrize(
@@ -786,12 +844,17 @@ def test_main_error_paths(tmp_path, capsys):
     assert "error: start height must be in" in capsys.readouterr().err
     # a negative seed is refused while the arguments are parsed
     for command, seed in [("dirichlet-sweep", "-1"), ("neumann-sweep", "-1"),
-                          ("kernel-report", "-1"), ("symbol-report", "-1"),
-                          ("selftest", "-3")]:
+                          ("kernel-report", "-1"), ("symbol-report", "-1")]:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--seed", seed, "--out", str(tmp_path)])
         assert exc.value.code == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+    # the self test runs at its own fixed seed and takes none
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--seed", "7", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
     # so are a half-period below 1, a report dimension below 2 and a
     # kernel sample count below 1
     for argv, message in [
@@ -1009,7 +1072,7 @@ def test_parsing_loads_no_numpy():
         ["neumann-sweep", "--generator", "checkerboard", "--threads", "2"],
         ["kernel-report", "--d", "3", "--z-list", "1,4", "--L", "16", "--samples", "500"],
         ["symbol-report", "--d", "3", "--l-list", "32,64", "--format", "json"],
-        ["selftest", "--threads", "4", "--seed", "7", "--log-level", "DEBUG"],
+        ["selftest", "--threads", "4", "--log-level", "DEBUG"],
     ]
     helps = [["--help"]] + [[argv[0], "--help"] for argv in argvs]
     code = f"""
@@ -1044,9 +1107,9 @@ print(json.dumps([parsed, sorted(m for m in sys.modules if m.split(".")[0] == "n
 
 def test_an_argument_error_returns_before_numpy_loads(tmp_path):
     """A spec the sweep refuses, a thread count below 1, a repeated list
-    value and a report dimension, half-period or sample count that the
-    parser refuses each exit with code 1 before numpy is imported, and write
-    no file."""
+    value, a report dimension, half-period or sample count that the
+    parser refuses and a kernel report over the memory budget each exit
+    with code 1 before numpy is imported, and write no file."""
     argvs = [
         ["dirichlet-sweep", "--d", "1"],
         ["neumann-sweep", "--n-list", "4,4"],
@@ -1059,6 +1122,7 @@ def test_an_argument_error_returns_before_numpy_loads(tmp_path):
         ["kernel-report", "--d", "1"],
         ["symbol-report", "--d", "1"],
         ["symbol-report", "--l-list", "0"],
+        ["kernel-report", "--d", "3", "--z-list", "1", "--L", "4096"],
     ]
     code = f"""
 import json, sys
@@ -1076,6 +1140,7 @@ print(json.dumps([codes, "numpy" in sys.modules]))
     assert json.loads(run.stdout.splitlines()[-1]) == [[1] * len(argvs), False]
     assert "z_list repeats a value: (1, 1)" in run.stderr
     assert "l_list repeats a value: (4, 4)" in run.stderr
+    assert "kernel report d=3, L=4096 needs about" in run.stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -1137,7 +1202,7 @@ def test_selftest_reports_an_operator_that_fails_the_certificate(
         return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
     monkeypatch.setattr(boxes, "gradient_operator", skewed)
-    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"selftest FAIL: {kind} operator misses exact harmonic gradients" in err
     assert "at d=2 N=8" in err
@@ -1154,7 +1219,7 @@ def test_selftest_certifies_the_operators_at_d_3_and_4(tmp_path, capsys, monkeyp
         return lambda data: tuple(grads * (1.0 + 1e-9) for grads in apply(data))
 
     monkeypatch.setattr(boxes, "gradient_operator", skewed)
-    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 2
     fails = capsys.readouterr().err.splitlines()
     for kind in ("dirichlet", "neumann"):
         named = [line for line in fails if line.startswith(f"selftest FAIL: {kind} operator")]
@@ -1175,17 +1240,17 @@ def test_selftest_compares_a_pool_at_its_default_thread_count(
         return rows
 
     monkeypatch.setattr(sweeps, "_chunk_rows", skewed_off_main)
-    assert sweeps.run_selftest(out_dir=str(tmp_path)) == 2
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     for kind in ("dirichlet", "neumann"):
         assert f"selftest FAIL: {kind} sweep rows differ between 1 and 2 threads" in err
 
 
 def test_selftest_passes_and_is_reproducible(tmp_path, capsys):
-    rc = sweeps.run_selftest(out_dir=str(tmp_path / "a"), threads=2)
+    rc = cli.main(["selftest", "--threads", "2", "--out", str(tmp_path / "a")])
     assert rc == 0
     path_a = capsys.readouterr().out.splitlines()[0]
-    rc = sweeps.run_selftest(out_dir=str(tmp_path / "b"), threads=4)
+    rc = cli.main(["selftest", "--threads", "4", "--out", str(tmp_path / "b")])
     assert rc == 0
     path_b = capsys.readouterr().out.splitlines()[0]
     bytes_a = open(path_a, "rb").read()
