@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import MEMORY_BUDGET, lattice
+from . import lattice, refuse_over_budget
 
 __all__ = ["face_map", "gradient_operator", "operator_certificate"]
 
@@ -166,18 +166,14 @@ def _box_maps(d, N):
 
 def _refuse_over_budget(d, N):
     """Raise a ValueError, before anything is allocated, when building the
-    (d, N) operator and applying it to one sweep chunk would pass
-    ``MEMORY_BUDGET`` by estimate: the build, the three n x n arrays of the
-    path transform (n = N-1), which dominate at d = 2, and the chunk's
-    transform coefficients (at least n^d) with one temporary copy."""
+    (d, N) operator and applying it to one sweep chunk would pass the
+    package's ``MEMORY_BUDGET`` by estimate: the build, the three n x n
+    arrays of the path transform (n = N-1), which dominate at d = 2, and the
+    chunk's transform coefficients (at least n^d) with one temporary copy."""
     n = N - 1
     estimate = (_BUILD_BYTES * d * d * ((N + 1) ** d - n**d) + 24 * n * n
                 + 16 * max(n**d, _BLOCK))
-    if estimate > MEMORY_BUDGET:
-        raise ValueError(
-            f"sweep cell d={d}, N={N} needs about {estimate >> 20} MiB to build "
-            f"and apply, above the {MEMORY_BUDGET >> 20} MiB budget"
-        )
+    refuse_over_budget(f"sweep cell d={d}, N={N}", estimate)
 
 
 def _neumann_boundary(layer, g, maps):

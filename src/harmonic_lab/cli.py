@@ -19,13 +19,13 @@ its own generator seed from (seed, d, N, sample), so thread scheduling
 cannot change any emitted value.  CSV sweep rows carry exactly the
 columns d,N,p,sample,seed,tan_norm,nor_norm,ratio,runtime_ms.
 
-The sweeps and the self test live in ``harmonic_lab.sweeps``, which their
-handlers import when they run.  Each command imports numpy and the library
-modules it runs when it starts, argument types refuse the values the
-library would, and output files are named by a CRC-32 of the run
-descriptor, so importing this module and parsing the arguments load only
-``argparse``: no library module, no ``dataclasses``, ``logging`` or
-``json``, no OpenSSL and no numpy.  A new command, such as a constant
+No module imports this one: the sweeps live in ``harmonic_lab.sweeps``,
+the symbol report in ``spectral`` and the shared rules in the package.
+Each command imports what it runs when it starts, argument types refuse
+the values the library would, and output files are named by a CRC-32 of
+the run descriptor, so importing this module and parsing the arguments
+load only ``argparse``: no library module, no ``dataclasses``, ``logging``
+or ``json``, no OpenSSL and no numpy.  A new command, such as a constant
 report, goes in its own module, imported by its handler, and returns
 rows for ``_emit``, which alone names, formats and writes every file.
 """
@@ -38,7 +38,7 @@ import os
 import sys
 import zlib
 
-__all__ = ["run_kernel_report", "run_symbol_report", "main"]
+__all__ = ["run_kernel_report", "main"]
 
 CSV_COLUMNS = (
     "d",
@@ -52,14 +52,16 @@ CSV_COLUMNS = (
     "runtime_ms",
 )
 
-GENERATORS = ("iid-gaussian", "single-mode", "checkerboard")
-
 #: fields of each window entry of a kernel-report block, one row per offset
 KERNEL_COLUMNS = ("offset", "mc_p", "mc_se", "spectral_p", "continuum")
 
 #: peak bytes of a kernel report per entry of its (2L)^(d-1) kernel grid;
 #: tracemalloc read 56-78 at d = 2 to 4
 KERNEL_BYTES_PER_ENTRY = 80
+
+#: peak bytes of a kernel report per walk and per dimension d; tracemalloc
+#: read 57-70 per walk at d = 2, 70 at d = 3, 100 at d = 4 and 168 at d = 7
+KERNEL_BYTES_PER_WALK_AXIS = 40
 
 #: library functions this module once imported by name, resolved on first
 #: access for code that still reads them from here (the benchmark's tracer
@@ -78,30 +80,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _refuse_repeats(name, values):
-    """Raise a ValueError naming ``name`` if ``values`` holds a value twice."""
-    values = tuple(values)
-    if len(set(values)) < len(values):
-        raise ValueError(f"{name} repeats a value: {values}")
-
-
-def _cell_seed(seed, *parts):
-    import numpy as np
-
-    ss = np.random.SeedSequence([int(seed)] + [int(v) for v in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_kernel_report(d, z_list, L, n_samples, seed=0):
-    _refuse_repeats("z_list", z_list)
-    from . import MEMORY_BUDGET
+    from . import cell_seed, refuse_over_budget, refuse_repeats
 
-    estimate = KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
-    if estimate > MEMORY_BUDGET:  # before anything is allocated
-        raise ValueError(
-            f"kernel report d={d}, L={L} needs about {estimate >> 20} MiB, "
-            f"above the {MEMORY_BUDGET >> 20} MiB budget"
-        )
+    refuse_repeats("z_list", z_list)
+    estimate = (KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
+                + KERNEL_BYTES_PER_WALK_AXIS * d * n_samples)
+    refuse_over_budget(f"kernel report d={d}, L={L}, samples={n_samples}", estimate)
     import numpy as np
 
     from . import walks
@@ -111,12 +96,12 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
         walks.WalkConfig(d, int(z))
     blocks = []
     window = min(8, L - 1)
+    # every window offset as a row, in the lexicographic order of the counts
+    grid = np.indices((2 * window + 1,) * (d - 1)).reshape(d - 1, -1).T - window
     for z in z_list:
         z = int(z)
-        cfg = walks.WalkConfig(d=d, z=z, seed=_cell_seed(seed, d, z))
+        cfg = walks.WalkConfig(d=d, z=z, seed=cell_seed(seed, d, z))
         kernel = periodized_poisson_kernel(z, d, L)
-        # every window offset as a row, in the lexicographic order of the counts
-        grid = np.indices((2 * window + 1,) * (d - 1)).reshape(d - 1, -1).T - window
         tv = 0.5 * float(np.abs(walks.mc_exit_array(cfg, n_samples, L) - kernel).sum())
         estimate = walks.poisson_kernel_mc(cfg, n_samples, window)
         mc_p = estimate.counts.ravel() / n_samples
@@ -147,39 +132,6 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
         "n_samples": int(n_samples),
         "seed": int(seed),
         "blocks": blocks,
-    }
-
-
-def run_symbol_report(d, l_list):
-    _refuse_repeats("l_list", l_list)
-    from . import dyadic
-    from .spectral import grid_symbols
-
-    naxes = d - 1
-    blocks = []
-    for L in map(int, l_list):
-        # grid_symbols refuses an over-budget grid before anything is built
-        table = dyadic.variation_table(grid_symbols(d, L), L, naxes)
-        block = {"L": L}
-        for j, name in enumerate(("neumann_axis0", "dirichlet_glued")):
-            max_lvar, total = float(table.local[..., j].max()), float(table.total[j])
-            block[name] = {
-                "max_lvar": max_lvar,
-                "total_var": total,
-                "bound_factor": 4**naxes,
-                "bound_ok": bool(total <= 4**naxes * max_lvar + 1e-12),
-            }
-        blocks.append(block)
-    tracked = [block["neumann_axis0"]["max_lvar"] for block in blocks]
-    spread = max(tracked) / min(tracked) if min(tracked) > 0 else None
-    return {
-        "command": "symbol-report",
-        "d": int(d),
-        "blocks": blocks,
-        "stability": {
-            "max_lvar_spread": spread,
-            "ok": spread is not None and spread <= 2.0,
-        },
     }
 
 
@@ -247,6 +199,11 @@ def _cmd_kernel(args):
 
 
 def _cmd_symbol(args):
+    from . import refuse_repeats
+
+    refuse_repeats("l_list", args.l_list)  # before spectral loads numpy
+    from .spectral import run_symbol_report
+
     payload = run_symbol_report(args.d, args.l_list)
     descriptor = {"command": "symbol-report", "d": args.d, "L": list(args.l_list)}
     header = ("L", "symbol", "max_lvar", "total_var", "bound_ok")
@@ -322,6 +279,7 @@ _seed = _int_at_least(0, "seed must be a non-negative integer")
 _dimension = _int_at_least(2, "dimension must be an integer of at least 2")
 _half_period = _int_at_least(1, "half-period must be a positive integer")
 _sample_count = _int_at_least(1, "sample count must be a positive integer")
+_thread_count = _int_at_least(1, "thread count must be a positive integer")
 _half_period_list = _list_parser(_half_period, "half-period")
 
 
@@ -330,7 +288,7 @@ def _add_common(sub, seeded=True):
         sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
     sub.add_argument(
         "--log-level",
         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
@@ -340,6 +298,8 @@ def _add_common(sub, seeded=True):
 
 
 def build_parser():
+    from . import GENERATORS
+
     parser = _Parser(
         prog="harmonic-lab",
         description="Gradient comparison sweeps and kernel reports on lattice boxes.",
@@ -383,9 +343,6 @@ def main(argv=None) -> int:
     import logging
 
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except Exception as exc:
@@ -394,8 +351,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run as ``python -m harmonic_lab.cli``: the sweeps import this module
-    # under its package name, so register it there instead of compiling and
-    # running a second copy
-    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -24,10 +24,10 @@ Every grid here has real lambda >= 1, so Q and f are real: ``q_symbol``
 takes real z >= 1 only.  ``grid_symbols`` returns the one row function
 the symbol report reads: on a block of axis-0 rows of the stored angle
 grid it evaluates f(lambda) once per entry and both symbols of the report
-from it, by one division each.  The report never holds a whole
-(2L)^(d-1) grid: its peak is one block plus per-row partial reductions,
-and a grid whose report would pass the package's ``MEMORY_BUDGET`` is refused
-before anything is allocated.
+from it, by one division each; ``run_symbol_report`` reads it.  The
+report never holds a whole (2L)^(d-1) grid: its peak is one block plus
+per-row partial reductions, and a grid whose report would pass the
+package's ``MEMORY_BUDGET`` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from . import MEMORY_BUDGET
+from . import refuse_over_budget, refuse_repeats
 
 __all__ = [
     "index_grid",
@@ -48,6 +48,7 @@ __all__ = [
     "f_symbol",
     "dirichlet_symbol",
     "grid_symbols",
+    "run_symbol_report",
 ]
 
 
@@ -199,12 +200,7 @@ def grid_symbols(d: int, L: int):
         raise ValueError(f"dimension must be at least 2, got {d}")
     k = index_grid(L)  # rejects L < 1 before the division
     block, partials = dyadic.variation_footprint(d - 1, L, 2)
-    estimate = block * SYMBOL_BYTES_PER_ENTRY + partials
-    if estimate > MEMORY_BUDGET:
-        raise ValueError(
-            f"symbol grid d={d}, L={L} needs about {estimate >> 20} MiB for the "
-            f"symbol report, above the {MEMORY_BUDGET >> 20} MiB budget"
-        )
+    refuse_over_budget(f"symbol grid d={d}, L={L}", block * SYMBOL_BYTES_PER_ENTRY + partials)
     angles = (math.pi / L) * k
     cos = np.cos(angles)
 
@@ -225,3 +221,30 @@ def grid_symbols(d: int, L: int):
         return np.stack([neumann, glued], axis=-1)
 
     return symbols
+
+
+def run_symbol_report(d, l_list):
+    """The symbol report: variation metrics of both ``grid_symbols`` per
+    half-period in ``l_list`` and the spread of the Neumann maximum."""
+    refuse_repeats("l_list", l_list)
+    from . import dyadic
+
+    naxes = d - 1
+    blocks = []
+    for L in map(int, l_list):
+        # grid_symbols refuses an over-budget grid before anything is built
+        table = dyadic.variation_table(grid_symbols(d, L), L, naxes)
+        block = {"L": L}
+        for j, name in enumerate(("neumann_axis0", "dirichlet_glued")):
+            max_lvar, total = float(table.local[..., j].max()), float(table.total[j])
+            block[name] = {
+                "max_lvar": max_lvar,
+                "total_var": total,
+                "bound_factor": 4**naxes,
+                "bound_ok": bool(total <= 4**naxes * max_lvar + 1e-12),
+            }
+        blocks.append(block)
+    tracked = [block["neumann_axis0"]["max_lvar"] for block in blocks]
+    spread = max(tracked) / min(tracked) if min(tracked) > 0 else None
+    stability = {"max_lvar_spread": spread, "ok": spread is not None and spread <= 2.0}
+    return {"command": "symbol-report", "d": int(d), "blocks": blocks, "stability": stability}

@@ -9,8 +9,9 @@ failed checks.  Every cell derives its own generator seed from
 (seed, d, N, sample), so thread scheduling cannot change any emitted value.
 
 The command line imports this module only when a sweep or the self test
-runs, and writes what it returns.  A sweep builds each (d, N) cell when its
-first chunk is due and drops it after its last.
+runs, and writes what it returns; this module imports nothing from it.  A
+sweep builds each (d, N) cell when its first chunk is due and drops it
+after its last.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .cli import GENERATORS, _cell_seed, _refuse_repeats, run_symbol_report
+from . import GENERATORS, cell_seed, refuse_repeats
 
 __all__ = ["SweepSpec", "run_sweep", "run_selftest"]
 
@@ -67,7 +68,7 @@ class SweepSpec:
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         for name in ("d_list", "n_list", "p_list"):
-            _refuse_repeats(name, getattr(self, name))
+            refuse_repeats(name, getattr(self, name))
 
 
 def _dirichlet_data(generator, rng, vertices, N):
@@ -126,18 +127,18 @@ def _chunk_rows(kind, spec, d, N, samples, cell):
 
     from .lattice import lp_norm
 
-    operator, points = cell
+    apply, points = cell
     generate = _dirichlet_data if kind == "dirichlet" else _neumann_data
     try:
         started = time.perf_counter()
-        seeds = [_cell_seed(spec.seed, d, N, sample) for sample in samples]
+        seeds = [cell_seed(spec.seed, d, N, sample) for sample in samples]
         batch = np.stack(
             [generate(spec.generator, np.random.default_rng(s), points, N) for s in seeds]
         )
         # each sample's gradients, reused for every exponent
         norms = [
             [(p, lp_norm(tan, p), lp_norm(nor, p)) for p in spec.p_list]
-            for tan, nor in zip(*operator(batch))
+            for tan, nor in zip(*apply(batch))
         ]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
     except Exception as exc:
@@ -153,9 +154,9 @@ def _chunk_rows(kind, spec, d, N, samples, cell):
         ) from exc
     per_row_ms = round(elapsed_ms / (len(samples) * len(spec.p_list)), 3)
     return [
-        dict(d=d, N=N, p=p, sample=sample, seed=cell_seed, tan_norm=tan, nor_norm=nor,
+        dict(d=d, N=N, p=p, sample=sample, seed=seed, tan_norm=tan, nor_norm=nor,
              ratio=top / bottom if bottom > 0 else None, runtime_ms=per_row_ms)
-        for sample, cell_seed, by_p in zip(samples, seeds, norms)
+        for sample, seed, by_p in zip(samples, seeds, norms)
         for p, tan, nor in by_p
         for top, bottom in [(nor, tan) if kind == "dirichlet" else (tan, nor)]
     ]
@@ -249,6 +250,7 @@ def run_selftest(threads=1):
     is byte-reproducible, and the failed checks, one message each.
     """
     from . import boxes
+    from .spectral import run_symbol_report  # a sweep alone does not load spectral
 
     failures = []
     spec = SweepSpec((2,), (4, 8), (2.0,), samples=3, seed=SELFTEST_SEED)

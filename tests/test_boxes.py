@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import harmonic_lab
 from harmonic_lab import boxes, cli, lattice, sweeps
 
 import oracles
@@ -206,7 +207,7 @@ def test_neumann_sweep_accepts_its_own_mean_zero_data(tmp_path, generator, d, N)
 
 @pytest.mark.parametrize("generator,d,N", SWEEP_FLUX_CELLS)
 def test_neumann_rejects_a_flux_above_the_rounding_bound(generator, d, N):
-    rng = np.random.default_rng(cli._cell_seed(0, d, N, 0))
+    rng = np.random.default_rng(harmonic_lab.cell_seed(0, d, N, 0))
     g = sweeps._neumann_data(generator, rng, lattice.normal_edges(d, N), N)
     assert abs(g.sum()) > 1e-12 * np.abs(g).max()
     operator = boxes.gradient_operator("neumann", d, N)
@@ -302,7 +303,7 @@ def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
     at (4, 32) and 1026 MiB at (4, 48); those cells pass, and the estimate
     refuses (4, 64), (3, 512), whose one-sample coefficients alone take
     1 GiB, and (2, 8192), whose path transform does."""
-    assert boxes.MEMORY_BUDGET == 2**31
+    assert harmonic_lab.MEMORY_BUDGET == 2**31
     for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12)]:
         boxes._refuse_over_budget(d, N)
     for d, N in [(4, 64), (3, 512), (2, 8192)]:

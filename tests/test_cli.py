@@ -1,5 +1,6 @@
 """Sweep driver, report builders, and command line behavior."""
 
+import ast
 import collections
 import importlib
 import itertools
@@ -71,13 +72,13 @@ def test_sweep_spec_coerces_and_validates():
 
 
 def test_cell_seed_is_stable_and_spread():
-    a = cli._cell_seed(7, 2, 8, 0)
-    assert a == cli._cell_seed(7, 2, 8, 0)
+    a = harmonic_lab.cell_seed(7, 2, 8, 0)
+    assert a == harmonic_lab.cell_seed(7, 2, 8, 0)
     others = {
-        cli._cell_seed(7, 2, 8, 1),
-        cli._cell_seed(7, 2, 16, 0),
-        cli._cell_seed(7, 3, 8, 0),
-        cli._cell_seed(8, 2, 8, 0),
+        harmonic_lab.cell_seed(7, 2, 8, 1),
+        harmonic_lab.cell_seed(7, 2, 16, 0),
+        harmonic_lab.cell_seed(7, 3, 8, 0),
+        harmonic_lab.cell_seed(8, 2, 8, 0),
     }
     assert a not in others
     assert len(others) == 4
@@ -110,7 +111,7 @@ def test_dirichlet_data_generators():
     assert at[(0, 0)] == 1.0 and at[(0, 1)] == -1.0 and at[(3, 3)] == 1.0
 
 
-@pytest.mark.parametrize("generator", cli.GENERATORS)
+@pytest.mark.parametrize("generator", harmonic_lab.GENERATORS)
 def test_dirichlet_data_is_the_full_box_field_on_the_boundary(generator):
     """Each generator's boundary row equals, byte for byte, the whole-box
     field of the reference at the boundary vertices; for iid-gaussian this
@@ -158,7 +159,7 @@ def test_neumann_single_mode_rounding_residue_is_identically_zero(tmp_path, caps
     # sample 1 of (2,3) draws the wave vector (2,2), whose cosine is -1/2 on
     # every normal edge tail up to rounding: the centered data is rounding
     # residue (1.1e-15), not a flux
-    rng = np.random.default_rng(cli._cell_seed(0, 2, 3, 1))
+    rng = np.random.default_rng(harmonic_lab.cell_seed(0, 2, 3, 1))
     with pytest.raises(ValueError, match="identically zero"):
         sweeps._neumann_data("single-mode", rng, lattice.normal_edges(2, 3), 3)
     argv = ["neumann-sweep", "--d", "2", "--n-list", "3", "--generator",
@@ -194,7 +195,7 @@ def test_neumann_single_mode_refuses_exactly_the_constant_cosines():
     for d, N in cells:
         edges = lattice.normal_edges(d, N)
         for sample in range(6):
-            seed = cli._cell_seed(0, d, N, sample)
+            seed = harmonic_lab.cell_seed(0, d, N, sample)
             k = np.random.default_rng(seed).integers(1, N, size=d)
             raw = np.cos(edges[:, 0].astype(float) @ (math.pi / N * k.astype(float)))
             spread = raw.max() - raw.min()
@@ -229,7 +230,7 @@ def test_dirichlet_sweep_rows_and_summary():
     keys = [(r["d"], r["N"], r["p"], r["sample"]) for r in rows]
     assert keys == sorted(keys)
     for r in rows:
-        assert r["seed"] == cli._cell_seed(11, r["d"], r["N"], r["sample"])
+        assert r["seed"] == harmonic_lab.cell_seed(11, r["d"], r["N"], r["sample"])
         assert r["ratio"] == pytest.approx(r["nor_norm"] / r["tan_norm"])
         assert r["runtime_ms"] >= 0.0
     assert set(summary) == {"d=2,p=2.0", "d=2,p=3.0"}
@@ -360,7 +361,7 @@ def test_sweep_alternative_generators(generator):
 
 
 def test_symbol_report_schema():
-    payload = cli.run_symbol_report(2, (4, 8))
+    payload = spectral.run_symbol_report(2, (4, 8))
     assert payload["command"] == "symbol-report"
     assert payload["d"] == 2
     assert [b["L"] for b in payload["blocks"]] == [4, 8]
@@ -425,7 +426,7 @@ def test_symbol_report_evaluates_each_symbol_once_and_matches_the_oracle(
     for block_entries, (d, l_list) in itertools.product((dyadic.BLOCK_ENTRIES, 5), cases):
         monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", block_entries)
         shapes.clear()
-        payload = cli.run_symbol_report(d, l_list)
+        payload = spectral.run_symbol_report(d, l_list)
         for L in l_list:
             # the calls of one grid, in order, until they cover its entries
             covered = 0
@@ -471,8 +472,8 @@ def test_symbol_report_peak_memory_per_grid_entry(d, L):
     peak does not grow with the grid: measured 1.4, 3.4 and 3.4 MiB here,
     where the whole-grid report held about 73 bytes per entry (4.6, 73 and
     18 MiB)."""
-    cli.run_symbol_report(d, (2,))  # imports and first-call set-up
-    peak = _traced_peak(lambda: cli.run_symbol_report(d, (L,)))
+    spectral.run_symbol_report(d, (2,))  # imports and first-call set-up
+    peak = _traced_peak(lambda: spectral.run_symbol_report(d, (L,)))
     assert peak <= 6 * 2**20
 
 
@@ -503,21 +504,26 @@ def test_a_sweep_refuses_an_over_budget_cell_before_building_any(tmp_path, capsy
         assert codes == [1] and time.perf_counter() - started < 1.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sweep cell d=4, N=64 needs about")
-        assert err[0].endswith("MiB to build and apply, above the 2048 MiB budget")
+        assert err[0].endswith("MiB, above the 2048 MiB budget")
         assert peak < 2**20
     assert built == [] and not out.exists()
 
 
 def test_a_kernel_report_over_the_budget_is_refused_before_allocating(tmp_path, capsys):
     """The estimate, cli.KERNEL_BYTES_PER_ENTRY per entry of the (2L)^(d-1)
-    kernel grid, is checked before any kernel or walk is built: the 2 GiB
-    budget refuses d=3, L=4096 (whose kernel alone took 1 GiB) and d=4,
-    L=256, and admits d=3, L=1024; the command writes no file."""
-    for d, L in [(3, 4096), (4, 256)]:
+    kernel grid plus cli.KERNEL_BYTES_PER_WALK_AXIS per walk and dimension
+    (above the 57-100 bytes per walk tracemalloc read at d = 2 to 4), is
+    checked before any kernel or walk is built: the 2 GiB budget refuses
+    d=3, L=4096 (whose kernel alone took 1 GiB), d=4, L=256 and 10^8 walks
+    at d=2 (about 5.7 GB), and admits d=3, L=1024 and the 20,000 and
+    100,000 walks of the benchmark and the largest checked run; the command
+    writes no file."""
+    for d, L, n in [(3, 4096, 10), (4, 256, 10), (2, 8, 10**8)]:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"^kernel report d={d}, L={L} needs about"):
-                cli.run_kernel_report(d, [1], L, 10)
+            with pytest.raises(ValueError,
+                               match=rf"^kernel report d={d}, L={L}, samples={n} needs about"):
+                cli.run_kernel_report(d, [1], L, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -527,10 +533,30 @@ def test_a_kernel_report_over_the_budget_is_refused_before_allocating(tmp_path, 
             "--out", str(out)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: kernel report d=3, L=4096 needs about")
+    assert err.startswith("error: kernel report d=3, L=4096, samples=10 needs about")
     assert err.endswith("MiB, above the 2048 MiB budget\n")
     assert not out.exists()
     assert cli.KERNEL_BYTES_PER_ENTRY * (2 * 1024) ** 2 <= harmonic_lab.MEMORY_BUDGET
+    for d, per_walk in [(2, 70.3), (3, 69.7), (4, 99.7)]:
+        assert cli.KERNEL_BYTES_PER_WALK_AXIS * d > per_walk
+    for d, L, n in [(2, 64, 20000), (2, 32, 100000)]:
+        estimate = cli.KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
+        assert estimate + cli.KERNEL_BYTES_PER_WALK_AXIS * d * n < harmonic_lab.MEMORY_BUDGET // 100
+
+
+def test_the_budget_refusals_share_one_message_form():
+    """A sweep cell, a symbol grid and a kernel report over the budget are
+    refused through ``refuse_over_budget``, each naming what it refuses."""
+    refusals = [
+        (lambda: boxes._refuse_over_budget(4, 64), "sweep cell d=4, N=64"),
+        (lambda: spectral.grid_symbols(6, 64), "symbol grid d=6, L=64"),
+        (lambda: cli.run_kernel_report(3, [1], 4096, 10), "kernel report d=3, L=4096, samples=10"),
+    ]
+    for refuse, subject in refusals:
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert re.fullmatch(r"(.+) needs about \d+ MiB, above the 2048 MiB budget", str(exc.value))
+        assert str(exc.value).startswith(f"{subject} needs about ")
 
 
 def test_kernel_report_checks_each_height_before_seeding_it(tmp_path, capsys):
@@ -571,7 +597,7 @@ def test_kernel_report_d3_block_matches_independent_tallies():
     offsets = list(itertools.product(range(-7, 8), repeat=2))
     for z, block in zip((1, 4), payload["blocks"]):
         assert block["z"] == z and block["window"] == 7
-        cfg = walks.WalkConfig(d=d, z=z, seed=cli._cell_seed(0, d, z))
+        cfg = walks.WalkConfig(d=d, z=z, seed=harmonic_lab.cell_seed(0, d, z))
         exits, unresolved = walks._simulate_exits(cfg, n)
         tally = collections.Counter(
             tuple(row) for row in exits[~unresolved].tolist() if max(map(abs, row)) <= 7
@@ -836,8 +862,10 @@ def test_main_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
-    rc = cli.main(["symbol-report", "--threads", "0", "--out", str(tmp_path)])
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symbol-report", "--threads", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "thread count must be a positive integer, got '0'" in capsys.readouterr().err
     # runtime failures are reported, not raised
     rc = cli.main(["kernel-report", "--z-list", "0", "--out", str(tmp_path)])
     assert rc == 1
@@ -913,9 +941,9 @@ def _run_console(args, tmp_path):
 
 @pytest.mark.parametrize("command", ["dirichlet-sweep", "selftest"])
 def test_running_the_module_as_a_script_loads_it_once(tmp_path, command):
-    """``python -m harmonic_lab.cli`` runs the module as ``__main__``; the
-    sweep module it then imports finds it under its package name instead of
-    compiling and running a second copy."""
+    """``python -m harmonic_lab.cli`` runs the module as ``__main__``; no
+    module it then imports imports ``cli``, so no second copy is compiled
+    and run under the package name."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -930,6 +958,31 @@ def test_running_the_module_as_a_script_loads_it_once(tmp_path, command):
                 if line.startswith("import time:")]
     assert "harmonic_lab.sweeps" in imported
     assert "harmonic_lab.cli" not in imported
+
+
+def test_no_library_module_imports_the_command_line():
+    """The rules the commands share live in the package, so no module but
+    ``cli`` imports ``cli``, and ``cli`` registers nothing in
+    ``sys.modules``; ``MEMORY_BUDGET`` is compared in the package's
+    ``refuse_over_budget`` alone."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    importers, compared = [], []
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            else:
+                targets = []
+            importers += [name for target in targets if "cli" in target.split(".")]
+            if isinstance(node, ast.Compare) and "'MEMORY_BUDGET'" in ast.dump(node):
+                compared.append(name)
+        if name == "cli.py":
+            assert "sys.modules" not in source
+    assert importers == [] and compared == ["__init__.py"]
 
 
 def test_log_level_reaches_the_debug_records(tmp_path):
@@ -1106,10 +1159,11 @@ print(json.dumps([parsed, sorted(m for m in sys.modules if m.split(".")[0] == "n
 
 
 def test_an_argument_error_returns_before_numpy_loads(tmp_path):
-    """A spec the sweep refuses, a thread count below 1, a repeated list
-    value, a report dimension, half-period or sample count that the
-    parser refuses and a kernel report over the memory budget each exit
-    with code 1 before numpy is imported, and write no file."""
+    """A spec the sweep refuses, a repeated list value, a thread count,
+    report dimension, half-period or sample count that the parser refuses
+    and a kernel report over the memory budget, by its grid or by its
+    walks, each exit with code 1 before numpy is imported, and write no
+    file."""
     argvs = [
         ["dirichlet-sweep", "--d", "1"],
         ["neumann-sweep", "--n-list", "4,4"],
@@ -1123,6 +1177,7 @@ def test_an_argument_error_returns_before_numpy_loads(tmp_path):
         ["symbol-report", "--d", "1"],
         ["symbol-report", "--l-list", "0"],
         ["kernel-report", "--d", "3", "--z-list", "1", "--L", "4096"],
+        ["kernel-report", "--d", "2", "--z-list", "1", "--L", "8", "--samples", "100000000"],
     ]
     code = f"""
 import json, sys
@@ -1140,7 +1195,8 @@ print(json.dumps([codes, "numpy" in sys.modules]))
     assert json.loads(run.stdout.splitlines()[-1]) == [[1] * len(argvs), False]
     assert "z_list repeats a value: (1, 1)" in run.stderr
     assert "l_list repeats a value: (4, 4)" in run.stderr
-    assert "kernel report d=3, L=4096 needs about" in run.stderr
+    assert "kernel report d=3, L=4096, samples=20000 needs about" in run.stderr
+    assert "kernel report d=2, L=8, samples=100000000 needs about" in run.stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -1163,7 +1219,7 @@ def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
 
     def with_flux(generator, rng, edges, N):
         g = generate(generator, rng, edges, N)
-        if rng.bit_generator.seed_seq.entropy == cli._cell_seed(spec.seed, 2, N, 3):
+        if rng.bit_generator.seed_seq.entropy == harmonic_lab.cell_seed(spec.seed, 2, N, 3):
             g[0] += 0.1
         return g
 

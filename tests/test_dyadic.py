@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from harmonic_lab import cli, dyadic, spectral
+from harmonic_lab import dyadic, spectral
 
 import oracles
 
@@ -256,7 +256,7 @@ def test_block_boundaries_leave_tables_and_reports_bit_identical(monkeypatch, d,
         table = _table_bits(_table(a, L))
         if rows is not None:  # the report's grid has d - 1 axes
             monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", rows * (2 * L) ** (d - 2))
-        found[rows] = table, json.dumps(cli.run_symbol_report(d, (L,)))
+        found[rows] = table, json.dumps(spectral.run_symbol_report(d, (L,)))
         monkeypatch.undo()
     assert found[1] == found[3] == found[2 * L] == found[None]
     levels, local, total = oracles.whole_grid_variation_table(a, L)

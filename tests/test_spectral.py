@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import harmonic_lab
 from harmonic_lab import halfspace, spectral
 
 import oracles
@@ -388,7 +389,7 @@ def test_grid_symbols_refuse_a_grid_over_the_budget(monkeypatch):
     # admits it and refuses L = 33, whose rows are longer and have 13 levels
     monkeypatch.setattr(dyadic, "BLOCK_ENTRIES", 1)
     estimate = 2 * 64 * spectral.SYMBOL_BYTES_PER_ENTRY + 64 * 3 * 2 * 2 * 12 * 8
-    monkeypatch.setattr(spectral, "MEMORY_BUDGET", estimate)
+    monkeypatch.setattr(harmonic_lab, "MEMORY_BUDGET", estimate)
     assert spectral.grid_symbols(3, 32)(np.arange(64)).shape == (64, 64, 2)
     with pytest.raises(ValueError, match="d=3, L=33 needs about 0 MiB"):
         spectral.grid_symbols(3, 33)
