@@ -46,7 +46,9 @@ logger = logging.getLogger(__name__)
 _BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep chunk
 
 #: peak bytes of an operator build per boundary vertex and per d^2
-#: (``_box_maps`` dominates); tracemalloc read 74-77 at d = 3 to 5
+#: (``_box_maps`` dominates), a conservative bound: tracemalloc read 20.8,
+#: 15.4 and 12.6 at (3, 64), (4, 24) and (5, 10); a lower one would admit
+#: (4, 64), whose build and chunk have not been measured
 _BUILD_BYTES = 77
 
 
@@ -129,8 +131,10 @@ def _box_maps(d, N):
     def position(points):
         return np.searchsorted(flat, np.ravel_multi_index(tuple(points.T), shape))
 
-    tan, nor = lattice.tangential_edges(d, N), lattice.normal_edges(d, N)
-    tails = nor[:, 0]
+    tan_tail, tan_head = (np.searchsorted(flat, ends)
+                          for ends in lattice._edge_flats(d, N, "tangential"))
+    nor_tail = np.searchsorted(flat, lattice._edge_flats(d, N, "normal")[0])
+    tails = verts[nor_tail]
     # a face vertex has exactly one coordinate at 0 or N: its face's axis
     on_face = (tails == 0) | (tails == N)
     axis = on_face.argmax(axis=1)
@@ -155,10 +159,7 @@ def _box_maps(d, N):
         inward[step] = np.clip(inward[step], 1, N - 1)
         fill.append((targets, position(inward).reshape(len(targets), c).T))
 
-    maps = _BoxMaps(
-        flat, position(tan[:, 0]), position(tan[:, 1]), position(tails),
-        edge_face, face_edge, tuple(fill),
-    )
+    maps = _BoxMaps(flat, tan_tail, tan_head, nor_tail, edge_face, face_edge, tuple(fill))
     for a in (*maps[:-1], *(a for pair in fill for a in pair)):
         a.flags.writeable = False  # the pooled chunks of a sweep cell share them
     return maps

@@ -63,6 +63,11 @@ KERNEL_BYTES_PER_ENTRY = 80
 #: read 57-70 per walk at d = 2, 70 at d = 3, 100 at d = 4 and 168 at d = 7
 KERNEL_BYTES_PER_WALK_AXIS = 40
 
+#: peak bytes of a kernel report per window offset of each z, whose row
+#: the payload holds as a dict of Python floats and the CSV copies again;
+#: tracemalloc read 590-700 (JSON) and 720-820 (CSV) at d = 4 to 6
+KERNEL_BYTES_PER_OFFSET = 1024
+
 #: library functions this module once imported by name, resolved on first
 #: access for code that still reads them from here (the benchmark's tracer
 #: tests do)
@@ -84,8 +89,10 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
     from . import cell_seed, refuse_over_budget, refuse_repeats
 
     refuse_repeats("z_list", z_list)
+    window = min(8, L - 1)
     estimate = (KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
-                + KERNEL_BYTES_PER_WALK_AXIS * d * n_samples)
+                + KERNEL_BYTES_PER_WALK_AXIS * d * n_samples
+                + KERNEL_BYTES_PER_OFFSET * len(z_list) * (2 * window + 1) ** (d - 1))
     refuse_over_budget(f"kernel report d={d}, L={L}, samples={n_samples}", estimate)
     import numpy as np
 
@@ -95,7 +102,6 @@ def run_kernel_report(d, z_list, L, n_samples, seed=0):
     for z in z_list:  # WalkConfig's own error for a bad z, before a seed is derived
         walks.WalkConfig(d, int(z))
     blocks = []
-    window = min(8, L - 1)
     # every window offset as a row, in the lexicographic order of the counts
     grid = np.indices((2 * window + 1,) * (d - 1)).reshape(d - 1, -1).T - window
     for z in z_list:

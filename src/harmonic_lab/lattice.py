@@ -10,11 +10,13 @@ distance one.
 The boundary vertex set is a read-only intp array of shape (M, d) and edge
 sets are read-only intp arrays of shape (E, 2, d), with ``edges[:, 0]`` the
 tails and ``edges[:, 1]`` the heads, in lexicographic (tail, head) order.
-Edge sets are built by index arithmetic from the tails on the boundary
-shell, with no candidate edges for the rest of the box.  The two sets are
-the tangential and the normal edges; every edge with an endpoint on the
-shell is a tangential edge, a normal edge or the reversal of one, so norms
-over that full set follow from these two.
+Edge sets are built by index arithmetic on C-order flat indices, from the
+tails on the boundary shell and one head per tail and direction, with no
+candidate edges for the rest of the box; the box operator reads those flat
+indices, and the public sets unravel them.  The two sets are the
+tangential and the normal edges; every edge with an endpoint on the shell
+is a tangential edge, a normal edge or the reversal of one, so norms over
+that full set follow from these two.
 """
 
 from __future__ import annotations
@@ -55,19 +57,37 @@ def _read_only(a):
     return a
 
 
-def _edges(d, N, kind):
+def _edge_flats(d, N, kind):
+    """Tails and heads of the ``kind`` edges as two (E,) intp arrays of
+    C-order flat indices into the (N+1,)*d box, in lexicographic
+    (tail, head) order."""
     _check_box(d, N)
     # tails in lexicographic order; for a fixed tail the sorted heads are
     # tail - e_0, ..., tail - e_{d-1}, tail + e_{d-1}, ..., tail + e_0, so the
-    # row-major nonzero of the (tail, direction) keep-mask is already sorted
-    tails = np.argwhere(_shell(d, N))
-    eye = np.eye(d, dtype=np.intp)
-    heads = tails[:, None, :] + np.concatenate([-eye, eye[::-1]])
-    inside = ((heads >= 0) & (heads <= N)).all(axis=2)
-    head_on_face = ((heads == 0) | (heads == N)).any(axis=2)
-    keep = inside & (head_on_face if kind == "tangential" else ~head_on_face)
-    rows, steps = np.nonzero(keep)
-    return _read_only(np.stack([tails[rows], heads[rows, steps]], axis=1))
+    # row-major order of the (tail, direction) keep-mask is already sorted
+    tails = np.flatnonzero(_shell(d, N))
+    strides = [(N + 1) ** (d - 1 - i) for i in range(d)]
+    saturated = np.zeros(len(tails), dtype=np.int8)  # coordinates on a face
+    for stride in strides:
+        coord = tails // stride % (N + 1)
+        saturated += (coord == 0) | (coord == N)
+    heads = np.empty((len(tails), 2 * d), dtype=np.intp)
+    keep = np.empty(heads.shape, dtype=bool)
+    for col in range(2 * d):
+        axis, sign = (col, -1) if col < d else (2 * d - 1 - col, 1)
+        coord = tails // strides[axis] % (N + 1)
+        on_face = (coord == 0) | (coord == N)
+        # the head reaches a face of this axis or stays on a face of another
+        head_on_face = (coord == (1 if sign < 0 else N - 1)) | (saturated > on_face)
+        inside = coord >= 1 if sign < 0 else coord <= N - 1
+        keep[:, col] = inside & (head_on_face if kind == "tangential" else ~head_on_face)
+        np.add(tails, sign * strides[axis], out=heads[:, col])
+    return np.repeat(tails, keep.sum(axis=1)), heads[keep]
+
+
+def _edges(d, N, kind):
+    flats = np.stack(_edge_flats(d, N, kind), axis=1)
+    return _read_only(np.stack(np.unravel_index(flats, (N + 1,) * d), axis=-1))
 
 
 def boundary_vertices(d: int, N: int) -> np.ndarray:

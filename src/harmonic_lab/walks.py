@@ -10,10 +10,11 @@ The sampler factors the walk instead of stepping it: the number of
 vertical moves to first contact follows the classical first-passage law
 of the 1-d walk.  Its head is tabulated from P(V = z) = 2^-z and
 P(V = n+2) / P(V = n) = n(n+1) / ((n+z+2)(n-z+2)) and streamed, one
-chunk of CDF_CHUNK entries held at a time, until at most TAIL_SWITCH of
-the mass lies beyond it or the step cap is reached.  The rest is
-inverted in closed form: by the reflection principle (Lawler & Limic,
-Random Walk: A Modern Introduction)
+chunk held at a time, in chunks that grow from CDF_FIRST_CHUNK to
+CDF_CHUNK entries, until at most TAIL_SWITCH of the mass lies beyond it
+or the step cap is reached, so a small height stops after a few small
+chunks.  The rest is inverted in closed form: by the reflection
+principle (Lawler & Limic, Random Walk: A Modern Introduction)
 P(V > z+2k) = P(k <= Bin(z+2k, 1/2) <= k+z-1), whose first binomial
 term comes from Loader's saddle-point method (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000) and the others
@@ -65,8 +66,10 @@ BLOCK = 4096
 #: take.  Only large heights need the head all the way to the cap.
 CDF_TABLE_BUDGET = 2**30
 
-#: table entries built at a time; a chunk's 512 KiB arrays stay in cache
-CDF_CHUNK = 2**16
+#: table entries in the first chunk of the head; each next chunk doubles,
+#: up to CDF_CHUNK entries, whose 128 KiB arrays stay in cache
+CDF_FIRST_CHUNK = 2**10
+CDF_CHUNK = 2**14
 
 #: the head ends at the first chunk boundary with at most this much mass
 #: beyond it; the closed-form tail places the uniforms above that
@@ -128,15 +131,18 @@ class KernelEstimate:
 
 def _cdf_chunks(z: int, cap: int, chunk: int = CDF_CHUNK):
     """CDF of the first time a 1-d simple walk from z hits 0, on the
-    support {z, z+2, ...} up to cap: the first entry, then chunks of at most
-    ``chunk`` entries built from the pmf ratio.  Each chunk continues the
-    last product and running sum of the one before, so the entries equal a
-    one-shot cumprod and cumsum bit for bit."""
+    support {z, z+2, ...} up to cap: the first entry, then chunks built
+    from the pmf ratio, of min(CDF_FIRST_CHUNK, chunk) entries first and
+    twice as many each time after, up to ``chunk`` (the last one may be
+    shorter).  Each chunk continues the last product and running sum of
+    the one before, so the entries equal a one-shot cumprod and cumsum bit
+    for bit."""
     size = (cap - z) // 2 + 1
     prod = total = 2.0**-z
     yield np.array([total])
-    for start in range(1, size, chunk):
-        stop = min(start + chunk, size)
+    start, step = 1, min(CDF_FIRST_CHUNK, chunk)
+    while start < size:
+        stop = min(start + step, size)
         n = np.arange(z + 2 * start - 2, z + 2 * stop - 2, 2, dtype=np.float64)
         buf = np.empty(n.size + 1)
         ratio = buf[1:]
@@ -151,6 +157,7 @@ def _cdf_chunks(z: int, cap: int, chunk: int = CDF_CHUNK):
         buf[0] = total
         total = np.cumsum(buf, out=buf)[-1]
         yield buf[1:]
+        start, step = stop, min(2 * step, chunk)
 
 
 def _stirlerr(n):

@@ -299,16 +299,32 @@ def test_face_map_is_symmetric(kind, d, N):
 
 
 def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
-    """Traced peaks of a build and one chunk read 62 MiB at (3, 128), 304 MiB
-    at (4, 32) and 1026 MiB at (4, 48); those cells pass, and the estimate
-    refuses (4, 64), (3, 512), whose one-sample coefficients alone take
-    1 GiB, and (2, 8192), whose path transform does."""
+    """Traced peaks of a build and one chunk read 47-52 MiB at (3, 128),
+    82-88 MiB at (4, 32) and 276-300 MiB at (4, 48); those cells pass, and
+    the estimate refuses (4, 64), (3, 512), whose one-sample coefficients
+    alone take 1 GiB, and (2, 8192), whose path transform does."""
     assert harmonic_lab.MEMORY_BUDGET == 2**31
     for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12)]:
         boxes._refuse_over_budget(d, N)
     for d, N in [(4, 64), (3, 512), (2, 8192)]:
         with pytest.raises(ValueError, match=f"sweep cell d={d}, N={N} needs about"):
             boxes._refuse_over_budget(d, N)
+
+
+@pytest.mark.parametrize("d,N", [(3, 64), (4, 24), (5, 10)])
+def test_the_box_map_build_peak_per_boundary_vertex(d, N):
+    """Edge sets built from flat indices keep the ``_box_maps`` build under
+    35 bytes per boundary vertex and per d^2 (traced 20.7, 15.4 and 12.6),
+    below the conservative ``_BUILD_BYTES`` of the cell estimate."""
+    boxes._box_maps(d, N)
+    tracemalloc.start()
+    try:
+        boxes._box_maps(d, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    boundary = (N + 1) ** d - (N - 1) ** d
+    assert peak <= 35 * boundary * d * d <= boxes._BUILD_BYTES * boundary * d * d
 
 
 def test_each_operator_build_logs_one_debug_line(caplog):

@@ -512,13 +512,14 @@ def test_a_sweep_refuses_an_over_budget_cell_before_building_any(tmp_path, capsy
 def test_a_kernel_report_over_the_budget_is_refused_before_allocating(tmp_path, capsys):
     """The estimate, cli.KERNEL_BYTES_PER_ENTRY per entry of the (2L)^(d-1)
     kernel grid plus cli.KERNEL_BYTES_PER_WALK_AXIS per walk and dimension
-    (above the 57-100 bytes per walk tracemalloc read at d = 2 to 4), is
-    checked before any kernel or walk is built: the 2 GiB budget refuses
-    d=3, L=4096 (whose kernel alone took 1 GiB), d=4, L=256 and 10^8 walks
-    at d=2 (about 5.7 GB), and admits d=3, L=1024 and the 20,000 and
-    100,000 walks of the benchmark and the largest checked run; the command
-    writes no file."""
-    for d, L, n in [(3, 4096, 10), (4, 256, 10), (2, 8, 10**8)]:
+    (above the 57-100 bytes per walk tracemalloc read at d = 2 to 4) plus
+    cli.KERNEL_BYTES_PER_OFFSET per window offset of each z, is checked
+    before any kernel or walk is built: the 2 GiB budget refuses d=3,
+    L=4096 (whose kernel alone took 1 GiB), d=4, L=256, 10^8 walks at d=2
+    (about 5.7 GB) and d=7, L=8, whose 15^6 window rows would take several
+    GB, and admits d=3, L=1024 and the 20,000 and 100,000 walks of the
+    benchmark and the largest checked run; the command writes no file."""
+    for d, L, n in [(3, 4096, 10), (4, 256, 10), (2, 8, 10**8), (7, 8, 10)]:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError,
@@ -536,12 +537,40 @@ def test_a_kernel_report_over_the_budget_is_refused_before_allocating(tmp_path, 
     assert err.startswith("error: kernel report d=3, L=4096, samples=10 needs about")
     assert err.endswith("MiB, above the 2048 MiB budget\n")
     assert not out.exists()
+    argv = ["kernel-report", "--d", "7", "--z-list", "1", "--L", "8", "--samples", "10",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: kernel report d=7, L=8, samples=10 needs")
+    assert not out.exists()
     assert cli.KERNEL_BYTES_PER_ENTRY * (2 * 1024) ** 2 <= harmonic_lab.MEMORY_BUDGET
     for d, per_walk in [(2, 70.3), (3, 69.7), (4, 99.7)]:
         assert cli.KERNEL_BYTES_PER_WALK_AXIS * d > per_walk
     for d, L, n in [(2, 64, 20000), (2, 32, 100000)]:
         estimate = cli.KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
         assert estimate + cli.KERNEL_BYTES_PER_WALK_AXIS * d * n < harmonic_lab.MEMORY_BUDGET // 100
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_kernel_estimate_covers_the_window_rows(tmp_path, fmt):
+    """At d = 4 and 5 the window rows, not the kernel grid, set a kernel
+    report's peak (traced 6.9-8.1 MiB at d=4, L=9 with two heights against
+    a grid and walk term of 0.46 MiB); the estimate stays above the peak of
+    the whole command, CSV and JSON both."""
+    cases = [(4, 9, [1, 2]), (5, 4, [1, 2, 3])]
+    for d, L, z_list in cases:
+        argv = ["kernel-report", "--d", str(d), "--z-list", ",".join(map(str, z_list)),
+                "--L", str(L), "--samples", "100", "--format", fmt, "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        window = min(8, L - 1)
+        estimate = (cli.KERNEL_BYTES_PER_ENTRY * (2 * L) ** (d - 1)
+                    + cli.KERNEL_BYTES_PER_WALK_AXIS * d * 100
+                    + cli.KERNEL_BYTES_PER_OFFSET * len(z_list) * (2 * window + 1) ** (d - 1))
+        assert peak < estimate
 
 
 def test_the_budget_refusals_share_one_message_form():
@@ -1161,9 +1190,9 @@ print(json.dumps([parsed, sorted(m for m in sys.modules if m.split(".")[0] == "n
 def test_an_argument_error_returns_before_numpy_loads(tmp_path):
     """A spec the sweep refuses, a repeated list value, a thread count,
     report dimension, half-period or sample count that the parser refuses
-    and a kernel report over the memory budget, by its grid or by its
-    walks, each exit with code 1 before numpy is imported, and write no
-    file."""
+    and a kernel report over the memory budget, by its grid, its walks or
+    its window rows, each exit with code 1 before numpy is imported, and
+    write no file."""
     argvs = [
         ["dirichlet-sweep", "--d", "1"],
         ["neumann-sweep", "--n-list", "4,4"],
@@ -1178,6 +1207,7 @@ def test_an_argument_error_returns_before_numpy_loads(tmp_path):
         ["symbol-report", "--l-list", "0"],
         ["kernel-report", "--d", "3", "--z-list", "1", "--L", "4096"],
         ["kernel-report", "--d", "2", "--z-list", "1", "--L", "8", "--samples", "100000000"],
+        ["kernel-report", "--d", "7", "--z-list", "1", "--L", "8", "--samples", "10"],
     ]
     code = f"""
 import json, sys
@@ -1197,6 +1227,7 @@ print(json.dumps([codes, "numpy" in sys.modules]))
     assert "l_list repeats a value: (4, 4)" in run.stderr
     assert "kernel report d=3, L=4096, samples=20000 needs about" in run.stderr
     assert "kernel report d=2, L=8, samples=100000000 needs about" in run.stderr
+    assert "kernel report d=7, L=8, samples=10 needs about" in run.stderr
     assert not list(tmp_path.iterdir())
 
 

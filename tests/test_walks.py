@@ -69,10 +69,14 @@ def test_vertical_hit_cdf_matches_the_closed_form(z):
 
 def _head_length(reference, chunk):
     """Entries the streamed head covers: it stops at the first chunk
-    boundary with at most TAIL_SWITCH of the mass beyond it."""
-    for seen in range(1, reference.size, chunk):
+    boundary with at most TAIL_SWITCH of the mass beyond it.  After the
+    first entry the chunks take min(CDF_FIRST_CHUNK, chunk) entries, then
+    twice as many each time, up to ``chunk``."""
+    seen, step = 1, min(walks.CDF_FIRST_CHUNK, chunk)
+    while seen < reference.size:
         if 1.0 - reference[seen - 1] <= walks.TAIL_SWITCH:
             return seen
+        seen, step = seen + step, min(2 * step, chunk)
     return reference.size
 
 
@@ -109,12 +113,28 @@ def test_streamed_table_matches_the_one_shot_build(z, cap, chunk):
 
 
 def test_streamed_table_spans_several_default_chunks():
-    cap = 2 * 3 * walks.CDF_CHUNK + 11
-    # the first entry, three full chunks and a partial one
-    assert sum(1 for _ in walks._cdf_chunks(3, cap)) == 5
-    # the head ends after the first full chunk
-    head = _check_streamed_against_one_shot(3, cap, walks.CDF_CHUNK)
-    assert head == 1 + walks.CDF_CHUNK
+    first, full = walks.CDF_FIRST_CHUNK, walks.CDF_CHUNK
+    growing = [first << i for i in range((full // first).bit_length() - 1)]
+    cap = 2 * (sum(growing) + 3 * full) + 11
+    # the first entry, the growing chunks, three full chunks and a partial one
+    sizes = [part.size for part in walks._cdf_chunks(3, cap)]
+    assert sizes == [1, *growing, full, full, full, 4]
+    # the head ends after the last growing chunk
+    head = _check_streamed_against_one_shot(3, cap, full)
+    assert head == 1 + sum(growing)
+
+
+def test_head_chunks_double_from_2_to_the_10_up_to_the_chunk_size():
+    """One entry, then 2^10, 2^11, ... entries, capped at CDF_CHUNK (2^14,
+    128 KiB arrays) or at a smaller ``chunk``, which also caps the first."""
+    assert (walks.CDF_FIRST_CHUNK, walks.CDF_CHUNK) == (2**10, 2**14)
+    parts = walks._cdf_chunks(1, walks.DEFAULT_STEP_CAP)
+    sizes = [part.size for part in itertools.islice(parts, 8)]
+    assert sizes == [1, 2**10, 2**11, 2**12, 2**13, 2**14, 2**14, 2**14]
+    sizes = [part.size for part in walks._cdf_chunks(1, 2 * 9000 + 1, 2**11)]
+    assert sizes == [1, 2**10, 2**11, 2**11, 2**11, 9001 - 1 - 2**10 - 3 * 2**11]
+    sizes = [part.size for part in walks._cdf_chunks(1, 2 * 100 + 1, 7)]
+    assert sizes == [1] + [7] * 14 + [2]
 
 
 @pytest.mark.parametrize("z", [1, 2, 3, 10, 57])
@@ -129,23 +149,40 @@ def test_closed_form_tail_matches_exact_binomial_sums(z):
 
 @pytest.mark.parametrize("z", [1, 3, 10])
 def test_default_cap_streams_at_most_three_chunks(z, monkeypatch):
-    """The head stops once at most TAIL_SWITCH of the mass lies beyond it,
-    even with a uniform left above the whole table (78 otherwise: the
-    first entry and 77 chunks)."""
+    """The head stops at the first chunk boundary with at most TAIL_SWITCH
+    of the mass beyond it, even with a uniform left above the whole table:
+    at most 3 * 2^16 + 1 entries (3073, 15361 and 146433 at z = 1, 3, 10;
+    all 5e6 otherwise)."""
     streamed = []
     chunks = walks._cdf_chunks
 
     def counted(*args):
         for part in chunks(*args):
-            streamed.append(part.size)
+            streamed.append((part.size, part[-1]))
             yield part
 
     monkeypatch.setattr(walks, "_cdf_chunks", counted)
     u = np.random.default_rng(z).random(20480)
     u[-1] = 1.0
     counts = walks._hit_counts(z, walks.DEFAULT_STEP_CAP, u)
-    assert len(streamed) <= 3
+    assert sum(size for size, _ in streamed) <= 3 * 2**16 + 1
+    assert 1.0 - streamed[-1][1] <= walks.TAIL_SWITCH < 1.0 - streamed[-2][1]
     assert counts[-1] == (walks.DEFAULT_STEP_CAP - z) // 2 + 1
+
+
+@pytest.mark.parametrize("z", [1, 3, 10])
+def test_hit_counts_peak_stays_under_one_mebibyte(z):
+    """Chunks that grow from 2^10 entries keep the streamed head small next
+    to the arrays of the uniforms themselves: traced 0.78-0.81 MiB on 20480
+    uniforms."""
+    u = np.random.default_rng(z).random(20480)
+    tracemalloc.start()
+    try:
+        walks._hit_counts(z, walks.DEFAULT_STEP_CAP, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sampler_memory_stays_at_one_table_chunk():
