@@ -43,13 +43,19 @@ __all__ = ["face_map", "gradient_operator", "operator_certificate"]
 
 logger = logging.getLogger(__name__)
 
-_BLOCK = 1 << 16  # entries per block of eigenvalue sums; coefficients per sweep chunk
+_BLOCK = 1 << 16  # interior coefficients per sweep chunk
 
 #: peak bytes of an operator build per boundary vertex and per d^2
 #: (``_box_maps`` dominates), a conservative bound: tracemalloc read 20.8,
 #: 15.4 and 12.6 at (3, 64), (4, 24) and (5, 10); a lower one would admit
 #: (4, 64), whose build and chunk have not been measured
 _BUILD_BYTES = 77
+
+#: peak bytes of one sample of a sweep chunk beyond its coefficients, per
+#: boundary vertex and per d (its data, its gradients and their norms):
+#: tracemalloc read 9-41 from (2, 1024) to (7, 5), and 82 at (2, 256),
+#: where 0.1 MiB of fixed cost is most of it
+_CHUNK_BYTES = 48
 
 
 def __getattr__(name):
@@ -60,22 +66,6 @@ def __getattr__(name):
 
         return dirichlet_strip_solve
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _divide_by_eigenvalue_sums(coeffs, lam, d):
-    """Divide the transform coefficients ``coeffs``, shaped (B,) + (n,)*d,
-    in place, by the eigenvalue sums lam[k_0] + ... + lam[k_{d-1}] of the
-    d-fold tensor sum of one path operator.  The sums are formed a block
-    along the first mode axis at a time, in axis order; a zero sum (the
-    Neumann constant mode, the kernel) divides by inf, which gauges that
-    mode to zero."""
-    n = len(lam)
-    step = max(1, _BLOCK // n ** (d - 1))
-    for i in range(0, n, step):
-        axes = [lam[i : i + step]] + [lam] * (d - 1)
-        block = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
-        block[block == 0.0] = np.inf
-        coeffs[:, i : i + step] /= block
 
 
 def _path_eigenvalues(kind, n):
@@ -165,16 +155,25 @@ def _box_maps(d, N):
     return maps
 
 
-def _refuse_over_budget(d, N):
+def _chunk_samples(d, N):
+    """Samples per sweep chunk of the (d, N) cell: ``_BLOCK`` interior
+    coefficients' worth, or one sample when one has more."""
+    return max(1, _BLOCK // (N - 1) ** d)
+
+
+def _refuse_over_budget(d, N, chunks=1):
     """Raise a ValueError, before anything is allocated, when building the
-    (d, N) operator and applying it to one sweep chunk would pass the
-    package's ``MEMORY_BUDGET`` by estimate: the build, the three n x n
-    arrays of the path transform (n = N-1), which dominate at d = 2, and the
-    chunk's transform coefficients (at least n^d) with one temporary copy."""
-    n = N - 1
-    estimate = (_BUILD_BYTES * d * d * ((N + 1) ** d - n**d) + 24 * n * n
-                + 16 * max(n**d, _BLOCK))
-    refuse_over_budget(f"sweep cell d={d}, N={N}", estimate)
+    (d, N) operator and applying it to ``chunks`` sweep chunks at once (one
+    per pool worker) would pass the package's ``MEMORY_BUDGET`` by estimate:
+    the build, the three n x n arrays of the path transform (n = N-1), which
+    dominate at d = 2, and for each sample of each chunk its transform
+    coefficients (n^d) with one temporary copy, and its data, gradients and
+    their norms (``_CHUNK_BYTES``)."""
+    n, boundary = N - 1, (N + 1) ** d - (N - 1) ** d
+    chunk = _chunk_samples(d, N) * (16 * n**d + _CHUNK_BYTES * d * boundary)
+    estimate = _BUILD_BYTES * d * d * boundary + 24 * n * n + chunks * chunk
+    workers = f" on {chunks} workers" if chunks > 1 else ""
+    refuse_over_budget(f"sweep cell d={d}, N={N}{workers}", estimate)
 
 
 def _neumann_boundary(layer, g, maps):
@@ -235,7 +234,11 @@ def _coefficients(faces, T, lam):
         along_i = coeffs.reshape(B, n**i, n, -1)
         for s in range(2):
             along_i += ends[:, s, None] * hat[:, 2 * i + s].reshape(B, n**i, 1, -1)
-    _divide_by_eigenvalue_sums(coeffs, lam, d)
+    # the only zero sum, of the Neumann constant mode, divides by inf: gauged to 0
+    sums = sum(np.meshgrid(*[lam] * d, indexing="ij", sparse=True))
+    if sums.flat[0] == 0.0:
+        sums.flat[0] = np.inf
+    coeffs /= sums
     return coeffs
 
 

@@ -192,7 +192,7 @@ def _tasks(kind, spec):
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     for d, N in itertools.product(spec.d_list, spec.n_list):
         cell = (boxes.gradient_operator(kind, d, N), points(d, N))
-        size = max(1, boxes._BLOCK // (N - 1) ** d)
+        size = boxes._chunk_samples(d, N)
         for s in range(0, spec.samples, size):
             yield d, N, range(s, min(s + size, spec.samples)), cell
         del cell
@@ -204,8 +204,11 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
     it raises the first chunk that fails and logs any other failure."""
     from . import boxes
 
-    for d, N in itertools.product(spec.d_list, spec.n_list):
-        boxes._refuse_over_budget(d, N)  # every cell, before the first is built
+    cells = list(itertools.product(spec.d_list, spec.n_list))
+    chunks = sum(-(-spec.samples // boxes._chunk_samples(d, N)) for d, N in cells)
+    for d, N in cells:
+        # every cell, before the first is built, with a chunk per busy worker
+        boxes._refuse_over_budget(d, N, min(threads, chunks))
     run, tasks, rows = functools.partial(_chunk_rows, kind, spec), _tasks(kind, spec), []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

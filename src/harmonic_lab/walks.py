@@ -60,11 +60,11 @@ DEFAULT_STEP_CAP = 10_000_000
 #: walks per Philox stream
 BLOCK = 4096
 
-#: bound on the work of streaming the head of the hitting-time table, not
-#: on memory: the head's longest length, one entry per two steps up to the
-#: cap, counted as the bytes three float64 arrays of that length would
-#: take.  Only large heights need the head all the way to the cap.
-CDF_TABLE_BUDGET = 2**30
+#: most entries the head of the hitting-time table may stream, one per two
+#: steps up to the cap: a bound on work, not on memory, as the head streams
+#: in chunks of at most CDF_CHUNK entries.  Only large heights need the head
+#: all the way to the cap.
+HEAD_ENTRY_BUDGET = 2**30 // 24
 
 #: table entries in the first chunk of the head; each next chunk doubles,
 #: up to CDF_CHUNK entries, whose 128 KiB arrays stay in cache
@@ -105,11 +105,11 @@ class WalkConfig:
             )
         if self.max_steps < self.z:
             raise ValueError(f"step cap {self.max_steps} is below the height {self.z}")
-        table_bytes = 3 * 8 * ((self.max_steps - self.z) // 2 + 1)
-        if table_bytes > CDF_TABLE_BUDGET:
+        entries = (self.max_steps - self.z) // 2 + 1
+        if entries > HEAD_ENTRY_BUDGET:
             raise ValueError(
-                f"step cap {self.max_steps} needs {table_bytes >> 20} MiB for its "
-                f"hitting-time table, above the {CDF_TABLE_BUDGET >> 20} MiB budget"
+                f"step cap {self.max_steps} may stream {entries} entries of the "
+                f"hitting-time head, above the budget of {HEAD_ENTRY_BUDGET} entries"
             )
 
 

@@ -302,13 +302,40 @@ def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
     """Traced peaks of a build and one chunk read 47-52 MiB at (3, 128),
     82-88 MiB at (4, 32) and 276-300 MiB at (4, 48); those cells pass, and
     the estimate refuses (4, 64), (3, 512), whose one-sample coefficients
-    alone take 1 GiB, and (2, 8192), whose path transform does."""
+    alone take 1 GiB, and (2, 8192), whose path transform does.  (2, 6000)
+    passes on one worker and is refused on four, one chunk each."""
     assert harmonic_lab.MEMORY_BUDGET == 2**31
-    for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12)]:
+    for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12), (2, 6000)]:
         boxes._refuse_over_budget(d, N)
     for d, N in [(4, 64), (3, 512), (2, 8192)]:
         with pytest.raises(ValueError, match=f"sweep cell d={d}, N={N} needs about"):
             boxes._refuse_over_budget(d, N)
+    with pytest.raises(ValueError, match="d=2, N=6000 on 4 workers needs about 3036 MiB"):
+        boxes._refuse_over_budget(2, 6000, 4)
+
+
+@pytest.mark.parametrize("kind,d,N", [("dirichlet", 3, 96), ("neumann", 2, 1024)])
+def test_a_pooled_sweep_peak_stays_under_its_estimate(monkeypatch, kind, d, N):
+    """Each busy worker of a pooled sweep holds its own chunk: traced peaks
+    of these 8-sample sweeps read 21-25 MiB on one thread and about 14-16
+    MiB more per added worker, past a one-chunk estimate from 4 threads on.
+    The estimate the sweep asks for covers its peak at 2, 4 and 8 threads;
+    a sweep of one chunk prices one chunk on any number of threads."""
+    estimates = []
+    monkeypatch.setattr(boxes, "refuse_over_budget", lambda *priced: estimates.append(priced))
+    sweeps.run_sweep(kind, sweeps.SweepSpec((d,), (4,), (2.0,), samples=2, seed=0), 8)
+    assert [subject for subject, _ in estimates] == [f"sweep cell d={d}, N=4"]
+    spec = sweeps.SweepSpec((d,), (N,), (2.0,), samples=8, seed=0)
+    for threads in (2, 4, 8):
+        tracemalloc.start()
+        try:
+            sweeps.run_sweep(kind, spec, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        subject, estimate = estimates[-1]
+        assert subject == f"sweep cell d={d}, N={N} on {threads} workers"
+        assert peak <= estimate, (threads, peak >> 20, estimate >> 20)
 
 
 @pytest.mark.parametrize("d,N", [(3, 64), (4, 24), (5, 10)])

@@ -210,7 +210,7 @@ def test_step_cap_budget_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    top = 2 * (walks.CDF_TABLE_BUDGET // 24) - 1
+    top = 2 * walks.HEAD_ENTRY_BUDGET - 1
     walks.WalkConfig(d=2, z=1, max_steps=top)
     with pytest.raises(ValueError, match="budget"):
         walks.WalkConfig(d=2, z=1, max_steps=top + 2)
