@@ -37,25 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lattice, refuse_over_budget
+from . import lattice
 
 __all__ = ["face_map", "gradient_operator", "operator_certificate"]
 
 logger = logging.getLogger(__name__)
-
-_BLOCK = 1 << 16  # interior coefficients per sweep chunk
-
-#: peak bytes of an operator build per boundary vertex and per d^2
-#: (``_box_maps`` dominates), a conservative bound: tracemalloc read 20.8,
-#: 15.4 and 12.6 at (3, 64), (4, 24) and (5, 10); a lower one would admit
-#: (4, 64), whose build and chunk have not been measured
-_BUILD_BYTES = 77
-
-#: peak bytes of one sample of a sweep chunk beyond its coefficients, per
-#: boundary vertex and per d (its data, its gradients and their norms):
-#: tracemalloc read 9-41 from (2, 1024) to (7, 5), and 82 at (2, 256),
-#: where 0.1 MiB of fixed cost is most of it
-_CHUNK_BYTES = 48
 
 
 def __getattr__(name):
@@ -153,27 +139,6 @@ def _box_maps(d, N):
     for a in (*maps[:-1], *(a for pair in fill for a in pair)):
         a.flags.writeable = False  # the pooled chunks of a sweep cell share them
     return maps
-
-
-def _chunk_samples(d, N):
-    """Samples per sweep chunk of the (d, N) cell: ``_BLOCK`` interior
-    coefficients' worth, or one sample when one has more."""
-    return max(1, _BLOCK // (N - 1) ** d)
-
-
-def _refuse_over_budget(d, N, chunks=1):
-    """Raise a ValueError, before anything is allocated, when building the
-    (d, N) operator and applying it to ``chunks`` sweep chunks at once (one
-    per pool worker) would pass the package's ``MEMORY_BUDGET`` by estimate:
-    the build, the three n x n arrays of the path transform (n = N-1), which
-    dominate at d = 2, and for each sample of each chunk its transform
-    coefficients (n^d) with one temporary copy, and its data, gradients and
-    their norms (``_CHUNK_BYTES``)."""
-    n, boundary = N - 1, (N + 1) ** d - (N - 1) ** d
-    chunk = _chunk_samples(d, N) * (16 * n**d + _CHUNK_BYTES * d * boundary)
-    estimate = _BUILD_BYTES * d * d * boundary + 24 * n * n + chunks * chunk
-    workers = f" on {chunks} workers" if chunks > 1 else ""
-    refuse_over_budget(f"sweep cell d={d}, N={N}{workers}", estimate)
 
 
 def _neumann_boundary(layer, g, maps):

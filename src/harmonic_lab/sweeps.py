@@ -10,8 +10,8 @@ failed checks.  Every cell derives its own generator seed from
 
 The command line imports this module only when a sweep or the self test
 runs, and writes what it returns; this module imports nothing from it.  A
-sweep builds each (d, N) cell when its first chunk is due and drops it
-after its last.
+sweep sizes its chunks and prices its cells here; it builds each (d, N)
+cell when its first chunk is due and drops it after its last.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from . import GENERATORS, cell_seed, refuse_repeats
+from . import GENERATORS, cell_seed, refuse_over_budget, refuse_repeats
 
 __all__ = ["SweepSpec", "run_sweep", "run_selftest"]
 
@@ -36,6 +36,20 @@ SELFTEST_SEED = 20240801
 #: largest gap, relative to the largest gradient, the selftest allows between
 #: a gradient operator's output and the gradients of an exact harmonic function
 OPERATOR_RTOL = 1e-12
+
+_BLOCK = 1 << 16  # interior coefficients per sweep chunk
+
+#: peak bytes of an operator build per boundary vertex and per d^2
+#: (``boxes._box_maps`` dominates), a conservative bound: tracemalloc read
+#: 20.8, 15.4 and 12.6 at (3, 64), (4, 24) and (5, 10); a lower one would
+#: admit (4, 64), whose build and chunk have not been measured
+_BUILD_BYTES = 77
+
+#: peak bytes of one sample of a sweep chunk beyond its coefficients, per
+#: boundary vertex and per d (its data, its gradients and their norms):
+#: tracemalloc read 9-41 from (2, 1024) to (7, 5), and 82 at (2, 256),
+#: where 0.1 MiB of fixed cost is most of it
+_SAMPLE_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -183,16 +197,37 @@ def _summarize(rows):
     return summary
 
 
+def _chunk_samples(d, N):
+    """Samples per sweep chunk of the (d, N) cell: ``_BLOCK`` interior
+    coefficients' worth, or one sample when one has more."""
+    return max(1, _BLOCK // (N - 1) ** d)
+
+
+def _refuse_over_budget(d, N, chunks=1):
+    """Raise a ValueError, before anything is allocated, when building the
+    (d, N) operator and applying it to ``chunks`` sweep chunks at once (one
+    per pool worker) would pass the package's ``MEMORY_BUDGET`` by estimate:
+    the build, the three n x n arrays of the path transform (n = N-1), which
+    dominate at d = 2, and for each sample of each chunk its transform
+    coefficients (n^d) with one temporary copy, and its data, gradients and
+    their norms (``_SAMPLE_BYTES``)."""
+    n, boundary = N - 1, (N + 1) ** d - (N - 1) ** d
+    chunk = _chunk_samples(d, N) * (16 * n**d + _SAMPLE_BYTES * d * boundary)
+    estimate = _BUILD_BYTES * d * d * boundary + 24 * n * n + chunks * chunk
+    workers = f" on {chunks} workers" if chunks > 1 else ""
+    refuse_over_budget(f"sweep cell d={d}, N={N}{workers}", estimate)
+
+
 def _tasks(kind, spec):
-    """The chunks (d, N, samples, cell) in (d, N) order, each of at most
-    boxes._BLOCK interior coefficients or of one sample; a cell (operator,
+    """The chunks (d, N, samples, cell) in (d, N) order, of
+    ``_chunk_samples(d, N)`` samples each but the last; a cell (operator,
     data points) is built for its first chunk and dropped after its last."""
     from . import boxes, lattice
 
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     for d, N in itertools.product(spec.d_list, spec.n_list):
         cell = (boxes.gradient_operator(kind, d, N), points(d, N))
-        size = boxes._chunk_samples(d, N)
+        size = _chunk_samples(d, N)
         for s in range(0, spec.samples, size):
             yield d, N, range(s, min(s + size, spec.samples)), cell
         del cell
@@ -202,13 +237,11 @@ def run_sweep(kind, spec: SweepSpec, threads: int = 1):
     """Rows and summary of the "dirichlet" or "neumann" extension sweep; the
     ratio is nor/tan or tan/nor.  A pool holds at most threads + 1 chunks;
     it raises the first chunk that fails and logs any other failure."""
-    from . import boxes
-
     cells = list(itertools.product(spec.d_list, spec.n_list))
-    chunks = sum(-(-spec.samples // boxes._chunk_samples(d, N)) for d, N in cells)
+    chunks = sum(-(-spec.samples // _chunk_samples(d, N)) for d, N in cells)
     for d, N in cells:
         # every cell, before the first is built, with a chunk per busy worker
-        boxes._refuse_over_budget(d, N, min(threads, chunks))
+        _refuse_over_budget(d, N, min(threads, chunks))
     run, tasks, rows = functools.partial(_chunk_rows, kind, spec), _tasks(kind, spec), []
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

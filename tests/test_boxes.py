@@ -306,12 +306,12 @@ def test_the_cell_estimate_admits_the_sizes_that_fit_the_budget():
     passes on one worker and is refused on four, one chunk each."""
     assert harmonic_lab.MEMORY_BUDGET == 2**31
     for d, N in [(2, 512), (3, 128), (3, 256), (4, 32), (4, 48), (5, 12), (2, 6000)]:
-        boxes._refuse_over_budget(d, N)
+        sweeps._refuse_over_budget(d, N)
     for d, N in [(4, 64), (3, 512), (2, 8192)]:
         with pytest.raises(ValueError, match=f"sweep cell d={d}, N={N} needs about"):
-            boxes._refuse_over_budget(d, N)
+            sweeps._refuse_over_budget(d, N)
     with pytest.raises(ValueError, match="d=2, N=6000 on 4 workers needs about 3036 MiB"):
-        boxes._refuse_over_budget(2, 6000, 4)
+        sweeps._refuse_over_budget(2, 6000, 4)
 
 
 @pytest.mark.parametrize("kind,d,N", [("dirichlet", 3, 96), ("neumann", 2, 1024)])
@@ -322,7 +322,7 @@ def test_a_pooled_sweep_peak_stays_under_its_estimate(monkeypatch, kind, d, N):
     The estimate the sweep asks for covers its peak at 2, 4 and 8 threads;
     a sweep of one chunk prices one chunk on any number of threads."""
     estimates = []
-    monkeypatch.setattr(boxes, "refuse_over_budget", lambda *priced: estimates.append(priced))
+    monkeypatch.setattr(sweeps, "refuse_over_budget", lambda *priced: estimates.append(priced))
     sweeps.run_sweep(kind, sweeps.SweepSpec((d,), (4,), (2.0,), samples=2, seed=0), 8)
     assert [subject for subject, _ in estimates] == [f"sweep cell d={d}, N=4"]
     spec = sweeps.SweepSpec((d,), (N,), (2.0,), samples=8, seed=0)
@@ -351,7 +351,7 @@ def test_the_box_map_build_peak_per_boundary_vertex(d, N):
     finally:
         tracemalloc.stop()
     boundary = (N + 1) ** d - (N - 1) ** d
-    assert peak <= 35 * boundary * d * d <= boxes._BUILD_BYTES * boundary * d * d
+    assert peak <= 35 * boundary * d * d <= sweeps._BUILD_BYTES * boundary * d * d
 
 
 def test_each_operator_build_logs_one_debug_line(caplog):
@@ -441,7 +441,7 @@ def test_the_operator_and_the_face_map_take_only_a_batch_of_rows(kind):
 @pytest.mark.parametrize("d,N", [(2, 64), (3, 20), (4, 8)])
 def test_a_cell_row_is_byte_identical_alone_and_inside_a_chunk(kind, d, N):
     spec = sweeps.SweepSpec(d_list=(d,), n_list=(N,), p_list=(1.5, 2.0), samples=4, seed=7)
-    assert boxes._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
+    assert sweeps._BLOCK // (N - 1) ** d >= spec.samples  # one chunk holds all four
     points = lattice.boundary_vertices if kind == "dirichlet" else lattice.normal_edges
     cell = (boxes.gradient_operator(kind, d, N), points(d, N))
     chunk = sweeps._chunk_rows(kind, spec, d, N, range(spec.samples), cell)

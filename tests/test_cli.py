@@ -271,7 +271,7 @@ def test_sweeps_are_thread_count_invariant(kind):
     # the (3, 32) cell spans three chunks, which the pool runs on one shared
     # operator, with more workers than cores and frequent thread switches;
     # the others are a chunk each
-    assert boxes._BLOCK // 31**3 == 2
+    assert sweeps._BLOCK // 31**3 == 2
     spec = _small_spec(d_list=(2, 3), n_list=(4, 8, 32), samples=5)
     rows1, sum1 = sweeps.run_sweep(kind, spec, threads=1)
     interval = sys.getswitchinterval()
@@ -291,7 +291,7 @@ def test_sweeps_are_thread_count_invariant(kind):
 def test_each_sweep_cell_is_built_once(monkeypatch, kind):
     """A cell's operator is built once however many chunks it spans, and its
     edge and vertex sets are built as often at one sample as at five."""
-    assert boxes._BLOCK // 31**3 == 2  # five samples of (3, 32): three chunks
+    assert sweeps._BLOCK // 31**3 == 2  # five samples of (3, 32): three chunks
     calls = collections.Counter()
     for module, name in [(boxes, "gradient_operator"), (lattice, "boundary_vertices"),
                          (lattice, "normal_edges")]:
@@ -577,7 +577,7 @@ def test_the_budget_refusals_share_one_message_form():
     """A sweep cell, a symbol grid and a kernel report over the budget are
     refused through ``refuse_over_budget``, each naming what it refuses."""
     refusals = [
-        (lambda: boxes._refuse_over_budget(4, 64), "sweep cell d=4, N=64"),
+        (lambda: sweeps._refuse_over_budget(4, 64), "sweep cell d=4, N=64"),
         (lambda: spectral.grid_symbols(6, 64), "symbol grid d=6, L=64"),
         (lambda: cli.run_kernel_report(3, [1], 4096, 10), "kernel report d=3, L=4096, samples=10"),
     ]
@@ -993,9 +993,11 @@ def test_no_library_module_imports_the_command_line():
     """The rules the commands share live in the package, so no module but
     ``cli`` imports ``cli``, and ``cli`` registers nothing in
     ``sys.modules``; ``MEMORY_BUDGET`` is compared in the package's
-    ``refuse_over_budget`` alone."""
+    ``refuse_over_budget`` alone, which only the modules that keep an
+    estimate call: ``cli`` (the kernel report), ``spectral`` (the symbol
+    grid) and ``sweeps`` (the sweep cell); ``boxes`` only builds operators."""
     package = os.path.dirname(os.path.abspath(cli.__file__))
-    importers, compared = [], []
+    importers, compared, callers = [], [], set()
     for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
         with open(os.path.join(package, name), encoding="utf-8") as fh:
             source = fh.read()
@@ -1009,9 +1011,14 @@ def test_no_library_module_imports_the_command_line():
             importers += [name for target in targets if "cli" in target.split(".")]
             if isinstance(node, ast.Compare) and "'MEMORY_BUDGET'" in ast.dump(node):
                 compared.append(name)
+            if isinstance(node, ast.Call) and "refuse_over_budget" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                callers.add(name)
         if name == "cli.py":
             assert "sys.modules" not in source
     assert importers == [] and compared == ["__init__.py"]
+    assert sorted(callers) == ["cli.py", "spectral.py", "sweeps.py"]
 
 
 def test_log_level_reaches_the_debug_records(tmp_path):
@@ -1245,7 +1252,7 @@ def test_every_public_name_resolves_once(name):
 
 def test_a_flux_inside_a_chunk_names_its_sample(monkeypatch):
     spec = _small_spec(n_list=(8,), p_list=(2.0,), samples=5)
-    assert boxes._BLOCK // 7**2 >= spec.samples  # one chunk holds all five
+    assert sweeps._BLOCK // 7**2 >= spec.samples  # one chunk holds all five
     generate = sweeps._neumann_data
 
     def with_flux(generator, rng, edges, N):
